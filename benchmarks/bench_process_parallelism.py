@@ -16,9 +16,8 @@ gates ride on the numbers:
   a pool, so ``--workers 1`` pays no IPC tax.
 
 On single-core hosts the multi-worker gate is unreachable (there is
-nothing to overlap and fork/IPC only add cost), so — like
-``bench_runtime_parallelism`` — the JSON records a rationale instead of
-failing.  ``REPRO_BENCH_SMOKE=1`` shrinks the scenario so CI can
+nothing to overlap and fork/IPC only add cost), so the JSON records a
+rationale instead of failing.  ``REPRO_BENCH_SMOKE=1`` shrinks the scenario so CI can
 exercise the full code path quickly.
 """
 

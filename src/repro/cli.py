@@ -44,7 +44,7 @@ from .resilience import (
     FaultError,
     fault_plan_from_env,
 )
-from .runtime import BACKEND_ENV_VAR, Runtime, set_default_runtime
+from .runtime import BACKEND_ENV_VAR, BACKENDS, Runtime, set_default_runtime
 from .scenarios import (
     UnknownScenarioError,
     resolve_scenario,
@@ -327,8 +327,13 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
-class _Terminated(Exception):
-    """SIGTERM arrived: unwind ``serve_forever`` into a graceful drain."""
+class _Terminated(BaseException):
+    """SIGTERM arrived: unwind ``serve_forever`` into a graceful drain.
+
+    A ``BaseException``, like ``KeyboardInterrupt``: socketserver logs
+    and swallows any ``Exception`` raised while it dispatches a request,
+    which would leave the server running.
+    """
 
 
 def _raise_terminated(signum, frame):  # pragma: no cover - signal plumbing
@@ -790,21 +795,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="EFES: effort estimation for data integration & cleaning",
     )
     parser.add_argument("--seed", type=int, default=1, help="scenario seed")
-    # $REPRO_RUNTIME_BACKEND sets the default; an unknown value falls
-    # back to serial because argparse only validates explicit arguments.
-    env_backend = os.environ.get(BACKEND_ENV_VAR)
-    backend_choices = ("serial", "threads", "process", "auto")
+    # $REPRO_RUNTIME_BACKEND sets the default; main() rejects an unknown
+    # value because argparse only validates explicit arguments.
     parser.add_argument(
         "--backend",
-        choices=backend_choices,
-        default=env_backend if env_backend in backend_choices else "serial",
+        choices=BACKENDS,
+        default=os.environ.get(BACKEND_ENV_VAR, "serial"),
         help=f"assessment runtime backend (default: serial, or ${BACKEND_ENV_VAR})",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="worker count for the threaded/process backends (default: auto-sized)",
+        help="worker count for the process backend (default: auto-sized)",
     )
     parser.add_argument(
         "--metrics",
@@ -855,25 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         default=None,
         help="also write the span tree(s) as JSON to this path",
-    )
-    # Subparser defaults clobber the global option's parse result, so
-    # these overrides use private dests and main() resolves precedence
-    # (subcommand flag > global flag > $REPRO_RUNTIME_BACKEND).
-    trace.add_argument(
-        "--backend",
-        dest="trace_backend",
-        choices=backend_choices,
-        default=None,
-        help="runtime backend for this trace run (overrides the global "
-        f"--backend and ${BACKEND_ENV_VAR})",
-    )
-    trace.add_argument(
-        "--workers",
-        dest="trace_workers",
-        type=int,
-        default=None,
-        help="worker count for this trace run (overrides the global "
-        "--workers)",
     )
 
     curve = subparsers.add_parser(
@@ -1109,14 +1093,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    backend = getattr(args, "trace_backend", None) or args.backend
-    workers = (
-        getattr(args, "trace_workers", None)
-        if getattr(args, "trace_workers", None) is not None
-        else args.workers
-    )
-    if workers is not None and workers < 1:
-        parser.error(f"argument --workers: must be positive, got {workers}")
+    if args.workers is not None and args.workers < 1:
+        parser.error(
+            f"argument --workers: must be positive, got {args.workers}"
+        )
     try:
         # Validate the fault plan up front: a typo in a chaos run must be
         # a one-line error, not a silently disabled injection campaign.
@@ -1124,10 +1104,20 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"efes: invalid ${FAULT_PLAN_ENV_VAR}: {exc}", file=sys.stderr)
         return 2
+    # Likewise the backend variable: library code and service workers
+    # raise on an unknown value, so the CLI must not quietly run serial.
+    env_backend = os.environ.get(BACKEND_ENV_VAR)
+    if env_backend is not None and env_backend not in BACKENDS:
+        print(
+            f"efes: invalid ${BACKEND_ENV_VAR}: {env_backend!r} is not one "
+            f"of {', '.join(BACKENDS)}",
+            file=sys.stderr,
+        )
+        return 2
     # One runtime per invocation: every command (and the profiling
     # underneath it) executes on the selected backend and records its
     # instrumentation here.
-    runtime = Runtime(backend=backend, max_workers=workers)
+    runtime = Runtime(backend=args.backend, max_workers=args.workers)
     set_default_runtime(runtime)
     commands = {
         "list": cmd_list,

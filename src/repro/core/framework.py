@@ -152,9 +152,9 @@ class Efes:
     ) -> dict[str, ComplexityReport]:
         """Run every module's detector; returns reports keyed by module.
 
-        Detectors run concurrently on the runtime's executor; the report
-        dict is ordered by module declaration order regardless of task
-        completion order.  In strict mode (the default here) a failing
+        Detectors run on the runtime's backend (in a loop, or on the
+        process pool); the report dict is ordered by module declaration
+        order regardless of task completion order.  In strict mode (the default here) a failing
         detector's exception propagates; with ``strict=False`` the failed
         module's slot holds a :class:`~repro.resilience.DegradedResult`
         instead and the other reports survive.

@@ -1,6 +1,6 @@
 """Fixed log-scale histograms with quantile summaries.
 
-Latency distributions under the threaded executor and the service's
+Latency distributions under the process backend and the service's
 worker slots are long-tailed; counters and summed stage timings cannot
 answer "what is the p95 detector latency under 4 clients?".
 :class:`Histogram` records observations into **fixed log-scale buckets**

@@ -9,11 +9,10 @@ one run spend its time?" in a way the aggregated
 
 Propagation is :mod:`contextvars`-based: the active tracer and the
 current span live in context variables, so instrumentation points
-(:func:`span`) never need a tracer threaded through their signatures,
-and the threaded executor's ``contextvars.copy_context()`` carries the
-current span onto worker threads — a child span started on a worker
-attaches to the span that submitted the work, regardless of which thread
-runs it.
+(:func:`span`) never need a tracer threaded through their signatures.
+Process-pool workers receive the current span as a
+:class:`~repro.observability.context.SpanContext` instead, and their
+spans are grafted back under the span that submitted the work.
 
 Tracing is **disabled by default**: with no tracer activated,
 :func:`span` returns a shared no-op handle without allocating, so the
@@ -191,8 +190,7 @@ class Tracer:
     """Produces span trees; activate one to turn instrumentation on.
 
     ``tracer.activated()`` makes the tracer current for the calling
-    context (and, through context copying, for pipeline worker threads);
-    completed root spans accumulate in ``tracer.roots``.
+    context; completed root spans accumulate in ``tracer.roots``.
     """
 
     def __init__(self, enabled: bool = True) -> None:

@@ -67,10 +67,6 @@ def _is_unique(instance: RelationInstance, attributes: tuple[str, ...]) -> bool:
     return True
 
 
-def _serial_map(function, items):
-    return [function(item) for item in items]
-
-
 def discover_uccs(
     database: Database, max_arity: int = 2
 ) -> list[UniqueColumnCombination]:
@@ -117,14 +113,14 @@ def compute_relation_uccs(
 
 
 def compute_uccs(
-    database: Database, max_arity: int = 2, mapper=_serial_map
+    database: Database, max_arity: int = 2
 ) -> list[UniqueColumnCombination]:
-    """Uncached UCC discovery; ``mapper`` fans out over relations."""
-    per_relation = mapper(
-        lambda name: compute_relation_uccs(database, name, max_arity),
-        [relation.name for relation in database.schema.relations],
-    )
-    return [ucc for uccs in per_relation for ucc in uccs]
+    """Uncached UCC discovery, relation by relation."""
+    return [
+        ucc
+        for relation in database.schema.relations
+        for ucc in compute_relation_uccs(database, relation.name, max_arity)
+    ]
 
 
 def discover_inds(
@@ -141,29 +137,21 @@ def discover_inds(
 
 
 def compute_inds(
-    database: Database, min_values: int = 1, mapper=_serial_map
+    database: Database, min_values: int = 1
 ) -> list[InclusionDependency]:
     """Uncached IND discovery.
 
     ``min_values`` guards against vacuous INDs from (near-)empty columns.
     Trivial reflexive INDs are excluded.  The distinct-value sets are
-    collected per relation via ``mapper`` (the expensive scan); the
-    pairwise subset checks stay serial to keep result order canonical.
+    collected relation by relation (the expensive scan), then checked
+    pairwise in that order to keep result order canonical.
     """
-
-    def relation_value_sets(relation):
+    value_sets: dict[tuple[str, str], set[object]] = {}
+    for relation in database.schema.relations:
         checkpoint("ind.scan", relation=relation.name)
         instance = database.table(relation.name)
-        return [
-            ((relation.name, name), instance.distinct(name))
-            for name in relation.attribute_names
-        ]
-
-    value_sets: dict[tuple[str, str], set[object]] = {
-        key: values
-        for chunk in mapper(relation_value_sets, database.schema.relations)
-        for key, values in chunk
-    }
+        for name in relation.attribute_names:
+            value_sets[(relation.name, name)] = instance.distinct(name)
     return _inds_from_value_sets(value_sets, min_values)
 
 
@@ -243,15 +231,13 @@ def compute_relation_fds(
     return results
 
 
-def compute_fds(
-    database: Database, mapper=_serial_map
-) -> list[FunctionalDependency]:
-    """Uncached FD discovery; ``mapper`` fans out over relations."""
-    per_relation = mapper(
-        lambda name: compute_relation_fds(database, name),
-        [relation.name for relation in database.schema.relations],
-    )
-    return [fd for fds in per_relation for fd in fds]
+def compute_fds(database: Database) -> list[FunctionalDependency]:
+    """Uncached FD discovery, relation by relation."""
+    return [
+        fd
+        for relation in database.schema.relations
+        for fd in compute_relation_fds(database, relation.name)
+    ]
 
 
 def ind_graph(inds: list[InclusionDependency]) -> dict[tuple[str, str], list[tuple[str, str]]]:

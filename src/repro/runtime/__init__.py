@@ -3,15 +3,15 @@ caching, and instrumentation for the EFES estimate pipeline.
 
 Public surface:
 
-* :class:`Runtime` — executor + :class:`ProfileCache` +
-  :class:`RuntimeMetrics` behind one object; pass one to
-  :class:`repro.core.Efes` (or activate it) to control how assessments
-  execute,
+* :class:`Runtime` — a ``serial`` or ``process`` backend (see
+  :data:`BACKENDS`) + :class:`ProfileCache` + :class:`RuntimeMetrics`
+  behind one object; pass one to :class:`repro.core.Efes` (or activate
+  it) to control how assessments execute,
 * :func:`default_runtime` / :func:`get_runtime` /
   :func:`set_default_runtime` — the process-wide default and the
   active-runtime resolution used by the profiling entry points,
-* :func:`make_executor` — ``serial`` / ``threads`` / ``process`` /
-  ``auto`` backends with deterministic result ordering,
+* :class:`ProcessExecutor` — the process pool behind the ``process``
+  backend, with deterministic result ordering,
 * :class:`ScenarioSpool` — the content-addressed on-disk spool the
   process backend ships scenarios to workers through.
 """
@@ -30,20 +30,13 @@ from .deadline import (
 )
 from .engine import (
     BACKEND_ENV_VAR,
+    BACKENDS,
     Runtime,
     default_runtime,
     get_runtime,
     set_default_runtime,
 )
-from .executor import (
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadedExecutor,
-    auto_worker_count,
-    in_process_worker,
-    make_executor,
-)
+from .executor import ProcessExecutor, auto_worker_count, in_process_worker
 from .metrics import MetricsSnapshot, RuntimeMetrics, StageTiming
 from .spool import (
     SPOOL_ENV_VAR,
@@ -55,10 +48,10 @@ from .spool import (
 
 __all__ = [
     "BACKEND_ENV_VAR",
+    "BACKENDS",
     "CancelScope",
     "Deadline",
     "DeadlineExceededError",
-    "Executor",
     "MetricsSnapshot",
     "OperationCancelled",
     "ProcessExecutor",
@@ -67,12 +60,10 @@ __all__ = [
     "RuntimeMetrics",
     "SPOOL_ENV_VAR",
     "ScenarioSpool",
-    "SerialExecutor",
     "SpoolCorruptionError",
     "SpoolError",
     "SpoolMissError",
     "StageTiming",
-    "ThreadedExecutor",
     "WorkerReapedError",
     "auto_worker_count",
     "checkpoint",
@@ -82,7 +73,6 @@ __all__ = [
     "fingerprint_scenario",
     "get_runtime",
     "in_process_worker",
-    "make_executor",
     "remaining_scope",
     "set_default_runtime",
     "wire_deadline",

@@ -1,4 +1,4 @@
-"""The shared assessment runtime: executor + cache + metrics in one place.
+"""The shared assessment runtime: backend + cache + metrics in one place.
 
 Phase-1 complexity assessment (paper Section 3, Figure 3) is
 embarrassingly parallel — module detectors are independent, column
@@ -6,8 +6,11 @@ profiles are independent, per-relation dependency discovery is
 independent — and wholly repeatable, because every result is a pure
 function of immutable instances.  :class:`Runtime` exploits both facts:
 
-* ``run_detectors`` fans the module detectors out on the configured
-  executor while preserving module order in the returned report dict,
+* on the ``serial`` backend the detectors, column profiles and
+  per-relation discovery run in plain loops; on the ``process`` backend
+  they fan out to a :class:`~repro.runtime.executor.ProcessExecutor`,
+  and ``run_detectors`` keeps module order in the returned report dict
+  either way,
 * the cached profiling entry points (``profile_column``,
   ``profile_database``, ``discover_uccs/inds/fds``) memoise results in a
   content-keyed :class:`~repro.runtime.cache.ProfileCache`,
@@ -16,7 +19,7 @@ function of immutable instances.  :class:`Runtime` exploits both facts:
   conftest can query.
 
 One process-wide default runtime exists (``default_runtime``); code that
-wants a private executor/cache builds its own ``Runtime`` and either
+wants a private backend/cache builds its own ``Runtime`` and either
 passes it to :class:`Efes` or activates it with ``with runtime.activated()``.
 """
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 import contextvars
 import os
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from contextlib import contextmanager
 
 from ..observability import tracing
@@ -38,12 +41,14 @@ from .deadline import (
     checkpoint,
     wire_deadline,
 )
-from .executor import Executor, make_executor
+from .executor import ProcessExecutor, in_process_worker
 from .metrics import RuntimeMetrics
 
-#: Environment variable selecting the default runtime's backend
-#: ("serial", "threads", "process", or "auto").
+#: Environment variable selecting the default runtime's backend.
 BACKEND_ENV_VAR = "REPRO_RUNTIME_BACKEND"
+
+#: The runtime backends: plain in-process loops, or a process pool.
+BACKENDS = ("serial", "process")
 
 _ACTIVE: contextvars.ContextVar["Runtime | None"] = contextvars.ContextVar(
     "repro_active_runtime", default=None
@@ -57,14 +62,20 @@ class Runtime:
         self,
         backend: str = "serial",
         max_workers: int | None = None,
-        executor: Executor | None = None,
         cache: ProfileCache | None = None,
         metrics: RuntimeMetrics | None = None,
         spool=None,
     ) -> None:
+        if backend not in BACKENDS:
+            raise ValueError(
+                f"unknown runtime backend {backend!r}; "
+                "expected 'serial' or 'process'"
+            )
+        self.backend = backend
         self.metrics = metrics if metrics is not None else RuntimeMetrics()
+        #: The process pool; ``None`` on the serial backend.
         self.executor = (
-            executor if executor is not None else make_executor(backend, max_workers)
+            ProcessExecutor(max_workers) if backend == "process" else None
         )
         # An empty ProfileCache is falsy (it has __len__), so never use
         # `or` here — a caller's fresh cache must not be discarded.
@@ -79,10 +90,6 @@ class Runtime:
         #: get one lazily only when ``$REPRO_EVENT_LOG`` asks for it.
         self.events = None
 
-    @property
-    def backend(self) -> str:
-        return self.executor.name
-
     def spool(self):
         """The scenario spool shipping inputs to worker processes."""
         if self._spool is None:
@@ -93,13 +100,10 @@ class Runtime:
 
     def _process_eligible(self, task_count: int) -> bool:
         """Whether to route a fan-out through the process pool."""
-        import os
-
         from ..resilience.faults import FAULT_PLAN_ENV_VAR, active_fault_plan
-        from .executor import in_process_worker
 
         if not (
-            not self.executor.supports_closures
+            self.executor is not None
             and self.executor.max_workers > 1
             and task_count > 1
             and not in_process_worker()
@@ -130,32 +134,10 @@ class Runtime:
 
     # -- execution --------------------------------------------------------
 
-    def map_ordered(
-        self,
-        function: Callable,
-        items: Iterable,
-        stage: str | None = None,
-    ) -> list:
-        """Run ``function`` over ``items`` on the backend, results in
-        submission order; each task sees this runtime as the active one."""
-        items = list(items)
-        self.metrics.increment("tasks_submitted", by=len(items))
-
-        def call(item):
-            with self.activated():
-                if stage is None:
-                    return function(item)
-                with self.metrics.time_stage(stage):
-                    return function(item)
-
-        results = self.executor.map_ordered(call, items)
-        self.metrics.increment("tasks_completed", by=len(items))
-        return results
-
     def run_detectors(
         self, modules: Sequence, scenario, on_error: str = "raise"
     ) -> dict:
-        """Phase 1 for every module concurrently; reports in module order.
+        """Phase 1 for every module; reports in module order.
 
         With ``on_error="raise"`` (the default), exceptions from a
         failing detector propagate to the caller (first module in
@@ -167,7 +149,7 @@ class Runtime:
         ``error`` annotation.  Each detector runs under a
         ``detector:<name>`` span and records its latency into the
         ``detector_seconds`` histogram, so per-detector p50/p95/p99
-        survive the fan-out.
+        survive on either backend.
         """
         if on_error not in ("raise", "degrade"):
             raise ValueError(
@@ -226,12 +208,12 @@ class Runtime:
                     )
                 if processed is not None:
                     return processed
-            reports = self.map_ordered(
-                run_one, modules, stage="assess.detector"
-            )
-        return {
-            module.name: report for module, report in zip(modules, reports)
-        }
+            reports = {}
+            with self.activated():
+                for module in modules:
+                    with self.metrics.time_stage("assess.detector"):
+                        reports[module.name] = run_one(module)
+        return reports
 
     def _run_detectors_process(
         self, modules: Sequence, scenario, on_error: str
@@ -371,11 +353,10 @@ class Runtime:
                 profiles = self._profile_columns_process(database, pairs)
                 if profiles is not None:
                     return dict(zip(pairs, profiles))
-            profiles = self.map_ordered(
-                lambda pair: self.profile_column(database, pair[0], pair[1]),
-                pairs,
-            )
-            return dict(zip(pairs, profiles))
+            with self.activated():
+                return {
+                    pair: self.profile_column(database, *pair) for pair in pairs
+                }
 
         with tracing.span(
             "profile", scope="database", database=database.name, cache_hit=True
@@ -459,7 +440,6 @@ class Runtime:
                 dependencies.compute_uccs,
                 database,
                 max_arity,
-                self.map_ordered,
                 span=span,
             )
 
@@ -493,7 +473,6 @@ class Runtime:
                 dependencies.compute_inds,
                 database,
                 min_values,
-                self.map_ordered,
                 span=span,
             )
 
@@ -518,7 +497,6 @@ class Runtime:
                 "dependencies",
                 dependencies.compute_fds,
                 database,
-                self.map_ordered,
                 span=span,
             )
 
@@ -535,7 +513,7 @@ class Runtime:
         Returns per-relation result chunks in schema relation order, or
         ``None`` when the process backend is ineligible or its machinery
         fails (then counted on ``process_fallbacks``) — callers fall
-        back to the in-process ``mapper`` path.
+        back to the in-process loop.
         """
         relations = database.schema.relations
         if not self._process_eligible(len(relations)):
@@ -675,12 +653,13 @@ class Runtime:
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
-        self.executor.shutdown()
+        if self.executor is not None:
+            self.executor.shutdown()
 
     def __repr__(self) -> str:
+        workers = self.executor.max_workers if self.executor else 1
         return (
-            f"Runtime(backend={self.backend!r}, "
-            f"workers={self.executor.max_workers}, "
+            f"Runtime(backend={self.backend!r}, workers={workers}, "
             f"cache={len(self.cache)} entries)"
         )
 

@@ -1,31 +1,26 @@
-"""Pluggable task executors: serial, threaded, and process backends.
+"""The process-pool executor behind the ``process`` runtime backend.
 
 EFES's phase-1 assessment fans out over independent units of work —
 module detectors, per-column statistic bundles, per-relation dependency
-discovery.  :class:`SerialExecutor` runs them inline (the reference
-behaviour); :class:`ThreadedExecutor` runs them on a shared thread pool;
-:class:`ProcessExecutor` runs **picklable** task functions on a process
-pool, escaping the GIL for the pure-Python profiling workload.  All
-guarantee **deterministic result ordering**: results come back in
-submission order regardless of completion order, and the first exception
-(in submission order) propagates to the caller.
+discovery.  :class:`ProcessExecutor` runs **picklable** task functions
+for them on a process pool, escaping the GIL for the pure-Python
+profiling workload.  Results come back in submission order regardless of
+completion order, and the first exception (in submission order)
+propagates to the caller.
 
-The process backend has one structural difference the engine honours via
-``supports_closures``: arbitrary callables (closures over runtimes and
-databases) cannot cross a process boundary, so ``map_ordered`` on a
-:class:`ProcessExecutor` runs inline and the engine routes work through
-:meth:`ProcessExecutor.run_tasks` with module-level worker functions
-(:mod:`repro.runtime.workers`) and spool-fingerprint payloads instead.
+Closures over runtimes and databases cannot cross a process boundary, so
+the engine routes work through :meth:`ProcessExecutor.run_tasks` with
+module-level worker functions (:mod:`repro.runtime.workers`) and
+spool-fingerprint payloads.
 """
 
 from __future__ import annotations
 
-import contextvars
 import multiprocessing
 import os
 import threading
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 
@@ -36,108 +31,9 @@ def auto_worker_count() -> int:
     """A sensible default pool size: one worker per core, at least two.
 
     Capped at 32 so that a many-core host does not spawn hundreds of
-    threads for workloads whose units are small.
+    processes for workloads whose units are small.
     """
     return max(2, min(32, os.cpu_count() or 1))
-
-
-class Executor:
-    """The executor interface the runtime engine programs against."""
-
-    #: Stable backend identifier ("serial", "threads", "process").
-    name: str = "executor"
-    #: Number of concurrent workers (1 for the serial backend).
-    max_workers: int = 1
-    #: Whether ``map_ordered`` can execute arbitrary callables
-    #: concurrently.  False for the process backend, whose concurrency
-    #: runs through ``run_tasks`` with picklable functions instead.
-    supports_closures: bool = True
-
-    def map_ordered(self, function: Callable, items: Iterable) -> list:
-        """Apply ``function`` to every item; results in submission order."""
-        raise NotImplementedError
-
-    def shutdown(self) -> None:
-        """Release pooled resources; the executor stays usable afterwards."""
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(workers={self.max_workers})"
-
-
-class SerialExecutor(Executor):
-    """Inline execution — the deterministic reference backend."""
-
-    name = "serial"
-    max_workers = 1
-
-    def map_ordered(self, function: Callable, items: Iterable) -> list:
-        return [function(item) for item in items]
-
-
-class ThreadedExecutor(Executor):
-    """A shared, lazily created thread pool.
-
-    Two properties matter beyond raw fan-out:
-
-    * **Context propagation** — each task runs in a
-      :mod:`contextvars` context copied from the submitting thread, so
-      the active runtime (and with it the cache and metrics) is visible
-      inside workers.
-    * **No nested fan-out** — a task that itself calls ``map_ordered``
-      (e.g. a detector profiling a database column-by-column) runs its
-      inner map serially.  Nested submission to a bounded pool can
-      deadlock when all workers block waiting on sub-tasks that can no
-      longer be scheduled.
-    """
-
-    name = "threads"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(
-                f"max_workers must be a positive integer, got {max_workers}"
-            )
-        self.max_workers = max_workers or auto_worker_count()
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-        self._local = threading.local()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="repro-runtime",
-                )
-            return self._pool
-
-    def _run_task(self, function: Callable, item) -> object:
-        self._local.in_worker = True
-        try:
-            return function(item)
-        finally:
-            self._local.in_worker = False
-
-    def map_ordered(self, function: Callable, items: Iterable) -> list:
-        items = list(items)
-        if len(items) <= 1 or getattr(self._local, "in_worker", False):
-            return [function(item) for item in items]
-        pool = self._ensure_pool()
-        futures: Sequence[Future] = [
-            pool.submit(
-                contextvars.copy_context().run, self._run_task, function, item
-            )
-            for item in items
-        ]
-        # Collect in submission order; .result() re-raises the task's
-        # exception, so the first failure (by submission order) wins.
-        return [future.result() for future in futures]
-
-    def shutdown(self) -> None:
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
 
 
 #: True inside a process-pool worker (set by the pool initializer); lets
@@ -162,7 +58,7 @@ def in_process_worker() -> bool:
     return _in_process_worker
 
 
-class ProcessExecutor(Executor):
+class ProcessExecutor:
     """A shared, lazily created process pool for picklable tasks.
 
     Scenario shipping stays cheap because task payloads carry **content
@@ -171,9 +67,6 @@ class ProcessExecutor(Executor):
     with a process-local memo, so a worker deserialises each distinct
     input exactly once regardless of how many tasks it runs.
 
-    * ``map_ordered`` runs inline — closures cannot cross the process
-      boundary (``supports_closures`` is False); the engine calls
-      :meth:`run_tasks` with module-level functions instead.
     * With one worker (or one task, or when already inside a worker)
       tasks run inline, so ``--workers 1`` pays no IPC tax at all.
     * A crashed worker (:class:`BrokenProcessPool`) discards the pool —
@@ -183,9 +76,6 @@ class ProcessExecutor(Executor):
     The ``fork`` start method is preferred (no interpreter re-import per
     worker); hosts without it use the platform default.
     """
-
-    name = "process"
-    supports_closures = False
 
     def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is not None and max_workers < 1:
@@ -230,9 +120,6 @@ class ProcessExecutor(Executor):
                     initializer=_mark_process_worker,
                 )
             return self._pool
-
-    def map_ordered(self, function: Callable, items: Iterable) -> list:
-        return [function(item) for item in items]
 
     def run_tasks(self, function: Callable, payloads: Iterable) -> list:
         """Run a module-level ``function`` over picklable ``payloads`` on
@@ -323,26 +210,3 @@ class ProcessExecutor(Executor):
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
                 self._pool = None
-
-
-def make_executor(
-    backend: str = "serial", max_workers: int | None = None
-) -> Executor:
-    """Build a backend by name: ``serial``, ``threads``, ``process``, or
-    ``auto``.
-
-    ``auto`` picks threads on multi-core hosts and serial otherwise —
-    on a single core the pure-Python workload cannot overlap usefully.
-    """
-    if backend == "auto":
-        backend = "threads" if (os.cpu_count() or 1) > 1 else "serial"
-    if backend == "serial":
-        return SerialExecutor()
-    if backend == "threads":
-        return ThreadedExecutor(max_workers=max_workers)
-    if backend == "process":
-        return ProcessExecutor(max_workers=max_workers)
-    raise ValueError(
-        f"unknown executor backend {backend!r}; "
-        "expected 'serial', 'threads', 'process', or 'auto'"
-    )

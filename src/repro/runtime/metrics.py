@@ -6,8 +6,8 @@ instance collects named counters (cache hits/misses, detector runs, task
 counts), per-stage timings, and labelled log-scale **histograms**
 (:mod:`repro.observability.histograms`) so latency distributions —
 p50/p95/p99 per stage, per detector, per service-job phase — survive
-aggregation.  All operations are thread-safe because the threaded
-executor updates them from worker threads.
+aggregation.  All operations are thread-safe because the service's
+worker slots update one runtime's metrics from several threads.
 
 Stage timings distinguish three numbers that diverge under concurrency:
 

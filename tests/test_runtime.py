@@ -1,7 +1,6 @@
-"""Tests for the assessment runtime: determinism under concurrency,
-exception propagation, executor backends, and single-assessment metrics."""
-
-import threading
+"""Tests for the assessment runtime: report order, exception
+propagation, backend selection, stage instrumentation, and
+single-assessment metrics."""
 
 import pytest
 
@@ -11,15 +10,12 @@ from repro.core import (
     ResultQuality,
     default_efes,
 )
-from repro.runtime import (
-    Runtime,
-    SerialExecutor,
-    ThreadedExecutor,
-    auto_worker_count,
-    get_runtime,
-    make_executor,
+from repro.runtime import Runtime, auto_worker_count, get_runtime
+from repro.scenarios import (
+    bibliographic_scenarios,
+    music_scenarios,
+    scenario_s1_s2,
 )
-from repro.scenarios import bibliographic_scenarios, music_scenarios
 
 
 @pytest.fixture(scope="module")
@@ -38,44 +34,9 @@ def _assess_all(scenarios, backend):
         runtime.close()
 
 
-def _estimate_all(scenarios, backend):
-    runtime = Runtime(backend=backend)
-    efes = default_efes(runtime=runtime)
-    try:
-        return [
-            efes.estimate(scenario, quality)
-            for scenario in scenarios
-            for quality in (ResultQuality.LOW_EFFORT, ResultQuality.HIGH_QUALITY)
-        ]
-    finally:
-        runtime.close()
-
-
 class TestBackendEquivalence:
-    def test_reports_identical_serial_vs_threaded(self, domain_scenarios):
-        serial = _assess_all(domain_scenarios, "serial")
-        threaded = _assess_all(domain_scenarios, "threads")
-        for serial_reports, threaded_reports in zip(serial, threaded):
-            assert list(serial_reports) == list(threaded_reports)
-            assert repr(serial_reports) == repr(threaded_reports)
-
-    def test_estimates_identical_serial_vs_threaded(self, domain_scenarios):
-        serial = _estimate_all(domain_scenarios, "serial")
-        threaded = _estimate_all(domain_scenarios, "threads")
-        for serial_estimate, threaded_estimate in zip(serial, threaded):
-            assert repr(serial_estimate) == repr(threaded_estimate)
-            assert serial_estimate.total_minutes == pytest.approx(
-                threaded_estimate.total_minutes
-            )
-
-    def test_threaded_is_deterministic_across_runs(self, domain_scenarios):
-        scenario = domain_scenarios[0]
-        first = _assess_all([scenario], "threads")[0]
-        second = _assess_all([scenario], "threads")[0]
-        assert repr(first) == repr(second)
-
     def test_report_order_follows_module_order(self, domain_scenarios):
-        reports = _assess_all([domain_scenarios[0]], "threads")[0]
+        reports = _assess_all([domain_scenarios[0]], "process")[0]
         assert list(reports) == ["mapping", "structure", "values"]
 
 
@@ -90,18 +51,18 @@ class FailingModule(EstimationModule):
 
 
 class TestExceptionPropagation:
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_detector_exception_reaches_caller(
         self, backend, domain_scenarios
     ):
-        runtime = Runtime(backend=backend)
+        runtime = Runtime(backend=backend, max_workers=2)
         efes = Efes([FailingModule()], runtime=runtime)
         with pytest.raises(ValueError, match="detector exploded"):
             efes.assess(domain_scenarios[0])
         runtime.close()
 
     def test_failure_does_not_poison_the_runtime(self, domain_scenarios):
-        runtime = Runtime(backend="threads")
+        runtime = Runtime(backend="process", max_workers=2)
         efes = Efes([FailingModule()], runtime=runtime)
         with pytest.raises(ValueError):
             efes.assess(domain_scenarios[0])
@@ -112,44 +73,33 @@ class TestExceptionPropagation:
 
 
 class TestExecutors:
-    def test_map_ordered_preserves_submission_order(self):
-        executor = ThreadedExecutor(max_workers=4)
-        barrier = threading.Barrier(4, timeout=5)
-
-        def task(index):
-            # All four tasks rendezvous, so completion order is scrambled
-            # relative to submission order on purpose.
-            barrier.wait()
-            return index
-
-        assert executor.map_ordered(task, range(4)) == [0, 1, 2, 3]
-        executor.shutdown()
-
-    def test_nested_map_runs_serially_instead_of_deadlocking(self):
-        executor = ThreadedExecutor(max_workers=2)
-
-        def inner(index):
-            return index * 10
-
-        def outer(index):
-            return executor.map_ordered(inner, range(3))
-
-        results = executor.map_ordered(outer, range(4))
-        assert results == [[0, 10, 20]] * 4
-        executor.shutdown()
-
-    def test_make_executor_backends(self):
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("threads"), ThreadedExecutor)
-        assert make_executor("auto").name in ("serial", "threads")
-        with pytest.raises(ValueError):
-            make_executor("gpu")
-
     def test_auto_worker_count_bounds(self):
         assert 2 <= auto_worker_count() <= 32
 
-    def test_serial_map_ordered(self):
-        assert SerialExecutor().map_ordered(lambda x: x + 1, [1, 2]) == [2, 3]
+    @pytest.mark.parametrize("backend", ["threads", "auto", "seriall"])
+    def test_unknown_backend_names_the_two(self, backend):
+        with pytest.raises(ValueError, match="'serial' or 'process'"):
+            Runtime(backend)
+
+
+class TestSerialInstrumentation:
+    def test_run_records_every_stage_once_per_unit(self):
+        # Pins the stage names and call counts the serial loops record,
+        # so no stage can silently drop out of the metrics.
+        runtime = Runtime("serial")
+        default_efes(runtime=runtime).run(
+            scenario_s1_s2(seed=1), ResultQuality.HIGH_QUALITY
+        )
+        stages = runtime.metrics.snapshot().stages
+        assert {name: timing.calls for name, timing in stages.items()} == {
+            "assess": 1,
+            "assess.detector": 3,
+            "profile": 10,
+            "plan": 1,
+            "price": 1,
+        }
+        # The serial path dispatches no pool tasks.
+        assert runtime.metrics.counter("tasks_submitted") == 0
 
 
 class TestSingleAssessment:
