@@ -32,6 +32,19 @@ from .reports import ComplexityReport
 from .tasks import Task
 
 
+def _require_quality(quality: object) -> None:
+    """Raise ``TypeError`` unless ``quality`` is a :class:`ResultQuality`.
+
+    The entry points check first, so a bad argument fails before any
+    detector runs rather than as a degraded planner afterwards.
+    """
+    if not isinstance(quality, ResultQuality):
+        raise TypeError(
+            f"quality must be a ResultQuality, not {type(quality).__name__} "
+            f"{quality!r}"
+        )
+
+
 class EstimationModule:
     """One estimation module = complexity detector + task planner."""
 
@@ -187,6 +200,7 @@ class Efes:
         ``degradations`` accumulator when the caller provides one, along
         with any assess-phase tombstones found in ``reports``.
         """
+        _require_quality(quality)
         strict_mode = self._strictness(strict, default=True)
         runtime = self._resolve_runtime()
         if reports is None:
@@ -258,6 +272,7 @@ class Efes:
         ``degradations`` flow through to :meth:`plan`; a degraded
         estimate prices only the surviving modules' tasks.
         """
+        _require_quality(quality)
         runtime = self._resolve_runtime()
         runtime.metrics.increment("estimates")
         with tracing.span("estimate", scenario=scenario.name):
@@ -305,6 +320,7 @@ class Efes:
         ``degradations`` too — and under strict mode the first one is
         upgraded back to a :class:`~repro.scenarios.io.ScenarioFormatError`.
         """
+        _require_quality(quality)
         strict_mode = self._strictness(strict, default=False)
         load_degraded = list(getattr(scenario, "load_degradations", ()) or ())
         if load_degraded and strict_mode:

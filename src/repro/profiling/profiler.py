@@ -24,6 +24,7 @@ from ..runtime.deadline import checkpoint
 from .dependencies import discover_fds, discover_inds, discover_uccs
 from .statistics import (
     CharacterHistogram,
+    ColumnSummary,
     Constancy,
     FillStatus,
     MeanStatistic,
@@ -111,12 +112,17 @@ def compute_column_profile(
     attribute_name: str,
     datatype: DataType | None = None,
 ) -> ColumnProfile:
-    """The uncached profiling computation behind :func:`profile_column`."""
+    """The uncached profiling computation behind :func:`profile_column`.
+
+    The column is summarised once (:class:`ColumnSummary`) and every
+    statistic reads that summary, so per-value work runs once per
+    distinct value.
+    """
     instance = database.table(relation_name)
     attribute = database.schema.attribute(relation_name, attribute_name)
     if datatype is None:
         datatype = attribute.datatype
-    values = instance.column(attribute_name)
+    summary = ColumnSummary(instance.column(attribute_name))
     statistics: dict[str, Statistic] = {}
     for statistic_type in statistic_types_for(datatype):
         checkpoint(
@@ -124,16 +130,16 @@ def compute_column_profile(
             relation=relation_name,
             attribute=attribute_name,
         )
-        statistic = statistic_type.compute(values)
+        statistic = statistic_type.compute(summary)
         statistics[statistic_type.name] = statistic
     return ColumnProfile(
         relation=relation_name,
         attribute=attribute_name,
         datatype=datatype,
-        row_count=len(values),
-        distinct_count=len(instance.distinct(attribute_name)),
-        fill_status=FillStatus.compute(values, datatype),
-        constancy=Constancy.compute(values),
+        row_count=len(summary.values),
+        distinct_count=len(summary.counts),
+        fill_status=FillStatus.compute(summary, datatype),
+        constancy=Constancy.compute(summary),
         statistics=statistics,
     )
 

@@ -3,6 +3,8 @@
 Each statistic type implements a common protocol:
 
 * :meth:`Statistic.compute` (classmethod) — aggregate a column of values,
+  given as a sequence or as the :class:`ColumnSummary` that every
+  statistic of one profile shares,
 * :meth:`Statistic.importance` — how characteristic this statistic is for
   the *target* attribute (the importance score i(S_t(τ)) ∈ [0, 1]),
 * :meth:`Statistic.fit` — to what extent a *source* statistic fits the
@@ -20,15 +22,18 @@ standard distribution-overlap measures.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from collections import Counter
 from collections.abc import Sequence
 
 from ..relational.datatypes import DataType, can_cast, cast
+from ..relational.errors import TypeCastError
 from .patterns import extract_pattern, generalize_pattern
 
 __all__ = [
     "CharacterHistogram",
+    "ColumnSummary",
     "Constancy",
     "FillStatus",
     "MeanStatistic",
@@ -60,6 +65,73 @@ def _bounded(value: float) -> float:
     return max(0.0, min(1.0, value))
 
 
+def _to_float(value: object) -> float | None:
+    """``value`` cast to FLOAT, or ``None`` when it cannot be."""
+    try:
+        return float(cast(value, DataType.FLOAT))
+    except TypeCastError:
+        return None
+
+
+class ColumnSummary:
+    """One column, counted once for all the statistics of its profile.
+
+    Per-value work (text patterns, characters, casts) runs once per
+    distinct value and is weighted by its count.  No key merges values
+    whose ``str()`` or cast differs, such as ``0.0``/``-0.0`` or
+    ``1``/``True``/``1.0``: text work is keyed on the ``str()`` itself,
+    and casts are shared between equal values only in an :attr:`exact`
+    column.  Float sums stay in row order.  Each part is computed on
+    first use.
+    """
+
+    def __init__(self, values: Sequence[object]) -> None:
+        #: The column's values in row order, NULLs included.
+        self.values = values
+
+    @classmethod
+    def of(cls, values: Sequence[object] | ColumnSummary) -> "ColumnSummary":
+        """``values`` if it is a summary already, else its summary."""
+        return values if isinstance(values, ColumnSummary) else cls(values)
+
+    @functools.cached_property
+    def non_null(self) -> list[object]:
+        """The non-null values, in row order."""
+        return [value for value in self.values if value is not None]
+
+    @property
+    def nulls(self) -> int:
+        return len(self.values) - len(self.non_null)
+
+    @functools.cached_property
+    def counts(self) -> Counter[object]:
+        """Count of each non-null value, in first-occurrence order."""
+        return Counter(self.non_null)
+
+    @functools.cached_property
+    def texts(self) -> Counter[str]:
+        """Count of each ``str()`` of a non-null value."""
+        return Counter(map(str, self.non_null))
+
+    @functools.cached_property
+    def exact(self) -> bool:
+        """Whether equal values are identical, so that each key of
+        :attr:`counts` stands for values of one ``str()`` and one cast:
+        true when every value is a ``str``, or every value an ``int``."""
+        types = set(map(type, self.non_null))
+        return types <= {str} or types == {int}
+
+    @functools.cached_property
+    def numbers(self) -> list[float]:
+        """The non-null values castable to FLOAT, cast, in row order."""
+        if self.exact:
+            memo = {value: _to_float(value) for value in self.counts}
+            numbers = map(memo.__getitem__, self.non_null)
+        else:
+            numbers = map(_to_float, self.non_null)
+        return [number for number in numbers if number is not None]
+
+
 class Statistic:
     """Protocol base class for all statistic types."""
 
@@ -67,7 +139,9 @@ class Statistic:
     name: str = "statistic"
 
     @classmethod
-    def compute(cls, values: Sequence[object]) -> "Statistic":
+    def compute(cls, values: Sequence[object] | ColumnSummary) -> "Statistic":
+        """Aggregate a column: a sequence of values, or the summary every
+        statistic of one column profile shares."""
         raise NotImplementedError
 
     def importance(self) -> float:
@@ -96,16 +170,26 @@ class FillStatus(Statistic):
 
     @classmethod
     def compute(
-        cls, values: Sequence[object], datatype: DataType = DataType.STRING
+        cls,
+        values: Sequence[object] | ColumnSummary,
+        datatype: DataType = DataType.STRING,
     ) -> "FillStatus":
-        nulls = 0
-        uncastable = 0
-        for value in values:
-            if value is None:
-                nulls += 1
-            elif not can_cast(value, datatype):
-                uncastable += 1
-        return cls(total=len(values), nulls=nulls, uncastable=uncastable)
+        summary = ColumnSummary.of(values)
+        if summary.exact:
+            uncastable = sum(
+                count
+                for value, count in summary.counts.items()
+                if not can_cast(value, datatype)
+            )
+        else:
+            uncastable = sum(
+                1 for value in summary.non_null if not can_cast(value, datatype)
+            )
+        return cls(
+            total=len(summary.values),
+            nulls=summary.nulls,
+            uncastable=uncastable,
+        )
 
     @property
     def filled_fraction(self) -> float:
@@ -163,10 +247,10 @@ class Constancy(Statistic):
     DOMAIN_MAX_DISTINCT = 20
 
     @classmethod
-    def compute(cls, values: Sequence[object]) -> "Constancy":
-        non_null = [value for value in values if value is not None]
-        total = len(non_null)
-        counts = Counter(non_null)
+    def compute(cls, values: Sequence[object] | ColumnSummary) -> "Constancy":
+        summary = ColumnSummary.of(values)
+        total = len(summary.non_null)
+        counts = summary.counts
         distinct = len(counts)
         if total <= 1 or distinct <= 1:
             return cls(constancy=1.0, distinct_count=distinct, total=total)
@@ -210,11 +294,12 @@ class TextPatternStatistic(Statistic):
     distribution: tuple[tuple[str, float], ...]
 
     @classmethod
-    def compute(cls, values: Sequence[object]) -> "TextPatternStatistic":
-        strings = [str(value) for value in values if value is not None]
-        counts: Counter[str] = Counter(
-            extract_pattern(value) for value in strings
-        )
+    def compute(
+        cls, values: Sequence[object] | ColumnSummary
+    ) -> "TextPatternStatistic":
+        counts: Counter[str] = Counter()
+        for text, count in ColumnSummary.of(values).texts.items():
+            counts[extract_pattern(text)] += count
         total = sum(counts.values())
         distribution = tuple(
             sorted(
@@ -272,12 +357,17 @@ class CharacterHistogram(Statistic):
     distribution: tuple[tuple[str, float], ...]
 
     @classmethod
-    def compute(cls, values: Sequence[object]) -> "CharacterHistogram":
+    def compute(
+        cls, values: Sequence[object] | ColumnSummary
+    ) -> "CharacterHistogram":
+        # Texts that occur equally often are joined and counted in one pass.
+        by_count: dict[int, list[str]] = {}
+        for text, count in ColumnSummary.of(values).texts.items():
+            by_count.setdefault(count, []).append(text)
         counts: Counter[str] = Counter()
-        for value in values:
-            if value is None:
-                continue
-            counts.update(str(value))
+        for count, texts in by_count.items():
+            for char, occurrences in Counter("".join(texts)).items():
+                counts[char] += occurrences * count
         total = sum(counts.values())
         distribution = tuple(
             sorted(
@@ -326,8 +416,10 @@ class StringLengthStatistic(Statistic):
     count: int
 
     @classmethod
-    def compute(cls, values: Sequence[object]) -> "StringLengthStatistic":
-        lengths = [len(str(value)) for value in values if value is not None]
+    def compute(
+        cls, values: Sequence[object] | ColumnSummary
+    ) -> "StringLengthStatistic":
+        lengths = list(map(len, map(str, ColumnSummary.of(values).non_null)))
         if not lengths:
             return cls(mean=0.0, std=0.0, count=0)
         mean = sum(lengths) / len(lengths)
@@ -355,16 +447,6 @@ class StringLengthStatistic(Statistic):
 # ----------------------------------------------------------------------
 
 
-def _numeric_values(values: Sequence[object]) -> list[float]:
-    numeric: list[float] = []
-    for value in values:
-        if value is None:
-            continue
-        if can_cast(value, DataType.FLOAT):
-            numeric.append(float(cast(value, DataType.FLOAT)))
-    return numeric
-
-
 @dataclasses.dataclass(frozen=True)
 class MeanStatistic(Statistic):
     """Mean and standard deviation of a numeric column."""
@@ -376,8 +458,10 @@ class MeanStatistic(Statistic):
     count: int
 
     @classmethod
-    def compute(cls, values: Sequence[object]) -> "MeanStatistic":
-        numeric = _numeric_values(values)
+    def compute(
+        cls, values: Sequence[object] | ColumnSummary
+    ) -> "MeanStatistic":
+        numeric = ColumnSummary.of(values).numbers
         if not numeric:
             return cls(mean=0.0, std=0.0, count=0)
         mean = sum(numeric) / len(numeric)
@@ -423,8 +507,10 @@ class NumericHistogram(Statistic):
     BIN_COUNT = 10
 
     @classmethod
-    def compute(cls, values: Sequence[object]) -> "NumericHistogram":
-        numeric = _numeric_values(values)
+    def compute(
+        cls, values: Sequence[object] | ColumnSummary
+    ) -> "NumericHistogram":
+        numeric = ColumnSummary.of(values).numbers
         if not numeric:
             return cls(lo=0.0, hi=0.0, bins=(), count=0)
         lo, hi = min(numeric), max(numeric)
@@ -492,8 +578,8 @@ class ValueRange(Statistic):
     count: int
 
     @classmethod
-    def compute(cls, values: Sequence[object]) -> "ValueRange":
-        numeric = _numeric_values(values)
+    def compute(cls, values: Sequence[object] | ColumnSummary) -> "ValueRange":
+        numeric = ColumnSummary.of(values).numbers
         if not numeric:
             return cls(lo=0.0, hi=0.0, count=0)
         return cls(lo=min(numeric), hi=max(numeric), count=len(numeric))
@@ -531,10 +617,10 @@ class TopKValues(Statistic):
     K = 10
 
     @classmethod
-    def compute(cls, values: Sequence[object]) -> "TopKValues":
-        non_null = [value for value in values if value is not None]
-        counts = Counter(non_null)
-        total = len(non_null)
+    def compute(cls, values: Sequence[object] | ColumnSummary) -> "TopKValues":
+        summary = ColumnSummary.of(values)
+        counts = summary.counts
+        total = len(summary.non_null)
         if not total:
             return cls(entries=(), coverage=0.0, count=0)
         top = counts.most_common(cls.K)

@@ -66,19 +66,18 @@ def _cast_integer(value: object) -> int:
 
 
 def _cast_float(value: object) -> float:
-    if isinstance(value, bool):
-        return float(value)
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        text = value.strip()
+    if isinstance(value, (int, float)):  # bool is an int
+        result = float(value)
+    elif isinstance(value, str):
         try:
-            result = float(text)
+            result = float(value.strip())
         except ValueError as exc:
             raise TypeCastError(value, DataType.FLOAT) from exc
-        if math.isfinite(result):
-            return result
+    else:
         raise TypeCastError(value, DataType.FLOAT)
+    # NaN and the infinities are no FLOAT values, as text or as floats.
+    if math.isfinite(result):
+        return result
     raise TypeCastError(value, DataType.FLOAT)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.relational import RelationInstance, relation
 from repro.relational.datatypes import (
     DataType,
     can_cast,
@@ -9,6 +10,8 @@ from repro.relational.datatypes import (
     infer_datatype,
 )
 from repro.relational.errors import TypeCastError
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 class TestCastInteger:
@@ -50,6 +53,18 @@ class TestCastFloat:
     def test_nan_rejected(self):
         with pytest.raises(TypeCastError):
             cast("nan", DataType.FLOAT)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    def test_non_finite_float_rejected(self, value):
+        with pytest.raises(TypeCastError):
+            cast(value, DataType.FLOAT)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    def test_non_finite_float_cannot_enter_a_float_column(self, value):
+        instance = RelationInstance(relation("r", [("x", DataType.FLOAT)]))
+        with pytest.raises(TypeCastError):
+            instance.insert((value,))
+        assert len(instance) == 0
 
 
 class TestCastString:

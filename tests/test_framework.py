@@ -14,6 +14,7 @@ from repro.core.effort import constant
 from repro.core.reports import ComplexityReport
 from repro.core.tasks import Task, TaskType
 from repro.core.modules.values import make_drop_instead_of_add
+from repro.runtime import Runtime
 
 
 class FakeReport(ComplexityReport):
@@ -100,6 +101,35 @@ class TestPipeline:
         assert estimate.total_minutes == pytest.approx(
             sum(entry.minutes for entry in estimate.entries)
         )
+
+
+class TestQualityBoundary:
+    """A quality that is not a ResultQuality fails before any detector."""
+
+    ENTRY_POINTS = {
+        "run": lambda efes, scenario, quality: efes.run(scenario, quality),
+        "run_traced": lambda efes, scenario, quality: efes.run(
+            scenario, quality, trace=True
+        ),
+        "estimate": lambda efes, scenario, quality: efes.estimate(
+            scenario, quality
+        ),
+        "plan": lambda efes, scenario, quality: efes.plan(scenario, quality),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("quality", ["high", "high_quality", None])
+    def test_rejected_before_profiling(self, small_example, entry, quality):
+        efes = default_efes(runtime=Runtime("serial"))
+        with pytest.raises(TypeError, match="ResultQuality"):
+            self.ENTRY_POINTS[entry](efes, small_example, quality)
+        assert efes.metrics.stage("profile").calls == 0
+
+    def test_valid_quality_profiles(self, small_example):
+        efes = default_efes(runtime=Runtime("serial"))
+        outcome = efes.run(small_example, ResultQuality.HIGH_QUALITY)
+        assert not outcome.degradations
+        assert efes.metrics.stage("profile").calls > 0
 
 
 class TestTaskAdjustments:

@@ -1,13 +1,23 @@
 """Unit + property tests for the value-fit column statistics."""
 
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.profiling import statistics as statistics_module
+from repro.profiling.patterns import extract_pattern
+from repro.profiling.profiler import (
+    ColumnProfile,
+    compute_column_profile,
+    statistic_types_for,
+)
 from repro.profiling.statistics import (
     CharacterHistogram,
+    ColumnSummary,
     Constancy,
     FillStatus,
     MeanStatistic,
@@ -19,7 +29,12 @@ from repro.profiling.statistics import (
     histogram_intersection,
     shannon_entropy,
 )
-from repro.relational.datatypes import DataType
+from repro.relational import Database, Schema, relation
+from repro.relational.datatypes import DataType, can_cast, cast
+from repro.scenarios import example_scenario
+from repro.scenarios.bibliographic import scenario_s1_s2
+from repro.scenarios.example import ExampleParameters
+from repro.scenarios.music import scenario_m1_d2
 
 DURATIONS = ["4:43", "6:55", "3:26", "5:01", "2:59"]
 LENGTHS_MS = [215900, 238100, 218200, 301000, 179000]
@@ -62,6 +77,13 @@ class TestFillStatus:
     def test_empty_column(self):
         stat = FillStatus.compute([], DataType.STRING)
         assert stat.filled_fraction == 0.0
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf")], ids=repr
+    )
+    def test_non_finite_float_is_uncastable(self, value):
+        stat = FillStatus.compute([1.5, value, None], DataType.FLOAT)
+        assert (stat.nulls, stat.uncastable) == (1, 1)
 
 
 class TestConstancy:
@@ -173,6 +195,12 @@ class TestNumericHistogram:
         stat = NumericHistogram.compute([5, 5, 5])
         assert stat.lo == stat.hi == 5
 
+    def test_non_finite_floats_are_skipped(self):
+        stat = NumericHistogram.compute(
+            [1.0, float("nan"), 3.0, float("inf"), float("-inf")]
+        )
+        assert (stat.lo, stat.hi, stat.count) == (1.0, 3.0, 2)
+
 
 class TestValueRange:
     def test_bounds(self):
@@ -264,3 +292,364 @@ def test_self_fit_is_high(statistic_type, values):
     """A column always fits its own statistics (≥ threshold-level)."""
     stat = statistic_type.compute(values)
     assert stat.fit(stat) >= 0.9
+
+
+# ----------------------------------------------------------------------
+# Counted statistics against the per-value reference
+# ----------------------------------------------------------------------
+#
+# Each statistic computes from a ColumnSummary, which does per-value work
+# once per distinct value and weights it by its count.  The functions
+# below compute the same statistics value by value.  They are the
+# reference the counted statistics must reproduce exactly: repr-equal,
+# down to the sign of a zero and the type of a top-k value.
+
+
+def reference_numeric_values(values):
+    numeric = []
+    for value in values:
+        if value is None:
+            continue
+        if can_cast(value, DataType.FLOAT):
+            numeric.append(float(cast(value, DataType.FLOAT)))
+    return numeric
+
+
+def reference_fill_status(values, datatype=DataType.STRING):
+    nulls = 0
+    uncastable = 0
+    for value in values:
+        if value is None:
+            nulls += 1
+        elif not can_cast(value, datatype):
+            uncastable += 1
+    return FillStatus(total=len(values), nulls=nulls, uncastable=uncastable)
+
+
+def reference_constancy(values):
+    non_null = [value for value in values if value is not None]
+    total = len(non_null)
+    counts = Counter(non_null)
+    distinct = len(counts)
+    if total <= 1 or distinct <= 1:
+        return Constancy(constancy=1.0, distinct_count=distinct, total=total)
+    frequencies = [count / total for count in counts.values()]
+    entropy = shannon_entropy(frequencies)
+    return Constancy(
+        constancy=max(0.0, min(1.0, 1.0 - entropy / math.log2(total))),
+        distinct_count=distinct,
+        total=total,
+    )
+
+
+def _reference_distribution(counts):
+    total = sum(counts.values())
+    return tuple(
+        sorted(
+            ((key, count / total) for key, count in counts.items()),
+            key=lambda item: (-item[1], item[0]),
+        )
+        if total
+        else ()
+    )
+
+
+def reference_text_pattern(values):
+    strings = [str(value) for value in values if value is not None]
+    counts = Counter(extract_pattern(value) for value in strings)
+    return TextPatternStatistic(distribution=_reference_distribution(counts))
+
+
+def reference_char_histogram(values):
+    counts = Counter()
+    for value in values:
+        if value is None:
+            continue
+        counts.update(str(value))
+    return CharacterHistogram(distribution=_reference_distribution(counts))
+
+
+def reference_string_length(values):
+    lengths = [len(str(value)) for value in values if value is not None]
+    if not lengths:
+        return StringLengthStatistic(mean=0.0, std=0.0, count=0)
+    mean = sum(lengths) / len(lengths)
+    variance = sum((length - mean) ** 2 for length in lengths) / len(lengths)
+    return StringLengthStatistic(
+        mean=mean, std=math.sqrt(variance), count=len(lengths)
+    )
+
+
+def reference_mean(values):
+    numeric = reference_numeric_values(values)
+    if not numeric:
+        return MeanStatistic(mean=0.0, std=0.0, count=0)
+    mean = sum(numeric) / len(numeric)
+    variance = sum((value - mean) ** 2 for value in numeric) / len(numeric)
+    return MeanStatistic(mean=mean, std=math.sqrt(variance), count=len(numeric))
+
+
+def reference_numeric_histogram(values):
+    numeric = reference_numeric_values(values)
+    if not numeric:
+        return NumericHistogram(lo=0.0, hi=0.0, bins=(), count=0)
+    lo, hi = min(numeric), max(numeric)
+    counts = [0] * NumericHistogram.BIN_COUNT
+    for value in numeric:
+        counts[NumericHistogram._bin_index(value, lo, hi)] += 1
+    total = len(numeric)
+    return NumericHistogram(
+        lo=lo, hi=hi, bins=tuple(count / total for count in counts), count=total
+    )
+
+
+def reference_value_range(values):
+    numeric = reference_numeric_values(values)
+    if not numeric:
+        return ValueRange(lo=0.0, hi=0.0, count=0)
+    return ValueRange(lo=min(numeric), hi=max(numeric), count=len(numeric))
+
+
+def reference_top_k(values):
+    non_null = [value for value in values if value is not None]
+    counts = Counter(non_null)
+    total = len(non_null)
+    if not total:
+        return TopKValues(entries=(), coverage=0.0, count=0)
+    entries = tuple(
+        sorted(
+            ((value, count / total) for value, count in counts.most_common(10)),
+            key=lambda item: (-item[1], str(item[0])),
+        )
+    )
+    return TopKValues(
+        entries=entries,
+        coverage=max(0.0, min(1.0, sum(share for _, share in entries))),
+        count=total,
+    )
+
+
+REFERENCES = {
+    Constancy: reference_constancy,
+    TextPatternStatistic: reference_text_pattern,
+    CharacterHistogram: reference_char_histogram,
+    StringLengthStatistic: reference_string_length,
+    MeanStatistic: reference_mean,
+    NumericHistogram: reference_numeric_histogram,
+    ValueRange: reference_value_range,
+    TopKValues: reference_top_k,
+}
+
+
+def outcome(function, *args):
+    """The repr of ``function(*args)``, or the exception it raised."""
+    try:
+        return repr(function(*args))
+    except Exception as exc:  # noqa: BLE001 - exceptions must match too
+        return f"raises {type(exc).__name__}: {exc}"
+
+
+#: Values that are equal yet differ in str() or cast, Unicode digits and
+#: spaces, and strings some datatypes cannot cast.
+TRICKY = [
+    0, 0.0, -0.0, False, 1, 1.0, True, 2, 2.0, -1,
+    "0", "1", "1.0", "true", "True", "-0.0",
+    "²", "٣", "\x1c", "　", "4:43", "nan", "inf", " 12 ", "12", "",
+    "2015-03-23", "x y", 10**400, float("nan"), float("inf"),
+]
+TRICKY_TEXT = [value for value in TRICKY if isinstance(value, str)]
+
+
+def pooled(atoms):
+    """Columns drawn from a small pool, so values repeat."""
+    return st.lists(atoms, min_size=1, max_size=8).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=50)
+    )
+
+
+short_text = st.text(
+    alphabet=st.sampled_from("09²٣ \x1c　:.,-+eaZé"), max_size=6
+)
+atoms = st.one_of(
+    st.none(),
+    st.sampled_from(TRICKY),
+    st.booleans(),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.floats(width=16),
+    short_text,
+)
+#: Mixed columns, and the single-type columns a typed instance holds.
+columns = st.one_of(
+    pooled(atoms),
+    st.lists(atoms, max_size=30),
+    pooled(st.one_of(st.none(), short_text, st.sampled_from(TRICKY_TEXT))),
+    pooled(st.one_of(st.none(), st.integers(min_value=-50, max_value=50))),
+    pooled(st.one_of(st.none(), st.floats(width=16, allow_nan=False))),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(columns)
+@example(values=[0.0, -0.0, 0.0])
+@example(values=[-0.0, 0, 0.0])
+@example(values=[1, True, 1.0, "1", "True", "1.0"])
+@example(values=[True, 1, 1.0, 2, 2.0])
+@example(values=["4:43", "nan", " 12 ", "²", "٣", "\x1c", "　", None])
+def test_counted_statistics_match_per_value_reference(values):
+    shared = ColumnSummary(values)
+    for statistic_type, reference in REFERENCES.items():
+        expected = outcome(reference, values)
+        assert outcome(statistic_type.compute, values) == expected
+        assert outcome(statistic_type.compute, shared) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns)
+@example(values=[1, True, 1.0, "1", "true", 2.5, "2015-03-23"])
+@example(values=[10**400, "1", None])
+@pytest.mark.parametrize("datatype", list(DataType), ids=str)
+def test_counted_fill_status_matches_per_value_reference(datatype, values):
+    expected = outcome(reference_fill_status, values, datatype)
+    assert outcome(FillStatus.compute, values, datatype) == expected
+    assert outcome(FillStatus.compute, ColumnSummary(values), datatype) == expected
+
+
+def reference_profile(database, relation_name, attribute_name, datatype):
+    instance = database.table(relation_name)
+    values = instance.column(attribute_name)
+    return ColumnProfile(
+        relation=relation_name,
+        attribute=attribute_name,
+        datatype=datatype,
+        row_count=len(values),
+        distinct_count=len(instance.distinct(attribute_name)),
+        fill_status=reference_fill_status(values, datatype),
+        constancy=reference_constancy(values),
+        statistics={
+            statistic_type.name: REFERENCES[statistic_type](values)
+            for statistic_type in statistic_types_for(datatype)
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: scenario_s1_s2(1),
+        lambda: scenario_m1_d2(1),
+        lambda: example_scenario(ExampleParameters(albums=1000)),
+    ],
+    ids=["s1-s2", "m1-d2", "example-1000"],
+)
+def test_column_profiles_match_per_value_reference(build):
+    scenario = build()
+    profiled = 0
+    for database in (*scenario.sources, scenario.target):
+        for relation in database.schema.relations:
+            for attribute in relation.attributes:
+                for datatype in DataType:
+                    args = (database, relation.name, attribute.name, datatype)
+                    assert repr(compute_column_profile(*args)) == repr(
+                        reference_profile(*args)
+                    )
+                    profiled += 1
+    assert profiled > 0
+
+
+# ----------------------------------------------------------------------
+# Metamorphic checks
+# ----------------------------------------------------------------------
+
+
+def repeat_invariants(values):
+    fill = FillStatus.compute(values, DataType.INTEGER)
+    value_range = ValueRange.compute(values)
+    return (
+        TextPatternStatistic.compute(values),
+        CharacterHistogram.compute(values),
+        TopKValues.compute(values).entries,
+        (fill.filled_fraction, fill.non_null_fraction, fill.incompatible_fraction),
+        (value_range.lo, value_range.hi),
+        Constancy.compute(values).distinct_count,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(columns, st.integers(min_value=2, max_value=5))
+def test_repeating_every_row_changes_no_shape(values, k):
+    repeated = [value for value in values for _ in range(k)]
+    assert outcome(repeat_invariants, repeated) == outcome(
+        repeat_invariants, values
+    )
+
+
+permuted_columns = columns.flatmap(
+    lambda values: st.tuples(st.just(values), st.permutations(values))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(permuted_columns)
+def test_row_order_changes_no_pattern_histogram_or_fill(pair):
+    values, permuted = pair
+
+    def shapes(column):
+        return (
+            TextPatternStatistic.compute(column),
+            CharacterHistogram.compute(column),
+            *(FillStatus.compute(column, datatype) for datatype in DataType),
+        )
+
+    assert outcome(shapes, permuted) == outcome(shapes, values)
+
+
+# ----------------------------------------------------------------------
+# The mechanism: per-value work runs once per distinct value
+# ----------------------------------------------------------------------
+
+
+def single_column_database(datatype, values):
+    schema = Schema("db", relations=[relation("r", [("x", datatype)])])
+    database = Database(schema)
+    database.insert_all("r", [(value,) for value in values])
+    return database
+
+
+def test_extract_pattern_runs_once_per_distinct_string(monkeypatch):
+    distinct = ["4:43", "6:55", "A Title", "x-1", "", "٣ ²", "4:43 "]
+    rng = random.Random(13)
+    values = [rng.choice(distinct) for _ in range(500)]
+    assert set(values) == set(distinct)
+    calls = Counter()
+    real = statistics_module.extract_pattern
+
+    def counted(text):
+        calls[text] += 1
+        return real(text)
+
+    monkeypatch.setattr(statistics_module, "extract_pattern", counted)
+    database = single_column_database(DataType.STRING, values)
+    profile = compute_column_profile(database, "r", "x")
+    assert sum(calls.values()) == len(distinct)
+    assert set(calls) == set(distinct)
+    assert profile.statistic("text_pattern") == reference_text_pattern(values)
+
+
+def test_numeric_casts_run_once_per_distinct_string(monkeypatch):
+    """MeanStatistic, NumericHistogram and ValueRange share one cast of
+    each distinct value."""
+    distinct = ["215900", "4:43", " 12 ", "3.5", "nan"]
+    values = [distinct[i % len(distinct)] for i in range(300)]
+    calls = []
+    real = statistics_module.cast
+
+    def counted(value, datatype):
+        calls.append(value)
+        return real(value, datatype)
+
+    monkeypatch.setattr(statistics_module, "cast", counted)
+    database = single_column_database(DataType.STRING, values)
+    profile = compute_column_profile(database, "r", "x", DataType.FLOAT)
+    assert sorted(calls) == sorted(distinct)
+    assert profile.statistic("mean") == reference_mean(values)
+    assert profile.statistic("value_range") == reference_value_range(values)
