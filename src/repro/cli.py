@@ -35,7 +35,7 @@ import os
 import signal
 import sys
 
-from .core import ResultQuality, default_efes
+from .core import default_efes, parse_quality
 from .core.tasks import TaskCategory
 from .practitioner import PractitionerSimulator
 from .reporting import render_domain_figure, render_table
@@ -46,9 +46,9 @@ from .resilience import (
 )
 from .runtime import BACKEND_ENV_VAR, BACKENDS, Runtime, set_default_runtime
 from .scenarios import (
+    SCENARIO_BUILDERS,
     UnknownScenarioError,
     resolve_scenario,
-    scenario_catalogue,
 )
 from .scenarios.io import ScenarioFormatError
 
@@ -61,20 +61,11 @@ SERVICE_URL_ENV_VAR = "REPRO_SERVICE_URL"
 #: partial" from both success and crash.
 EXIT_DEGRADED = 3
 
-_scenarios = scenario_catalogue
 _resolve_scenario = resolve_scenario
 
 
-def _quality(name: str) -> ResultQuality:
-    return (
-        ResultQuality.HIGH_QUALITY
-        if name in ("high", "high_quality", "hq")
-        else ResultQuality.LOW_EFFORT
-    )
-
-
 def cmd_list(args: argparse.Namespace) -> int:
-    for name in _scenarios(args.seed):
+    for name in SCENARIO_BUILDERS:
         print(name)
     return 0
 
@@ -162,7 +153,9 @@ def cmd_assess(args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args.scenario, args.seed)
     efes = default_efes()
-    outcome = efes.run(scenario, _quality(args.quality), strict=args.strict)
+    outcome = efes.run(
+        scenario, parse_quality(args.quality), strict=args.strict
+    )
     estimate = outcome.estimate
     print(
         render_table(
@@ -192,7 +185,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_measure(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args.scenario, args.seed)
     simulator = PractitionerSimulator()
-    result = simulator.integrate(scenario, _quality(args.quality))
+    result = simulator.integrate(scenario, parse_quality(args.quality))
     print(
         render_table(
             ["Action", "Subject", "Count", "Minutes"],
@@ -230,7 +223,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from .observability import render_span_tree
 
     efes = default_efes()
-    quality = _quality(args.quality)
+    quality = parse_quality(args.quality)
     documents = []
     degraded = False
     for index, scenario in enumerate(_trace_targets(args.scenario, args.seed)):

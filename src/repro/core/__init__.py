@@ -50,7 +50,7 @@ from .modules import (
     ValueModule,
     make_drop_instead_of_add,
 )
-from .quality import ResultQuality
+from .quality import ResultQuality, parse_quality
 from .reports import (
     REPORT_TYPES,
     ComplexityReport,

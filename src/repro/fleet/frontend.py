@@ -24,17 +24,13 @@ client cannot re-derive with its idempotency key.
 from __future__ import annotations
 
 import json
-import threading
 import urllib.parse
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from ..core.quality import parse_quality
 from ..observability import prometheus_text
-from ..scenarios import (
-    UnknownScenarioError,
-    resolve_scenario,
-    scenario_catalogue,
-)
+from ..scenarios import ScenarioCache, UnknownScenarioError
 from ..service import SubmitEnvelope
 from ..service.client import ServiceError
 from ..service.store import job_key
@@ -49,32 +45,12 @@ class FleetServer(ThreadingHTTPServer):
     def __init__(self, address, supervisor: FleetSupervisor) -> None:
         super().__init__(address, FleetHandler)
         self.supervisor = supervisor
-        self._scenario_cache: dict[tuple[str, int], object] = {}
-        self._scenario_lock = threading.Lock()
+        self.scenarios = ScenarioCache()
 
     @property
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
-
-    def resolve_scenario(self, name: str, seed: int):
-        with self._scenario_lock:
-            cached = self._scenario_cache.get((name, seed))
-        if cached is not None:
-            return cached
-        # Warm the whole catalogue for this seed on the first miss (one
-        # build amortised over every name), mirroring the single-service
-        # server's cache behaviour.
-        catalogue = scenario_catalogue(seed)
-        with self._scenario_lock:
-            for entry_name, entry in catalogue.items():
-                self._scenario_cache.setdefault((entry_name, seed), entry)
-        if name in catalogue:
-            return catalogue[name]
-        scenario = resolve_scenario(name, seed)
-        with self._scenario_lock:
-            self._scenario_cache[(name, seed)] = scenario
-        return scenario
 
 
 class FleetHandler(BaseHTTPRequestHandler):
@@ -232,16 +208,9 @@ class FleetHandler(BaseHTTPRequestHandler):
             return
         try:
             seed = int(body.get("seed", 1))
-            scenario = self.server.resolve_scenario(str(name), seed)
+            scenario = self.server.scenarios.resolve(str(name), seed)
             kind = str(body.get("kind", "estimate"))
-            # Normalise exactly like the workers' scheduler does, or the
-            # front end and the worker would compute different content
-            # keys for the same job.
-            quality = (
-                "low_effort"
-                if body.get("quality") in ("low", "low_effort")
-                else "high_quality"
-            )
+            quality = parse_quality(body.get("quality")).value
             timeout = body.get("timeout")
             if timeout is None:
                 # Same contract as the worker HTTP API: the client's

@@ -42,7 +42,12 @@ class Database:
     def insert(self, relation_name: str, row: Sequence[object] | Mapping[str, object]):
         return self.instance.insert(relation_name, row)
 
-    def insert_all(self, relation_name: str, rows: Iterable[Sequence[object]]) -> None:
+    def insert_all(
+        self,
+        relation_name: str,
+        rows: Iterable[Sequence[object] | Mapping[str, object]],
+    ) -> None:
+        """Insert rows into one relation as a single all-or-nothing batch."""
         self.instance.insert_all(relation_name, rows)
 
     def query(self, sql: str) -> list[dict[str, object]]:

@@ -107,6 +107,10 @@ def _cast_boolean(value: object) -> bool:
 
 def _is_date_text(text: str) -> bool:
     """Check ISO-8601 ``YYYY-MM-DD`` shape without importing datetime."""
+    # ``str.isdigit`` also accepts digits ``int`` cannot parse, such as
+    # superscripts: only ASCII digits make a date.
+    if not text.isascii():
+        return False
     parts = text.split("-")
     if len(parts) != 3:
         return False
@@ -145,6 +149,12 @@ def cast(value: object, datatype: DataType) -> object:
     if value is None:
         return None
     return _CASTERS[datatype](value)
+
+
+def cast_column(values: Iterable[object], datatype: DataType) -> list[object]:
+    """:func:`cast` every value of a column, looking the caster up once."""
+    caster = _CASTERS[datatype]
+    return [None if value is None else caster(value) for value in values]
 
 
 def can_cast(value: object, datatype: DataType) -> bool:

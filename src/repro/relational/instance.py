@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .columnar import ColumnBlock, encode_column
-from .datatypes import cast
+from .datatypes import cast, cast_column
 from .errors import InstanceError, UnknownRelationError
 from .schema import Relation, Schema
 
@@ -29,7 +29,11 @@ Row = tuple[object, ...]
 class RelationInstance:
     """The tuples of one relation, stored column-major."""
 
-    def __init__(self, relation: Relation, rows: Iterable[Sequence[object]] = ()) -> None:
+    def __init__(
+        self,
+        relation: Relation,
+        rows: Iterable[Sequence[object] | Mapping[str, object]] = (),
+    ) -> None:
         self.relation = relation
         self._columns: list[list[object]] = [
             [] for _ in relation.attributes
@@ -39,8 +43,7 @@ class RelationInstance:
         #: Per-version memos of the row view and the canonical encoding.
         self._row_memo: tuple[int, tuple[Row, ...]] | None = None
         self._encoded_memo: tuple[int, tuple[ColumnBlock, ...]] | None = None
-        for row in rows:
-            self.insert(row)
+        self.insert_all(rows)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -52,34 +55,60 @@ class RelationInstance:
         Accepts either a positional sequence or a name→value mapping;
         missing attributes in a mapping become NULL.
         """
-        if isinstance(row, Mapping):
-            values = [row.get(name) for name in self.relation.attribute_names]
-            unknown = set(row) - set(self.relation.attribute_names)
-            if unknown:
-                raise InstanceError(
-                    f"unknown attributes for {self.relation.name!r}: "
-                    f"{sorted(unknown)}"
-                )
-        else:
-            values = list(row)
-            if len(values) != self.relation.arity():
-                raise InstanceError(
-                    f"arity mismatch for {self.relation.name!r}: expected "
-                    f"{self.relation.arity()}, got {len(values)}"
-                )
-        typed = tuple(
-            cast(value, attribute.datatype)
-            for value, attribute in zip(values, self.relation.attributes)
-        )
-        for column, value in zip(self._columns, typed):
-            column.append(value)
-        self._count += 1
-        self._version += 1
-        return typed
+        count, columns = self._typed_columns((row,))
+        self._append(count, columns)
+        return tuple(column[0] for column in columns)
 
-    def insert_all(self, rows: Iterable[Sequence[object]]) -> None:
+    def insert_all(
+        self, rows: Iterable[Sequence[object] | Mapping[str, object]]
+    ) -> None:
+        """Insert many tuples as one batch, exactly as repeated
+        :meth:`insert` calls would, but all or nothing.
+
+        Every row is checked before any value is cast, and every value is
+        cast before any is stored, so a batch that raises inserts nothing.
+        The version is bumped once per non-empty batch.
+        """
+        self._append(*self._typed_columns(rows))
+
+    def _typed_columns(
+        self, rows: Iterable[Sequence[object] | Mapping[str, object]]
+    ) -> tuple[int, list[list[object]]]:
+        """The row count and the cast columns of ``rows``; raises
+        :class:`InstanceError` on an unknown attribute or a wrong arity
+        and :class:`TypeCastError` on a value its datatype refuses."""
+        relation = self.relation
+        names = relation.attribute_names
+        known = frozenset(names)
+        checked: list[Sequence[object]] = []
         for row in rows:
-            self.insert(row)
+            if isinstance(row, Mapping):
+                if not known.issuperset(row):
+                    raise InstanceError(
+                        f"unknown attributes for {relation.name!r}: "
+                        f"{sorted(set(row) - known)}"
+                    )
+                checked.append([row.get(name) for name in names])
+            else:
+                values = list(row)
+                if len(values) != len(names):
+                    raise InstanceError(
+                        f"arity mismatch for {relation.name!r}: expected "
+                        f"{len(names)}, got {len(values)}"
+                    )
+                checked.append(values)
+        columns = [
+            cast_column(column, attribute.datatype)
+            for column, attribute in zip(zip(*checked), relation.attributes)
+        ]
+        return len(checked), columns
+
+    def _append(self, count: int, columns: list[list[object]]) -> None:
+        if count:
+            for column, values in zip(self._columns, columns):
+                column.extend(values)
+            self._count += count
+            self._version += 1
 
     def load_typed_columns(
         self,
@@ -285,7 +314,11 @@ class DatabaseInstance:
     def insert(self, relation_name: str, row: Sequence[object] | Mapping[str, object]) -> Row:
         return self[relation_name].insert(row)
 
-    def insert_all(self, relation_name: str, rows: Iterable[Sequence[object]]) -> None:
+    def insert_all(
+        self,
+        relation_name: str,
+        rows: Iterable[Sequence[object] | Mapping[str, object]],
+    ) -> None:
         self[relation_name].insert_all(rows)
 
     def total_rows(self) -> int:

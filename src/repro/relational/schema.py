@@ -51,6 +51,7 @@ class Relation:
             raise SchemaError(f"duplicate attribute names in relation {name!r}")
         self.name = name
         self._attributes: tuple[Attribute, ...] = tuple(attributes)
+        self._names: tuple[str, ...] = tuple(names)
         self._by_name = {attribute.name: attribute for attribute in attributes}
 
     @property
@@ -59,7 +60,7 @@ class Relation:
 
     @property
     def attribute_names(self) -> tuple[str, ...]:
-        return tuple(attribute.name for attribute in self._attributes)
+        return self._names
 
     def attribute(self, name: str) -> Attribute:
         """Look up an attribute by name."""

@@ -12,6 +12,13 @@ from .bibliographic import (
     scenario_s3_s4,
     scenario_s4_s4,
 )
+from .catalogue import (
+    SCENARIO_BUILDERS,
+    ScenarioCache,
+    UnknownScenarioError,
+    resolve_scenario,
+    scenario_catalogue,
+)
 from .example import ExampleParameters, example_scenario
 from .generators import DataGenerator
 from .io import (
@@ -34,51 +41,12 @@ from .music import (
 )
 from .scenario import IntegrationScenario
 
-
-class UnknownScenarioError(KeyError):
-    """A scenario reference names neither a catalogue entry nor a
-    directory in the on-disk format."""
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self.name = name
-
-    def __str__(self) -> str:
-        return (
-            f"unknown scenario {self.name!r}; run `efes list` or pass a "
-            "scenario directory (see repro.scenarios.io)"
-        )
-
-
-def scenario_catalogue(seed: int = 1) -> dict[str, IntegrationScenario]:
-    """All shipped scenarios by name: the running example plus both
-    case-study domains, built deterministically from ``seed``."""
-    catalogue = {"example": example_scenario()}
-    for scenario in bibliographic_scenarios(seed) + music_scenarios(seed):
-        catalogue[scenario.name] = scenario
-    return catalogue
-
-
-def resolve_scenario(name: str, seed: int = 1) -> IntegrationScenario:
-    """A shipped scenario by name, or a directory in the on-disk format.
-
-    This is the single resolution path shared by the CLI and the
-    assessment service's HTTP API.
-    """
-    from pathlib import Path
-
-    catalogue = scenario_catalogue(seed)
-    if name in catalogue:
-        return catalogue[name]
-    if Path(name).is_dir():
-        return load_scenario(name)
-    raise UnknownScenarioError(name)
-
-
 __all__ = [
     "DataGenerator",
     "ExampleParameters",
     "IntegrationScenario",
+    "SCENARIO_BUILDERS",
+    "ScenarioCache",
     "ScenarioFormatError",
     "UnknownScenarioError",
     "database_from_dict",

@@ -196,6 +196,7 @@ def build_s1(seed: int, articles: int = 400, books: int = 120) -> Database:
     generator = DataGenerator(seed)
     database = Database(schema_s1())
     author_pool = generator.distinct_person_names(160)
+    article_rows: list[dict[str, object]] = []
     for index in range(articles):
         author_count = generator.random.randint(1, 3)
         authors = "; ".join(
@@ -205,8 +206,7 @@ def build_s1(seed: int, articles: int = 400, books: int = 120) -> Database:
         if generator.maybe(0.04):
             year = "unknown"
         start = generator.random.randint(1, 500)
-        database.insert(
-            "articles",
+        article_rows.append(
             {
                 "id": index + 1,
                 "title": generator.paper_title(),
@@ -214,11 +214,12 @@ def build_s1(seed: int, articles: int = 400, books: int = 120) -> Database:
                 "journal": None if generator.maybe(0.12) else generator.venue(),
                 "year": year,
                 "pages": f"{start}-{start + generator.random.randint(5, 30)}",
-            },
+            }
         )
+    database.insert_all("articles", article_rows)
+    book_rows: list[dict[str, object]] = []
     for index in range(books):
-        database.insert(
-            "books",
+        book_rows.append(
             {
                 "id": index + 1,
                 "title": generator.paper_title(),
@@ -229,8 +230,9 @@ def build_s1(seed: int, articles: int = 400, books: int = 120) -> Database:
                     ("Springer", "ACM Press", "Morgan Kaufmann", "Wiley")
                 ),
                 "year": str(generator.year()),
-            },
+            }
         )
+    database.insert_all("books", book_rows)
     return database
 
 
@@ -240,18 +242,21 @@ def build_s2(
     generator = DataGenerator(seed)
     database = Database(schema_s2())
     names = generator.distinct_person_names(persons)
-    for pid, name in enumerate(names, start=1):
-        database.insert("persons", {"pid": pid, "name": name})
+    database.insert_all(
+        "persons",
+        [{"pid": pid, "name": name} for pid, name in enumerate(names, start=1)],
+    )
+    publication_rows: list[dict[str, object]] = []
+    authorship_rows: list[dict[str, object]] = []
     for pubid in range(1, publications + 1):
-        database.insert(
-            "publications",
+        publication_rows.append(
             {
                 "pubid": pubid,
                 "title": generator.paper_title(),
                 "venue": generator.venue(),
                 "year": generator.year(),
                 "type": generator.choose(("article", "book", "inproceedings")),
-            },
+            }
         )
         for position, pid in enumerate(
             generator.random.sample(
@@ -259,10 +264,11 @@ def build_s2(
             ),
             start=1,
         ):
-            database.insert(
-                "authorship",
-                {"pubid": pubid, "pid": pid, "position": position},
+            authorship_rows.append(
+                {"pubid": pubid, "pid": pid, "position": position}
             )
+    database.insert_all("publications", publication_rows)
+    database.insert_all("authorship", authorship_rows)
     return database
 
 
@@ -278,17 +284,23 @@ def build_s3(
     generator = DataGenerator(seed)
     database = Database(schema_s3())
     names = generator.distinct_person_names(authors, inverted=True)
-    for aid, full_name in enumerate(names, start=1):
-        database.insert("authors", {"aid": aid, "full_name": full_name})
+    database.insert_all(
+        "authors",
+        [
+            {"aid": aid, "full_name": full_name}
+            for aid, full_name in enumerate(names, start=1)
+        ],
+    )
     detached_authors = set(range(1, authors_without_papers and authors + 1))
     connected_author_ids = list(range(1, authors + 1 - authors_without_papers))
     orphan_papers = generator.sample_indices(papers, papers_without_authors)
+    paper_rows: list[dict[str, object]] = []
+    writes_rows: list[dict[str, object]] = []
     for index in range(papers):
         year = generator.year()
         start = generator.random.randint(1, 500)
         surname = names[index % len(names)].split(",")[0].lower()
-        database.insert(
-            "papers",
+        paper_rows.append(
             {
                 "pkey": f"{surname}{year}{index}",
                 "title": generator.paper_title(),
@@ -296,7 +308,7 @@ def build_s3(
                 "year": year,
                 "pages_from": start,
                 "pages_to": start + generator.random.randint(5, 30),
-            },
+            }
         )
         if index in orphan_papers:
             continue
@@ -305,14 +317,15 @@ def build_s3(
             min(generator.random.randint(1, 3), len(connected_author_ids)),
         )
         for rank, aid in enumerate(chosen, start=1):
-            database.insert(
-                "writes",
+            writes_rows.append(
                 {
                     "paper": f"{surname}{year}{index}",
                     "author": aid,
                     "rank": rank,
-                },
+                }
             )
+    database.insert_all("papers", paper_rows)
+    database.insert_all("writes", writes_rows)
     del detached_authors  # the last `authors_without_papers` ids are unused
     return database
 
@@ -321,10 +334,10 @@ def build_s4(seed: int, publications: int = 520) -> Database:
     generator = DataGenerator(seed)
     database = Database(schema_s4())
     names = generator.distinct_person_names(150)
+    rows: list[dict[str, object]] = []
     for index in range(publications):
         pages = generator.random.randint(6, 35)
-        database.insert(
-            "publication",
+        rows.append(
             {
                 "id": index + 1,
                 "title": generator.paper_title(),
@@ -332,8 +345,9 @@ def build_s4(seed: int, publications: int = 520) -> Database:
                 "venue": generator.venue(),
                 "year": generator.year(),
                 "num_pages": pages,
-            },
+            }
         )
+    database.insert_all("publication", rows)
     return database
 
 

@@ -151,8 +151,10 @@ def build_source(parameters: ExampleParameters) -> Database:
 
     # One artist list per album, plus one list per detached artist.
     total_lists = album_count + parameters.detached_artists
-    for list_id in range(1, total_lists + 1):
-        database.insert("artist_lists", {"id": list_id})
+    database.insert_all(
+        "artist_lists",
+        [{"id": list_id} for list_id in range(1, total_lists + 1)],
+    )
 
     # Artist name pools: album artists vs detached artists are disjoint so
     # the violation counts stay exact.
@@ -172,15 +174,17 @@ def build_source(parameters: ExampleParameters) -> Database:
     album_titles = generator.distinct_titles(album_count)
     song_name_pool = generator.distinct_titles(600)
 
+    albums: list[dict[str, object]] = []
+    credits: list[dict[str, object]] = []
+    songs: list[dict[str, object]] = []
     for index in range(album_count):
         album_id = index + 1
-        database.insert(
-            "albums",
+        albums.append(
             {
                 "id": album_id,
                 "name": album_titles[index],
                 "artist_list": album_id,
-            },
+            }
         )
         if index in multi_album_ids:
             credit_count = generator.random.randint(2, 4)
@@ -190,36 +194,36 @@ def build_source(parameters: ExampleParameters) -> Database:
         else:
             artists = [generator.choose(album_artist_pool)]
         for position, artist in enumerate(artists, start=1):
-            database.insert(
-                "artist_credits",
+            credits.append(
                 {
                     "artist_list": album_id,
                     "position": position,
                     "artist": artist,
-                },
+                }
             )
         lo, hi = parameters.songs_per_album
         for _ in range(generator.random.randint(lo, hi)):
-            database.insert(
-                "songs",
+            songs.append(
                 {
                     "album": album_id,
                     "name": generator.choose(song_name_pool),
                     "artist_list": album_id if generator.maybe(0.3) else None,
                     "length": generator.duration_ms(),
-                },
+                }
             )
 
     # Detached artists: credits on lists no album references.
     for offset, artist in enumerate(detached_artist_names):
-        database.insert(
-            "artist_credits",
+        credits.append(
             {
                 "artist_list": album_count + offset + 1,
                 "position": 1,
                 "artist": artist,
-            },
+            }
         )
+    database.insert_all("albums", albums)
+    database.insert_all("artist_credits", credits)
+    database.insert_all("songs", songs)
     return database
 
 
@@ -229,27 +233,29 @@ def build_target(parameters: ExampleParameters) -> Database:
     database = Database(target_schema())
     titles = generator.distinct_titles(parameters.target_records)
     track_titles = generator.distinct_titles(400)
+    records: list[dict[str, object]] = []
+    tracks: list[dict[str, object]] = []
     for index in range(parameters.target_records):
         record_id = index + 1
-        database.insert(
-            "records",
+        records.append(
             {
                 "id": record_id,
                 "title": titles[index],
                 "artist": generator.person_name(),
                 "genre": generator.genre(),
-            },
+            }
         )
         lo, hi = parameters.tracks_per_record
         for _ in range(generator.random.randint(lo, hi)):
-            database.insert(
-                "tracks",
+            tracks.append(
                 {
                     "record": record_id,
                     "title": generator.choose(track_titles),
                     "duration": DataGenerator.ms_to_mss(generator.duration_ms()),
-                },
+                }
             )
+    database.insert_all("records", records)
+    database.insert_all("tracks", tracks)
     return database
 
 

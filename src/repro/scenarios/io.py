@@ -197,8 +197,7 @@ def load_database(
                 )
             )
             continue
-        for row in loaded:
-            database.insert(rel.name, row)
+        database.insert_all(rel.name, loaded)
     return database
 
 

@@ -181,30 +181,32 @@ def build_f(seed: int, discs: int = 350, name: str = "f") -> Database:
     artist_pool = generator.distinct_person_names(120)
     titles = generator.distinct_titles(discs)
     track_titles = generator.distinct_titles(500)
+    disc_rows: list[dict[str, object]] = []
+    track_rows: list[dict[str, object]] = []
     for index in range(discs):
         discid = f"{generator.random.randrange(16**8):08x}"
         year: object = str(generator.year())
         if generator.maybe(0.05):
             year = ""
-        database.insert(
-            "discs",
+        disc_rows.append(
             {
                 "discid": discid,
                 "dtitle": f"{generator.choose(artist_pool)} / {titles[index]}",
                 "year": year,
                 "genre": generator.genre(),
-            },
+            }
         )
         for seq in range(1, generator.random.randint(3, 6) + 1):
-            database.insert(
-                "disc_tracks",
+            track_rows.append(
                 {
                     "discid": discid,
                     "seq": seq,
                     "title": generator.choose(track_titles),
                     "length_sec": generator.duration_seconds(),
-                },
+                }
             )
+    database.insert_all("discs", disc_rows)
+    database.insert_all("disc_tracks", track_rows)
     return database
 
 
@@ -218,36 +220,40 @@ def build_m(
     generator = DataGenerator(seed)
     database = Database(schema_m(name))
     names = generator.distinct_person_names(artists)
+    artist_rows: list[dict[str, object]] = []
     for aid, artist_name in enumerate(names, start=1):
         parts = artist_name.rsplit(" ", 1)
         sort_name = f"{parts[-1]}, {parts[0]}" if len(parts) == 2 else artist_name
-        database.insert(
-            "artists", {"aid": aid, "name": artist_name, "sort_name": sort_name}
+        artist_rows.append(
+            {"aid": aid, "name": artist_name, "sort_name": sort_name}
         )
+    database.insert_all("artists", artist_rows)
     titles = generator.distinct_titles(releases)
     track_titles = generator.distinct_titles(500)
     missing_year_ids = generator.sample_indices(releases, null_years)
+    release_rows: list[dict[str, object]] = []
+    track_rows: list[dict[str, object]] = []
     for index in range(releases):
         rid = index + 1
-        database.insert(
-            "releases",
+        release_rows.append(
             {
                 "rid": rid,
                 "title": titles[index],
                 "artist": generator.random.randint(1, artists),
                 "year": None if index in missing_year_ids else generator.year(),
-            },
+            }
         )
         for position in range(1, generator.random.randint(3, 6) + 1):
-            database.insert(
-                "rtracks",
+            track_rows.append(
                 {
                     "release": rid,
                     "position": position,
                     "name": generator.choose(track_titles),
                     "length_ms": generator.duration_ms(),
-                },
+                }
             )
+    database.insert_all("releases", release_rows)
+    database.insert_all("rtracks", track_rows)
     return database
 
 
@@ -257,31 +263,35 @@ def build_d(
     generator = DataGenerator(seed)
     database = Database(schema_d(name))
     names = generator.distinct_person_names(artists)
-    for did, artist_name in enumerate(names, start=1):
-        database.insert("dartists", {"did": did, "name": artist_name})
+    database.insert_all(
+        "dartists",
+        [
+            {"did": did, "name": artist_name}
+            for did, artist_name in enumerate(names, start=1)
+        ],
+    )
     titles = generator.distinct_titles(releases)
     track_titles = generator.distinct_titles(500)
+    release_rows: list[dict[str, object]] = []
+    credit_rows: list[dict[str, object]] = []
+    track_rows: list[dict[str, object]] = []
     for index in range(releases):
         rid = index + 1
-        database.insert(
-            "releases",
+        release_rows.append(
             {
                 "rid": rid,
                 "title": titles[index],
                 "year": generator.year(),
                 "country": generator.country(),
-            },
+            }
         )
         for artist in generator.random.sample(
             range(1, artists + 1), generator.random.randint(1, 2)
         ):
-            database.insert(
-                "release_artists", {"release": rid, "artist": artist}
-            )
+            credit_rows.append({"release": rid, "artist": artist})
         sides = ("A", "B")
         for position in range(1, generator.random.randint(4, 8) + 1):
-            database.insert(
-                "tracklist",
+            track_rows.append(
                 {
                     "release": rid,
                     "position": f"{sides[(position - 1) % 2]}{(position + 1) // 2}",
@@ -289,8 +299,11 @@ def build_d(
                     "duration": DataGenerator.seconds_to_mss(
                         generator.duration_seconds()
                     ),
-                },
+                }
             )
+    database.insert_all("releases", release_rows)
+    database.insert_all("release_artists", credit_rows)
+    database.insert_all("tracklist", track_rows)
     return database
 
 

@@ -40,24 +40,20 @@ beyond the standard library.  Resources::
                              burn rates and the derived health state
 
 Scenario references are either shipped catalogue names (``efes list``)
-or scenario directories in the on-disk format; resolution is cached per
-``(name, seed)`` so repeated submissions do not regenerate instances.
+or scenario directories in the on-disk format; they resolve through one
+:class:`~repro.scenarios.ScenarioCache` per server, so repeated
+submissions do not regenerate instances.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..observability import prometheus_text
 from ..resilience import CircuitOpenError, fault_point
-from ..scenarios import (
-    UnknownScenarioError,
-    resolve_scenario,
-    scenario_catalogue,
-)
+from ..scenarios import ScenarioCache, UnknownScenarioError
 from .jobs import JobState, QueueFullError, SchedulerClosedError
 from .scheduler import JobScheduler
 
@@ -74,32 +70,12 @@ class ServiceServer(ThreadingHTTPServer):
     def __init__(self, address, scheduler: JobScheduler) -> None:
         super().__init__(address, ServiceHandler)
         self.scheduler = scheduler
-        self._scenario_cache: dict[tuple[str, int], object] = {}
-        self._scenario_lock = threading.Lock()
+        self.scenarios = ScenarioCache()
 
     @property
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
-
-    def resolve_scenario(self, name: str, seed: int):
-        with self._scenario_lock:
-            cached = self._scenario_cache.get((name, seed))
-        if cached is not None:
-            return cached
-        # A catalogue miss warms every catalogue entry for this seed at
-        # once: building one shipped scenario costs the same as building
-        # them all, so the second distinct name is a cache hit.
-        catalogue = scenario_catalogue(seed)
-        with self._scenario_lock:
-            for entry_name, entry in catalogue.items():
-                self._scenario_cache.setdefault((entry_name, seed), entry)
-        if name in catalogue:
-            return catalogue[name]
-        scenario = resolve_scenario(name, seed)
-        with self._scenario_lock:
-            self._scenario_cache[(name, seed)] = scenario
-        return scenario
 
 
 class ServiceHandler(BaseHTTPRequestHandler):
@@ -334,7 +310,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         kind = body.get("kind", "estimate")
         try:
             seed = int(body.get("seed", 1))
-            scenario = self.server.resolve_scenario(str(name), seed)
+            scenario = self.server.scenarios.resolve(str(name), seed)
             correlation = body.get("correlation_id") or self.headers.get(
                 "X-Correlation-ID"
             )

@@ -78,7 +78,7 @@ from contextlib import contextmanager
 
 from ..core import default_efes
 from ..core.framework import Efes
-from ..core.quality import ResultQuality
+from ..core.quality import ResultQuality, parse_quality
 from ..core.serialize import estimate_to_dict, reports_to_dict
 from ..observability import (
     EVENT_LOG_ENV_VAR,
@@ -130,14 +130,6 @@ _DEFAULT_JOB_SECONDS = 1.0
 
 #: Error message of jobs failed by a graceful drain.
 DRAINING_ERROR = "scheduler is draining; job was not started"
-
-
-def _parse_quality(quality: ResultQuality | str | None) -> ResultQuality:
-    if isinstance(quality, ResultQuality):
-        return quality
-    if quality in ("low", "low_effort"):
-        return ResultQuality.LOW_EFFORT
-    return ResultQuality.HIGH_QUALITY
 
 
 class JobScheduler:
@@ -347,7 +339,7 @@ class JobScheduler:
         existing = self._deduplicate(idempotency_key)
         if existing is not None:
             return existing
-        resolved_quality = _parse_quality(quality)
+        resolved_quality = parse_quality(quality)
         key = job_key(
             scenario,
             kind,
@@ -802,7 +794,7 @@ class JobScheduler:
         except Exception:  # noqa: BLE001 - unresolvable scenario
             return None
         job.payload = self._payload_for(
-            job, scenario, _parse_quality(job.quality)
+            job, scenario, parse_quality(job.quality)
         )
         return job
 

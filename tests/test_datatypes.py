@@ -108,6 +108,13 @@ class TestCastDate:
         with pytest.raises(TypeCastError):
             cast("yesterday", DataType.DATE)
 
+    def test_non_ascii_digits_are_refused_not_raised(self):
+        # "²³".isdigit() holds, but int("²³") raises ValueError.
+        assert not can_cast("2015-²³-01", DataType.DATE)
+        with pytest.raises(TypeCastError):
+            cast("2015-²³-01", DataType.DATE)
+        assert infer_datatype(["2015-²³-01"]) == DataType.STRING
+
 
 class TestNullHandling:
     @pytest.mark.parametrize("datatype", list(DataType))

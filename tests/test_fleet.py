@@ -464,6 +464,61 @@ def test_unknown_scenario_and_unknown_job(fleet):
     assert result_excinfo.value.status == 404
 
 
+def test_front_end_refuses_an_unknown_quality(fleet):
+    supervisor, _backend, _server, client = fleet
+    from repro.service.client import ServiceError
+
+    with pytest.raises(ServiceError) as excinfo:
+        client.submit("s4-s4", quality="bogus", idempotency_key="bad-q")
+    assert excinfo.value.status == 400
+    assert "high, high_quality, low, low_effort" in str(excinfo.value)
+    assert supervisor.route_for_key("bad-q") is None
+
+
+@pytest.mark.parametrize(
+    "quality, value",
+    [
+        (None, "high_quality"),
+        ("high", "high_quality"),
+        ("high_quality", "high_quality"),
+        ("low", "low_effort"),
+        ("low_effort", "low_effort"),
+    ],
+)
+def test_front_end_quality_spellings_keep_their_job_keys(
+    fleet, quality, value
+):
+    supervisor, _backend, _server, client = fleet
+    from repro.scenarios import resolve_scenario
+    from repro.service import job_key
+
+    key = f"quality-{quality}"
+    client.submit("s4-s4", quality=quality, seed=3, idempotency_key=key)
+    route = supervisor.route_for_key(key)
+    assert route.envelope.quality == value
+    expected = job_key(resolve_scenario("s4-s4", 3), "estimate", value)
+    assert route.store_key == expected
+
+
+def test_front_end_resolves_through_one_scenario_cache(fleet, monkeypatch):
+    _supervisor, _backend, server, client = fleet
+    from repro.scenarios import SCENARIO_BUILDERS, ScenarioCache
+
+    assert isinstance(server.scenarios, ScenarioCache)
+    job = client.submit(
+        "s4-s4", kind="assess", seed=6, idempotency_key="cache-1"
+    )
+    client.result(job["id"], deadline=30.0)  # the worker resolves it too
+
+    def refuse(seed):
+        raise AssertionError("the scenario should have come from the cache")
+
+    # The POST built seed 6's whole catalogue into the front end's cache.
+    for name in SCENARIO_BUILDERS:
+        monkeypatch.setitem(SCENARIO_BUILDERS, name, refuse)
+    assert list(server.scenarios.catalogue(6)) == list(SCENARIO_BUILDERS)
+
+
 def test_merged_metrics_labels_workers(fleet):
     supervisor, _backend, _server, client = fleet
     job = client.submit("d1-d2", quality="low", idempotency_key="metrics-1")

@@ -1,12 +1,16 @@
 """Unit tests for repro.relational.instance and database."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.relational import (
     Database,
     DataType,
     InstanceError,
+    TypeCastError,
     NotNull,
+    RelationInstance,
     Schema,
     primary_key,
     relation,
@@ -57,6 +61,130 @@ class TestInsert:
     def test_insert_all(self, database):
         database.insert_all("songs", [(1, "A", 10), (2, "B", 20)])
         assert len(database.table("songs")) == 2
+
+
+#: One attribute per datatype, each fed values that are already typed,
+#: values that need a cast, and NULLs.
+TYPED = relation(
+    "typed",
+    [
+        ("i", DataType.INTEGER),
+        ("f", DataType.FLOAT),
+        ("s", DataType.STRING),
+        ("b", DataType.BOOLEAN),
+        ("d", DataType.DATE),
+    ],
+)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_small = st.integers(-1000, 1000)
+CASTABLE = {
+    "i": st.one_of(
+        _small,
+        st.booleans(),
+        _small.map(float),
+        _small.map(lambda n: f" {n} "),
+    ),
+    "f": st.one_of(_finite, _small, _finite.map(repr)),
+    "s": st.one_of(st.text(max_size=5), _small, _finite, st.booleans()),
+    "b": st.one_of(
+        st.booleans(), st.sampled_from([0, 1, "yes", " F ", "true", "0"])
+    ),
+    "d": st.sampled_from(["1999-12-31", " 2015-03-23 ", "2000-01-01"]),
+}
+#: A value each attribute's datatype refuses.
+UNCASTABLE = {
+    "i": "1.5",
+    "f": "nan",
+    "s": [1],
+    "b": 2,
+    "d": "2015-²³-01",
+}
+
+
+@st.composite
+def _rows(draw):
+    """A row as a name→value mapping (some names left out) or a list."""
+    values = {
+        name: draw(st.one_of(st.none(), CASTABLE[name]))
+        for name in TYPED.attribute_names
+    }
+    if draw(st.booleans()):
+        return [values[name] for name in TYPED.attribute_names]
+    kept = draw(st.sets(st.sampled_from(TYPED.attribute_names)))
+    return {name: values[name] for name in sorted(kept)}
+
+
+@st.composite
+def _bad_rows(draw):
+    """A row ``insert`` refuses, and the exception it raises."""
+    row = draw(_rows())
+    fault = draw(st.sampled_from(["unknown", "arity", "cast"]))
+    if fault == "unknown":
+        return {"nope": 1}, InstanceError
+    if fault == "arity":
+        return [None] * draw(st.sampled_from([0, 4, 6])), InstanceError
+    name = draw(st.sampled_from(TYPED.attribute_names))
+    if isinstance(row, dict):
+        row[name] = UNCASTABLE[name]
+    else:
+        row[TYPED.attribute_names.index(name)] = UNCASTABLE[name]
+    return row, TypeCastError
+
+
+def _content(instance):
+    """Columns with each value's type, so 1, 1.0 and True differ."""
+    return [
+        [(type(value), value) for value in column]
+        for column in instance.columns()
+    ], len(instance)
+
+
+class TestInsertAll:
+    """``insert_all`` is repeated ``insert`` made all or nothing."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_rows(), max_size=8))
+    def test_equals_repeated_insert(self, rows):
+        batch, single = RelationInstance(TYPED), RelationInstance(TYPED)
+        batch.insert_all(rows)
+        for row in rows:
+            single.insert(row)
+        assert _content(batch) == _content(single)
+        assert batch.rows == single.rows
+        assert batch.version == (1 if rows else 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(_rows(), max_size=4),
+        st.lists(_rows(), max_size=6),
+        _bad_rows(),
+        st.data(),
+    )
+    def test_a_refused_row_inserts_nothing(self, loaded, rows, bad, data):
+        bad_row, error = bad
+        position = data.draw(st.integers(0, len(rows)))
+        batch_rows = rows[:position] + [bad_row] + rows[position:]
+        batch = RelationInstance(TYPED, loaded)
+        before, version = _content(batch), batch.version
+        with pytest.raises(error):
+            batch.insert_all(batch_rows)
+        assert _content(batch) == before
+        assert batch.version == version
+        single = RelationInstance(TYPED, loaded)
+        for row in rows[:position]:
+            single.insert(row)
+        before, version = _content(single), single.version
+        with pytest.raises(error):
+            single.insert(bad_row)
+        assert _content(single) == before
+        assert single.version == version
+
+    def test_zero_attribute_relation_counts_rows(self):
+        empty = relation("empty", [])
+        instance = RelationInstance(empty, [(), {}])
+        instance.insert(())
+        assert len(instance) == 3
+        assert instance.columns() == []
 
 
 class TestColumnAccess:

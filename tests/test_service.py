@@ -144,6 +144,31 @@ class TestScheduler:
         with pytest.raises(ValueError, match="unknown job kind"):
             scheduler.submit(small_example, "transmogrify")
 
+    @pytest.mark.parametrize(
+        "quality, value",
+        [
+            (None, "high_quality"),
+            ("high", "high_quality"),
+            ("high_quality", "high_quality"),
+            (ResultQuality.HIGH_QUALITY, "high_quality"),
+            ("low", "low_effort"),
+            ("low_effort", "low_effort"),
+            (ResultQuality.LOW_EFFORT, "low_effort"),
+        ],
+    )
+    def test_quality_spellings_keep_their_job_keys(
+        self, small_example, scheduler, quality, value
+    ):
+        job = scheduler.submit(small_example, "estimate", quality)
+        assert job.quality == value
+        assert job.store_key == job_key(small_example, "estimate", value)
+
+    @pytest.mark.parametrize("quality", ["bogus", "hq", "", 1, ["low"]])
+    def test_unknown_quality_rejected(self, small_example, scheduler, quality):
+        with pytest.raises(ValueError, match="unknown quality"):
+            scheduler.submit(small_example, "estimate", quality)
+        assert scheduler.jobs() == []
+
     def test_queue_saturation_is_explicit_backpressure(self):
         release, started = threading.Event(), threading.Event()
         with JobScheduler(workers=1, max_queue=1) as sched:
@@ -274,6 +299,10 @@ class TestExperimentsIntegration:
         ]
 
 
+def _refuse_to_build(seed):
+    raise AssertionError("the scenario should have come from the cache")
+
+
 @pytest.fixture()
 def service():
     scheduler = JobScheduler(workers=2, max_queue=8)
@@ -324,6 +353,27 @@ class TestHTTPService:
             ServiceClient(server.url).submit("not-a-scenario")
         assert excinfo.value.status == 404
         assert "unknown scenario" in str(excinfo.value)
+
+    def test_unknown_quality_is_400(self, service):
+        server, scheduler = service
+        with pytest.raises(ServiceError) as excinfo:
+            ServiceClient(server.url).submit("s4-s4", quality="bogus")
+        assert excinfo.value.status == 400
+        assert "high, high_quality, low, low_effort" in str(excinfo.value)
+        assert scheduler.jobs() == []
+
+    def test_scenarios_resolve_through_one_cache(self, service, monkeypatch):
+        from repro.scenarios import SCENARIO_BUILDERS, ScenarioCache
+
+        server, _ = service
+        assert isinstance(server.scenarios, ScenarioCache)
+        job = ServiceClient(server.url).submit("s4-s4", kind="assess", seed=5)
+        # The POST built seed 5's whole catalogue into the server's cache.
+        for name in SCENARIO_BUILDERS:
+            monkeypatch.setitem(SCENARIO_BUILDERS, name, _refuse_to_build)
+        catalogue = server.scenarios.catalogue(5)
+        assert list(catalogue) == list(SCENARIO_BUILDERS)
+        assert job["scenario"] == "s4-s4"
 
     def test_unknown_job_is_404(self, service):
         server, _ = service
