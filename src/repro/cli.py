@@ -34,6 +34,7 @@ import argparse
 import os
 import signal
 import sys
+from collections.abc import Callable
 
 from .core import default_efes, parse_quality
 from .core.tasks import TaskCategory
@@ -333,6 +334,43 @@ def _raise_terminated(signum, frame):  # pragma: no cover - signal plumbing
     raise _Terminated()
 
 
+def _timeout_seconds(text: str) -> float:
+    """The ``--job-timeout`` type: the scheduler's timeout check, as a
+    one-line usage error instead of a traceback at startup."""
+    from .service.jobs import check_timeout
+
+    try:
+        return check_timeout(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _serve_until_stopped(server, close: Callable[[], None]) -> int:
+    """Serve until Ctrl-C or SIGTERM, then stop the server and ``close``.
+
+    SIGTERM (the orchestrator's "please stop") must not drop queued
+    work on the floor: raising out of ``serve_forever`` funnels into the
+    same graceful drain as Ctrl-C, and exits 0.
+    """
+    try:
+        previous_handler = signal.signal(signal.SIGTERM, _raise_terminated)
+    except ValueError:  # pragma: no cover - non-main thread (tests)
+        previous_handler = None
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        print("shutting down")
+    except _Terminated:
+        print("received SIGTERM; draining", flush=True)
+    finally:
+        if previous_handler is not None:
+            signal.signal(signal.SIGTERM, previous_handler)
+        server.shutdown()
+        server.server_close()
+        close()
+    return 0
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     from .durability import FlushPolicy, JobJournal
     from .runtime import get_runtime
@@ -377,26 +415,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"{summary['torn_records']} torn record(s) skipped",
             flush=True,
         )
-    # SIGTERM (the orchestrator's "please stop") must not drop queued
-    # work on the floor: raising out of serve_forever funnels into the
-    # same graceful drain + journal flush as Ctrl-C, and exits 0.
-    try:
-        previous_handler = signal.signal(signal.SIGTERM, _raise_terminated)
-    except ValueError:  # pragma: no cover - non-main thread (tests)
-        previous_handler = None
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down")
-    except _Terminated:
-        print("received SIGTERM; draining", flush=True)
-    finally:
-        if previous_handler is not None:
-            signal.signal(signal.SIGTERM, previous_handler)
-        server.shutdown()
-        server.server_close()
-        scheduler.close(wait=True, timeout=5.0)
-    return 0
+    return _serve_until_stopped(
+        server, lambda: scheduler.close(wait=True, timeout=5.0)
+    )
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
@@ -555,23 +576,7 @@ def _fleet_serve(args: argparse.Namespace) -> int:
         f"control port={supervisor.control_port})",
         flush=True,
     )
-    try:
-        previous_handler = signal.signal(signal.SIGTERM, _raise_terminated)
-    except ValueError:  # pragma: no cover - non-main thread (tests)
-        previous_handler = None
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down fleet")
-    except _Terminated:
-        print("received SIGTERM; draining fleet", flush=True)
-    finally:
-        if previous_handler is not None:
-            signal.signal(signal.SIGTERM, previous_handler)
-        server.shutdown()
-        server.server_close()
-        supervisor.close()
-    return 0
+    return _serve_until_stopped(server, supervisor.close)
 
 
 def _fleet_status(args: argparse.Namespace) -> int:
@@ -898,7 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--job-timeout",
-        type=float,
+        type=_timeout_seconds,
         default=None,
         help="default per-job timeout in seconds (default: none)",
     )

@@ -59,6 +59,7 @@ from ..runtime import RuntimeMetrics
 from ..runtime.metrics import snapshot_from_dict
 from ..service import ReportStore, ServiceClient, SubmitEnvelope
 from ..service.client import ServiceError
+from ..service.jobs import OverloadedError, SchedulerClosedError
 from .hashing import HashRing
 from .protocol import MessageReader
 from .worker import DEFAULT_HEARTBEAT_INTERVAL, worker_dirs
@@ -72,21 +73,23 @@ LIVENESS_MULTIPLE = 6.0
 DEFAULT_STARTUP_GRACE = 20.0
 
 
-class FleetShedError(RuntimeError):
-    """The degraded fleet is shedding this (low-priority) submission."""
+class FleetShedError(OverloadedError):
+    """The degraded fleet is shedding this (low-priority) submission:
+    backpressure, answered like a full queue."""
 
     def __init__(self, priority: int, missing: int, retry_after: float) -> None:
         super().__init__(
             f"fleet is degraded ({missing} worker(s) down); shedding "
-            f"priority-{priority} work — retry in ~{retry_after:g}s"
+            f"priority-{priority} work — retry in ~{retry_after:g}s",
+            retry_after,
         )
         self.priority = priority
         self.missing = missing
-        self.retry_after = retry_after
 
 
-class NoWorkersError(RuntimeError):
-    """No live worker can accept work right now."""
+class NoWorkersError(SchedulerClosedError):
+    """No live worker can accept work right now: the fleet is
+    unavailable, answered like a closed scheduler."""
 
     def __init__(self, retry_after: float = 5.0) -> None:
         super().__init__("no live fleet workers; retry later")

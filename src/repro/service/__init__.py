@@ -17,7 +17,8 @@ estimates retrievable without recomputation.  This subsystem provides it:
   startup recovery scan instead of serving them,
 * :mod:`~repro.service.http_api` — a stdlib ``ThreadingHTTPServer``
   exposing submit/status/result/cancel plus ``/healthz`` and
-  ``/metrics``, with :class:`ServiceClient` as the Python counterpart
+  ``/metrics`` through the one request handler the fleet front end
+  shares, with :class:`ServiceClient` as the Python counterpart
   (retrying transient unavailability under a
   :class:`~repro.resilience.RetryPolicy`).
 
@@ -53,7 +54,6 @@ from .http_api import (
     DEFAULT_PORT,
     ServiceServer,
     make_server,
-    serve,
 )
 from .jobs import (
     Job,
@@ -93,5 +93,4 @@ __all__ = [
     "document_checksum",
     "job_key",
     "make_server",
-    "serve",
 ]

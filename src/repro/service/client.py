@@ -39,7 +39,9 @@ import urllib.request
 import uuid
 from collections.abc import Callable
 
+from ..core.quality import parse_quality
 from ..resilience import RetryPolicy, call_with_retry
+from .jobs import check_kind, check_timeout
 
 
 class ServiceError(RuntimeError):
@@ -166,6 +168,45 @@ class SubmitEnvelope:
         if self.deadline is not None:
             doc["X-Deadline-Ms"] = str(int(self.deadline * 1000))
         return doc
+
+    @classmethod
+    def from_request(cls, body: dict, headers) -> SubmitEnvelope:
+        """Parse a ``POST /jobs``: the server side's inverse of
+        :meth:`body` and :meth:`headers`.
+
+        Raises ``ValueError``, ``TypeError`` or ``OverflowError`` for a
+        missing ``scenario``, an unknown ``kind`` or ``quality``, a
+        ``priority`` or ``seed`` that does not convert to an integer, and
+        a ``timeout`` or ``X-Deadline-Ms`` that
+        :func:`~repro.service.jobs.check_timeout` refuses.  The header is
+        the job's timeout unless the body names one, so ``deadline``,
+        which bounds a client's own submit/poll cycle, stays ``None``.
+        """
+        name = body.get("scenario")
+        if not name:
+            raise ValueError("missing required field 'scenario'")
+        kind = check_kind(body.get("kind", "estimate"))
+        quality = parse_quality(body.get("quality")).value
+        timeout = body.get("timeout")
+        deadline_ms = headers.get("X-Deadline-Ms")
+        if timeout is None and deadline_ms is not None:
+            timeout = float(deadline_ms) / 1000.0
+        return cls(
+            scenario=str(name),
+            kind=kind,
+            quality=quality if kind == "estimate" else None,
+            priority=int(body.get("priority", 0)),
+            timeout=check_timeout(timeout),
+            seed=int(body.get("seed", 1)),
+            correlation_id=(
+                body.get("correlation_id") or headers.get("X-Correlation-ID")
+            ),
+            idempotency_key=(
+                body.get("idempotency_key")
+                or headers.get("Idempotency-Key")
+                or ""
+            ),
+        )
 
     def to_dict(self) -> dict:
         """A JSON form (ridden by the fleet control plane)."""

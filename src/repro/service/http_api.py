@@ -1,48 +1,68 @@
 """The stdlib-only HTTP front end of the assessment service.
 
 Built on :class:`http.server.ThreadingHTTPServer` — no dependencies
-beyond the standard library.  Resources::
+beyond the standard library.  One request handler,
+:class:`ServiceHandler`, serves both ``efes serve``
+(:class:`ServiceServer`, over one :class:`JobScheduler`) and ``efes
+fleet serve`` (:class:`repro.fleet.FleetServer`, over the fleet
+supervisor).  Resources, with the servers that answer them (S = service,
+F = fleet)::
 
-    POST   /jobs             submit {"scenario", "kind", "quality",
-                             "priority", "timeout", "seed",
-                             "correlation_id", "idempotency_key"}
-                             -> 202 job
-                             (503 + Retry-After on queue saturation;
-                             the X-Correlation-ID header also binds the
-                             job's correlation ID; the Idempotency-Key
-                             header dedups retried submissions — a
-                             repeat inside the dedup window returns the
-                             original job, even across a crash/restart
-                             when a journal is configured; the
-                             X-Deadline-Ms header is the job's execution
-                             budget in milliseconds — equivalent to the
-                             body's "timeout" field, which wins when
-                             both are present)
-    GET    /jobs             all known jobs (newest last); ``?state=``
-                             filters by lifecycle state
-    GET    /jobs/<id>        one job's status
-    GET    /jobs/<id>/result 200 result doc | 202 still pending |
-                             410 cancelled | 500 failed
-    DELETE /jobs/<id>        cancel; returns the job status
-    GET    /trace/<id>       the job's span tree (service.job:<id> root)
-    GET    /healthz          liveness + queue depth + worker-slot
-                             utilisation + report-store spool size +
-                             SLO state + resource summary + journal lag +
-                             crash-recovery summary + deadline posture
-                             (jobs in grace, minimum remaining budget)
-    GET    /metrics          RuntimeMetrics counters/stages/histograms +
-                             scheduler queue stats + report-store totals +
-                             worker/process resource gauges + SLO
-                             burn-rate gauges; ``Accept: text/plain`` (or
-                             ``?format=prometheus``) switches to
-                             Prometheus text exposition
-    GET    /slo              declarative SLOs with fast/slow-window
-                             burn rates and the derived health state
+    POST   /jobs             S F  submit {"scenario", "kind", "quality",
+                                  "priority", "timeout", "seed",
+                                  "correlation_id", "idempotency_key"}
+                                  -> 202 job
+                                  (the X-Correlation-ID header also binds
+                                  the job's correlation ID; the
+                                  Idempotency-Key header dedups retried
+                                  submissions — a repeat inside the dedup
+                                  window returns the original job, even
+                                  across a crash/restart when a journal is
+                                  configured; the X-Deadline-Ms header is
+                                  the job's execution budget in
+                                  milliseconds — equivalent to the body's
+                                  "timeout" field, which wins when both
+                                  are present)
+    GET    /jobs             S    all known jobs (newest last);
+                                  ``?state=`` filters by lifecycle state
+    GET    /jobs/<id>        S F  one job's status
+    GET    /jobs/<id>/result S F  200 result doc | 202 still pending |
+                                  410 cancelled | 500 failed
+    DELETE /jobs/<id>        S F  cancel; returns the job status
+    GET    /trace/<id>       S    the job's span tree (service.job:<id>
+                                  root)
+    GET    /healthz          S F  liveness and health; the fields are
+                                  the server's (see its ``health`` view)
+    GET    /metrics          S F  counters, stage timings and histograms
+                                  plus the server's own statistics;
+                                  ``Accept: text/plain`` (or
+                                  ``?format=prometheus``) switches to
+                                  Prometheus text exposition
+    GET    /slo              S    declarative SLOs with fast/slow-window
+                                  burn rates and the derived health state
+    GET    /fleet/status       F  the supervisor's full status document
 
-Scenario references are either shipped catalogue names (``efes list``)
-or scenario directories in the on-disk format; they resolve through one
-:class:`~repro.scenarios.ScenarioCache` per server, so repeated
-submissions do not regenerate instances.
+A submission is parsed once, by :meth:`SubmitEnvelope.from_request`,
+and refused with:
+
+* 400 — a body that is not a JSON object, a missing ``scenario``, an
+  unknown ``kind`` or ``quality``, a ``priority`` or ``seed`` that does
+  not convert to an integer, a ``timeout`` that is not a finite number
+  of seconds > 0 (never a boolean), or an ``X-Deadline-Ms`` header that
+  is not a finite number of milliseconds > 0,
+* 404 — an unknown scenario reference,
+* 503 + ``Retry-After`` and a body ``retry_after`` — backpressure
+  (:class:`~repro.service.jobs.OverloadedError`: a full queue, or a
+  degraded fleet shedding low-priority work),
+* 503 (+ ``Retry-After`` when the server has a hint) — unavailable: an
+  open circuit breaker, a closed scheduler, a fleet without a live
+  worker, or a failing journal append.
+
+An unknown path or job id is a 404 on every method, and an injected
+``http.handler`` fault a 500.  Scenario references are either shipped
+catalogue names (``efes list``) or scenario directories in the on-disk
+format; they resolve through one :class:`~repro.scenarios.ScenarioCache`
+per server, so repeated submissions do not regenerate instances.
 """
 
 from __future__ import annotations
@@ -53,8 +73,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..observability import prometheus_text
 from ..resilience import CircuitOpenError, fault_point
-from ..scenarios import ScenarioCache, UnknownScenarioError
-from .jobs import JobState, QueueFullError, SchedulerClosedError
+from ..runtime import MetricsSnapshot
+from ..scenarios import (
+    IntegrationScenario,
+    ScenarioCache,
+    UnknownScenarioError,
+)
+from .client import SubmitEnvelope
+from .jobs import JobState, OverloadedError, SchedulerClosedError
 from .scheduler import JobScheduler
 
 #: Default bind address of ``efes serve``.
@@ -62,14 +88,20 @@ DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8765
 
 
-class ServiceServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one :class:`JobScheduler`."""
+class FrontEnd(ThreadingHTTPServer):
+    """A threading HTTP server whose :class:`ServiceHandler` answers
+    from the views a subclass supplies.
+
+    A view that takes a job id returns ``None`` for an unknown id, which
+    the handler answers with 404.  ``submit`` signals a refusal by
+    raising one of the exceptions in this module's refusal table.
+    """
 
     daemon_threads = True
+    server_version = "repro-service/1.0"
 
-    def __init__(self, address, scheduler: JobScheduler) -> None:
+    def __init__(self, address) -> None:
         super().__init__(address, ServiceHandler)
-        self.scheduler = scheduler
         self.scenarios = ScenarioCache()
 
     @property
@@ -77,9 +109,171 @@ class ServiceServer(ThreadingHTTPServer):
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
+    def submit(
+        self, envelope: SubmitEnvelope, scenario: IntegrationScenario
+    ) -> dict:
+        """Admit one parsed submission; the new job's status document."""
+        raise NotImplementedError
+
+    def job(self, job_id: str) -> dict | None:
+        """One job's status document."""
+        raise NotImplementedError
+
+    def result(self, job_id: str) -> tuple[int, dict] | None:
+        """``(http_status, body)`` for ``GET /jobs/<id>/result``."""
+        raise NotImplementedError
+
+    def cancel(self, job_id: str) -> dict | None:
+        """Cancel a job; its status document afterwards."""
+        raise NotImplementedError
+
+    def health(self) -> dict:
+        """The ``GET /healthz`` document."""
+        raise NotImplementedError
+
+    def metrics(self) -> tuple[MetricsSnapshot, dict[str, float], dict]:
+        """``(snapshot, gauges, extra)`` for ``GET /metrics``.
+
+        Prometheus text renders the metrics snapshot plus ``gauges``;
+        JSON is the snapshot's dictionary plus ``extra``.
+        """
+        raise NotImplementedError
+
+    def resource(
+        self, segments: list[str], query: dict[str, str]
+    ) -> tuple[int, dict] | None:
+        """``(http_status, body)`` for a GET of a server-specific path,
+        or ``None`` when the server has no such resource."""
+        return None
+
+
+class ServiceServer(FrontEnd):
+    """The front end of one :class:`JobScheduler` (``efes serve``)."""
+
+    def __init__(self, address, scheduler: JobScheduler) -> None:
+        super().__init__(address)
+        self.scheduler = scheduler
+
+    def submit(
+        self, envelope: SubmitEnvelope, scenario: IntegrationScenario
+    ) -> dict:
+        return self.scheduler.submit(
+            scenario,
+            kind=envelope.kind,
+            quality=envelope.quality,
+            priority=envelope.priority,
+            timeout=envelope.timeout,
+            correlation_id=envelope.correlation_id,
+            idempotency_key=envelope.idempotency_key or None,
+            scenario_seed=envelope.seed,
+        ).snapshot()
+
+    def job(self, job_id: str) -> dict | None:
+        job = self.scheduler.job(job_id)
+        return None if job is None else job.snapshot()
+
+    def result(self, job_id: str) -> tuple[int, dict] | None:
+        job = self.scheduler.job(job_id)
+        if job is None:
+            return None
+        if job.state is JobState.DONE:
+            result = job.result
+            if result is None and job.store_key is not None:
+                # A job recovered as settled after a crash keeps no
+                # result in memory; the document lives in the store.
+                result = self.scheduler.store.get(job.store_key)
+            return 200, {"job": job.snapshot(), "result": result}
+        if job.state is JobState.FAILED:
+            return 500, {"job": job.snapshot(), "error": job.error}
+        if job.state is JobState.CANCELLED:
+            return 410, {"job": job.snapshot(), "error": "cancelled"}
+        return 202, {"job": job.snapshot()}  # queued or running
+
+    def cancel(self, job_id: str) -> dict | None:
+        try:
+            return self.scheduler.cancel(job_id).snapshot()
+        except KeyError:
+            return None
+
+    def health(self) -> dict:
+        stats = self.scheduler.stats()
+        return {
+            "status": "ok" if stats["open"] else "closing",
+            "backend": self.scheduler.runtime.backend,
+            "health": self.scheduler.health_snapshot(),
+            "queue_depth": stats["queue_depth"],
+            "running": stats["running"],
+            "workers": {
+                "busy": stats["busy_workers"],
+                "total": stats["workers"],
+                "utilisation": stats["worker_utilisation"],
+            },
+            "store": self.scheduler.store.stats(),
+            "journal": stats.get("journal"),
+            "recovery": stats.get("recovery"),
+            "deadlines": stats.get("deadlines"),
+        }
+
+    def metrics(self) -> tuple[MetricsSnapshot, dict[str, float], dict]:
+        # Point-in-time gauges (resources, utilization, burn rates) are
+        # re-sampled per scrape, so Prometheus always sees fresh values.
+        self.scheduler.refresh_observability()
+        stats = self.scheduler.stats()
+        store = self.scheduler.store.stats()
+        gauges = {
+            "queue_depth": float(stats["queue_depth"]),
+            "queue_capacity": float(stats["max_queue"]),
+            "workers_busy": float(stats["busy_workers"]),
+            "workers_total": float(stats["workers"]),
+            "jobs_running": float(stats["running"]),
+            "store_entries": float(store["entries"]),
+            "store_spooled": float(store["spooled"]),
+            "store_quarantined": float(store["quarantined"]),
+        }
+        snapshot = self.scheduler.metrics.snapshot()
+        return snapshot, gauges, {"scheduler": stats, "store": store}
+
+    def resource(
+        self, segments: list[str], query: dict[str, str]
+    ) -> tuple[int, dict] | None:
+        match segments:
+            case ["jobs"]:
+                jobs = self.scheduler.jobs()
+                state = query.get("state")
+                if state is not None:
+                    jobs = [job for job in jobs if job.state.value == state]
+                return 200, {"jobs": [job.snapshot() for job in jobs]}
+            case ["slo"]:
+                return 200, self.scheduler.slo_snapshot()
+            case ["trace", job_id]:
+                return self._trace(job_id)
+        return None
+
+    def _trace(self, job_id: str) -> tuple[int, dict]:
+        job = self.scheduler.job(job_id)
+        if job is None:
+            return 404, {"error": f"unknown job {job_id!r}"}
+        if job.trace is not None:
+            return 200, {"job": job.snapshot(), "trace": job.trace}
+        if not job.state.is_terminal:
+            return 202, {"job": job.snapshot()}
+        return 404, {
+            "job": job.snapshot(),
+            "error": f"no trace recorded for job {job_id!r} "
+            "(from-store results and tracing-disabled schedulers "
+            "produce none)",
+        }
+
 
 class ServiceHandler(BaseHTTPRequestHandler):
-    server_version = "repro-service/1.0"
+    """The one request handler of every front end (:class:`FrontEnd`).
+
+    It holds what the front ends share: routing, reading and parsing a
+    submission, JSON or Prometheus negotiation on ``/metrics``, the
+    ``http.handler`` fault site and the refusal → status table.  What a
+    resource says comes from the server's views.
+    """
+
     protocol_version = "HTTP/1.1"
 
     # The default handler logs every request to stderr; the service logs
@@ -87,9 +281,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
 
-    @property
-    def scheduler(self) -> JobScheduler:
-        return self.server.scheduler
+    def version_string(self) -> str:
+        return f"{self.server.server_version} {self.sys_version}"
 
     # -- plumbing ---------------------------------------------------------
 
@@ -102,6 +295,27 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_text(self, status: int, body: str, content_type: str) -> None:
+        raw = body.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw)
+
+    def _send_answer(self, answer: tuple[int, dict] | None, missing: str):
+        """Send a view's ``(status, body)``, or a 404 saying ``missing``."""
+        if answer is None:
+            self._send_json(404, {"error": missing})
+        else:
+            self._send_json(*answer)
+
+    def _send_job(self, job_id: str, doc: dict | None) -> None:
+        self._send_answer(
+            None if doc is None else (200, {"job": doc}),
+            f"unknown job {job_id!r}",
+        )
 
     def _read_body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
@@ -116,229 +330,81 @@ class ServiceHandler(BaseHTTPRequestHandler):
             raise ValueError("request body must be a JSON object")
         return doc
 
-    def _send_text(self, status: int, body: str, content_type: str) -> None:
-        raw = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
-
-    def _segments(self) -> list[str]:
-        path = self.path.split("?", 1)[0]
-        return [segment for segment in path.split("/") if segment]
-
-    def _query(self) -> dict[str, str]:
-        parts = self.path.split("?", 1)
-        if len(parts) < 2:
-            return {}
-        return {
-            name: values[-1]
-            for name, values in urllib.parse.parse_qs(parts[1]).items()
-        }
-
     # -- routes -----------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+    def _handle(self) -> None:
         try:
-            fault_point("http.handler", method="GET", path=self.path)
+            fault_point("http.handler", method=self.command, path=self.path)
         except OSError as exc:
             self._send_json(500, {"error": f"internal fault: {exc}"})
             return
-        segments = self._segments()
-        if segments == ["healthz"]:
-            stats = self.scheduler.stats()
-            store = self.scheduler.store
-            self._send_json(
-                200,
-                {
-                    "status": "ok" if stats["open"] else "closing",
-                    "backend": self.scheduler.runtime.backend,
-                    "health": self.scheduler.health_snapshot(),
-                    "queue_depth": stats["queue_depth"],
-                    "running": stats["running"],
-                    "workers": {
-                        "busy": stats["busy_workers"],
-                        "total": stats["workers"],
-                        "utilisation": stats["worker_utilisation"],
-                    },
-                    "store": {
-                        "entries": len(store),
-                        "spooled": store.spooled_count(),
-                        "quarantined": store.quarantined_count(),
-                    },
-                    "journal": stats.get("journal"),
-                    "recovery": stats.get("recovery"),
-                    "deadlines": stats.get("deadlines"),
-                },
-            )
-            return
-        if segments == ["metrics"]:
-            self._get_metrics()
-            return
-        if segments == ["slo"]:
-            self._send_json(200, self.scheduler.slo_snapshot())
-            return
-        if segments == ["jobs"]:
-            jobs = self.scheduler.jobs()
-            state = self._query().get("state")
-            if state is not None:
-                jobs = [job for job in jobs if job.state.value == state]
-            self._send_json(200, {"jobs": [job.snapshot() for job in jobs]})
-            return
-        if len(segments) == 2 and segments[0] == "trace":
-            self._get_trace(segments[1])
-            return
-        if len(segments) == 2 and segments[0] == "jobs":
-            job = self.scheduler.job(segments[1])
-            if job is None:
-                self._send_json(404, {"error": f"unknown job {segments[1]!r}"})
-            else:
-                self._send_json(200, {"job": job.snapshot()})
-            return
-        if (
-            len(segments) == 3
-            and segments[0] == "jobs"
-            and segments[2] == "result"
-        ):
-            self._get_result(segments[1])
-            return
-        self._send_json(404, {"error": f"no such resource: {self.path}"})
+        path, _, query_string = self.path.partition("?")
+        segments = [segment for segment in path.split("/") if segment]
+        query = {
+            name: values[-1]
+            for name, values in urllib.parse.parse_qs(query_string).items()
+        }
+        server = self.server
+        match self.command, segments:
+            case "POST", ["jobs"]:
+                self._submit()
+            case "GET", ["jobs", job_id]:
+                self._send_job(job_id, server.job(job_id))
+            case "DELETE", ["jobs", job_id]:
+                self._send_job(job_id, server.cancel(job_id))
+            case "GET", ["jobs", job_id, "result"]:
+                self._send_answer(
+                    server.result(job_id), f"unknown job {job_id!r}"
+                )
+            case "GET", ["healthz"]:
+                self._send_json(200, server.health())
+            case "GET", ["metrics"]:
+                self._send_metrics(query)
+            case "GET", _:
+                self._send_answer(
+                    server.resource(segments, query),
+                    f"no such resource: {self.path}",
+                )
+            case _:
+                self._send_json(
+                    404, {"error": f"no such resource: {self.path}"}
+                )
 
-    def _get_metrics(self) -> None:
+    do_GET = do_POST = do_DELETE = _handle  # noqa: N815 - stdlib naming
+
+    def _send_metrics(self, query: dict[str, str]) -> None:
         """JSON by default; Prometheus exposition under text/plain.
 
         Content negotiation keys on the ``Accept`` header (any
         ``text/plain`` preference) or an explicit ``?format=prometheus``.
         """
-        # Point-in-time gauges (resources, utilization, burn rates) are
-        # re-sampled per scrape, so Prometheus always sees fresh values.
-        self.scheduler.refresh_observability()
-        stats = self.scheduler.stats()
-        store = self.scheduler.store
-        snapshot = self.scheduler.metrics.snapshot()
+        snapshot, gauges, extra = self.server.metrics()
         accept = self.headers.get("Accept", "")
-        wants_text = (
-            "text/plain" in accept
-            or self._query().get("format") == "prometheus"
-        )
-        if wants_text:
-            gauges = {
-                "queue_depth": float(stats["queue_depth"]),
-                "queue_capacity": float(stats["max_queue"]),
-                "workers_busy": float(stats["busy_workers"]),
-                "workers_total": float(stats["workers"]),
-                "jobs_running": float(stats["running"]),
-                "store_entries": float(len(store)),
-                "store_spooled": float(store.spooled_count()),
-                "store_quarantined": float(store.quarantined_count()),
-            }
+        if "text/plain" in accept or query.get("format") == "prometheus":
             self._send_text(
                 200,
                 prometheus_text(snapshot, extra_gauges=gauges),
                 "text/plain; version=0.0.4; charset=utf-8",
             )
-            return
-        self._send_json(
-            200,
-            {
-                **snapshot.to_dict(),
-                "scheduler": stats,
-                "store": {
-                    "entries": len(store),
-                    "spooled": store.spooled_count(),
-                    "quarantined": store.quarantined_count(),
-                },
-            },
-        )
-
-    def _get_trace(self, job_id: str) -> None:
-        job = self.scheduler.job(job_id)
-        if job is None:
-            self._send_json(404, {"error": f"unknown job {job_id!r}"})
-        elif job.trace is not None:
-            self._send_json(200, {"job": job.snapshot(), "trace": job.trace})
-        elif not job.state.is_terminal:
-            self._send_json(202, {"job": job.snapshot()})
         else:
-            self._send_json(
-                404,
-                {
-                    "job": job.snapshot(),
-                    "error": f"no trace recorded for job {job_id!r} "
-                    "(from-store results and tracing-disabled schedulers "
-                    "produce none)",
-                },
-            )
+            self._send_json(200, {**snapshot.to_dict(), **extra})
 
-    def _get_result(self, job_id: str) -> None:
-        job = self.scheduler.job(job_id)
-        if job is None:
-            self._send_json(404, {"error": f"unknown job {job_id!r}"})
-        elif job.state is JobState.DONE:
-            result = job.result
-            if result is None and job.store_key is not None:
-                # A job recovered as settled after a crash keeps no
-                # result in memory; the document lives in the store.
-                result = self.scheduler.store.get(job.store_key)
-            self._send_json(200, {"job": job.snapshot(), "result": result})
-        elif job.state is JobState.FAILED:
-            self._send_json(500, {"job": job.snapshot(), "error": job.error})
-        elif job.state is JobState.CANCELLED:
-            self._send_json(410, {"job": job.snapshot(), "error": "cancelled"})
-        else:  # queued or running: not ready yet
-            self._send_json(202, {"job": job.snapshot()})
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+    def _submit(self) -> None:
         try:
-            fault_point("http.handler", method="POST", path=self.path)
-        except OSError as exc:
-            self._send_json(500, {"error": f"internal fault: {exc}"})
-            return
-        if self._segments() != ["jobs"]:
-            self._send_json(404, {"error": f"no such resource: {self.path}"})
-            return
-        try:
-            body = self._read_body()
-        except ValueError as exc:
-            self._send_json(400, {"error": str(exc)})
-            return
-        name = body.get("scenario")
-        if not name:
-            self._send_json(400, {"error": "missing required field 'scenario'"})
-            return
-        kind = body.get("kind", "estimate")
-        try:
-            seed = int(body.get("seed", 1))
-            scenario = self.server.scenarios.resolve(str(name), seed)
-            correlation = body.get("correlation_id") or self.headers.get(
-                "X-Correlation-ID"
+            envelope = SubmitEnvelope.from_request(
+                self._read_body(), self.headers
             )
-            idempotency = body.get("idempotency_key") or self.headers.get(
-                "Idempotency-Key"
+            scenario = self.server.scenarios.resolve(
+                envelope.scenario, envelope.seed
             )
-            timeout = body.get("timeout")
-            if timeout is None:
-                deadline_ms = self.headers.get("X-Deadline-Ms")
-                if deadline_ms is not None:
-                    timeout = float(deadline_ms) / 1000.0
-            job = self.scheduler.submit(
-                scenario,
-                kind=kind,
-                quality=body.get("quality"),
-                priority=int(body.get("priority", 0)),
-                timeout=timeout,
-                correlation_id=correlation,
-                idempotency_key=idempotency,
-                scenario_seed=seed,
-            )
+            job = self.server.submit(envelope, scenario)
         except UnknownScenarioError as exc:
             self._send_json(404, {"error": str(exc)})
-        except QueueFullError as exc:
+        except OverloadedError as exc:
             self._send_json(
                 503,
                 {"error": str(exc), "retry_after": exc.retry_after},
-                headers={"Retry-After": f"{exc.retry_after:g}"},
+                _retry_after(exc),
             )
         except CircuitOpenError as exc:
             # The breaker is shedding load: explicit backoff, no body of
@@ -348,31 +414,26 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._send_json(
                 503,
                 {"error": str(exc), "circuit": exc.name},
-                headers={"Retry-After": f"{exc.retry_after:g}"},
+                _retry_after(exc),
             )
         except SchedulerClosedError as exc:
-            self._send_json(503, {"error": str(exc)})
+            self._send_json(503, {"error": str(exc)}, _retry_after(exc))
         except OSError as exc:
             # A failing journal append refuses the ack (write-ahead
             # contract): the client retries — with its idempotency key —
             # rather than trusting a job a crash could lose.
             self._send_json(503, {"error": f"journal unavailable: {exc}"})
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             self._send_json(400, {"error": str(exc)})
         else:
-            self._send_json(202, {"job": job.snapshot()})
+            self._send_json(202, {"job": job})
 
-    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
-        segments = self._segments()
-        if len(segments) != 2 or segments[0] != "jobs":
-            self._send_json(404, {"error": f"no such resource: {self.path}"})
-            return
-        try:
-            job = self.scheduler.cancel(segments[1])
-        except KeyError:
-            self._send_json(404, {"error": f"unknown job {segments[1]!r}"})
-            return
-        self._send_json(200, {"job": job.snapshot()})
+
+def _retry_after(exc) -> dict:
+    """The ``Retry-After`` header for a refusal's hint, if it has one."""
+    if exc.retry_after is None:
+        return {}
+    return {"Retry-After": f"{exc.retry_after:g}"}
 
 
 def make_server(
@@ -382,16 +443,3 @@ def make_server(
 ) -> ServiceServer:
     """Bind a service server; ``port=0`` picks an ephemeral port."""
     return ServiceServer((host, port), scheduler)
-
-
-def serve(
-    scheduler: JobScheduler,
-    host: str = DEFAULT_HOST,
-    port: int = DEFAULT_PORT,
-) -> None:
-    """Blocking entry point used by ``efes serve``."""
-    server = make_server(scheduler, host, port)
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()

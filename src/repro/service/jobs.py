@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 import threading
 import time
 import uuid
@@ -46,23 +47,68 @@ class JobState(enum.Enum):
 
 
 class SchedulerClosedError(RuntimeError):
-    """The scheduler is shut down and accepts no further submissions."""
+    """No submission can be admitted: the scheduler is shut down, or a
+    fleet has no live worker.
+
+    The HTTP API answers 503, with a ``Retry-After`` header when
+    ``retry_after`` (seconds) is set.
+    """
+
+    retry_after: float | None = None
 
 
-class QueueFullError(RuntimeError):
+class OverloadedError(RuntimeError):
+    """Backpressure: a submission refused for load, to retry after
+    ``retry_after`` seconds.
+
+    The HTTP API answers 503 with the hint both as a ``Retry-After``
+    header and as the body's ``retry_after``, which is how clients tell
+    backpressure from an outage.
+    """
+
+    def __init__(self, message: str, retry_after: float) -> None:
+        super().__init__(message)
+        self.retry_after = retry_after
+
+
+class QueueFullError(OverloadedError):
     """Backpressure: the bounded job queue is at capacity.
 
-    Carries an explicit ``retry_after`` hint (seconds) derived from the
-    queue depth and observed job durations; the HTTP API surfaces it as a
-    ``Retry-After`` header on a 503 response.
+    The ``retry_after`` hint derives from the queue depth and observed
+    job durations.
     """
 
     def __init__(self, depth: int, retry_after: float) -> None:
         super().__init__(
-            f"job queue is full ({depth} queued); retry in ~{retry_after:g}s"
+            f"job queue is full ({depth} queued); retry in ~{retry_after:g}s",
+            retry_after,
         )
         self.depth = depth
-        self.retry_after = retry_after
+
+
+def check_kind(kind: object) -> str:
+    """``kind`` if a submission may name it: ``assess`` or ``estimate``."""
+    if kind not in ("assess", "estimate"):
+        raise ValueError(
+            f"unknown job kind {kind!r}; expected 'assess' or 'estimate'"
+        )
+    return kind
+
+
+def check_timeout(timeout: object) -> float | None:
+    """``timeout`` if it is a job budget: ``None`` (unbounded) or a
+    finite number of seconds > 0.  A ``bool`` is not a number here."""
+    if timeout is None:
+        return None
+    if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
+        raise TypeError(
+            f"timeout must be a number of seconds or None, got {timeout!r}"
+        )
+    if not math.isfinite(timeout) or timeout <= 0:
+        raise ValueError(
+            f"timeout must be a finite number of seconds > 0, got {timeout!r}"
+        )
+    return timeout
 
 
 class JobCancelled(Exception):

@@ -121,6 +121,8 @@ from .jobs import (
     JobState,
     QueueFullError,
     SchedulerClosedError,
+    check_kind,
+    check_timeout,
 )
 from .store import ReportStore, job_key
 
@@ -160,6 +162,7 @@ class JobScheduler:
             raise ValueError(f"workers must be positive, got {workers}")
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue}")
+        check_timeout(default_timeout)
         if deadline_grace < 0:
             raise ValueError(
                 f"deadline_grace must be >= 0, got {deadline_grace}"
@@ -315,10 +318,12 @@ class JobScheduler:
         Raises :class:`QueueFullError` (with ``retry_after``) when the
         bounded queue is at capacity, :class:`SchedulerClosedError` after
         shutdown, :class:`~repro.resilience.CircuitOpenError` while the
-        breaker is open.  Identical scenario content with a stored result
-        completes immediately (``from_store=True``) without queueing —
-        even through an open breaker, because serving the store costs no
-        execution.  ``correlation_id`` stamps every event-log record and
+        breaker is open, and ``ValueError`` or ``TypeError`` for an
+        unknown ``kind`` or ``quality`` or a ``timeout`` that
+        :func:`~repro.service.jobs.check_timeout` refuses.  Identical
+        scenario content with a stored result completes immediately
+        (``from_store=True``) without queueing — even through an open
+        breaker, because serving the store costs no execution.  ``correlation_id`` stamps every event-log record and
         span the job produces (default: the job id).
 
         ``idempotency_key`` dedups retried submissions: while the key is
@@ -332,10 +337,8 @@ class JobScheduler:
         recorded alongside the scenario name so recovery can re-resolve
         the same scenario after a crash.
         """
-        if kind not in ("assess", "estimate"):
-            raise ValueError(
-                f"unknown job kind {kind!r}; expected 'assess' or 'estimate'"
-            )
+        check_kind(kind)
+        check_timeout(timeout)
         existing = self._deduplicate(idempotency_key)
         if existing is not None:
             return existing
@@ -415,6 +418,7 @@ class JobScheduler:
         there is nothing recovery could re-execute, so the job is
         ephemeral by design.
         """
+        check_timeout(timeout)
         existing = self._deduplicate(idempotency_key)
         if existing is not None:
             return existing

@@ -157,6 +157,17 @@ class TestServiceCommands:
             thread.join(timeout=5.0)
 
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "soon"])
+    def test_serve_refuses_a_bad_job_timeout(self, capsys, value):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--job-timeout", value])
+        assert excinfo.value.code == 2
+        assert "argument --job-timeout" in capsys.readouterr().err
+        assert build_parser().parse_args(
+            ["serve", "--job-timeout", "2.5"]
+        ).job_timeout == 2.5
+
+
 class TestSigterm:
     def test_terminated_stops_serve_forever(self):
         # The SIGTERM handler raises _Terminated wherever the main thread

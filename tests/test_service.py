@@ -169,6 +169,22 @@ class TestScheduler:
             scheduler.submit(small_example, "estimate", quality)
         assert scheduler.jobs() == []
 
+    @pytest.mark.parametrize(
+        "timeout", ["5", True, 0, -1, float("nan"), float("inf")]
+    )
+    def test_bad_timeout_rejected(self, small_example, scheduler, timeout):
+        # Accepted, such a timeout used to raise in the dispatcher thread
+        # when the job started, leaving every later job queued forever.
+        with pytest.raises((TypeError, ValueError), match="timeout"):
+            scheduler.submit(small_example, "assess", timeout=timeout)
+        with pytest.raises((TypeError, ValueError), match="timeout"):
+            scheduler.submit_callable(lambda job: {}, timeout=timeout)
+        with pytest.raises((TypeError, ValueError), match="timeout"):
+            JobScheduler(default_timeout=timeout)
+        assert scheduler.jobs() == []
+        job = scheduler.submit_callable(lambda job: {"ok": True}, timeout=5)
+        assert scheduler.wait(job.id, timeout=10).state is JobState.DONE
+
     def test_queue_saturation_is_explicit_backpressure(self):
         release, started = threading.Event(), threading.Event()
         with JobScheduler(workers=1, max_queue=1) as sched:
