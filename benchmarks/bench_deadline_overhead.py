@@ -91,7 +91,6 @@ def _min_run_seconds(scenario, repetitions, scoped):
             started = time.perf_counter()
             outcome = efes.run(scenario, ResultQuality.HIGH_QUALITY)
             best = min(best, time.perf_counter() - started)
-        runtime.close()
     return best, outcome
 
 
@@ -150,7 +149,6 @@ def test_deadline_overhead(benchmark):
         scenario,
         ResultQuality.HIGH_QUALITY,
     )
-    bench_runtime.close()
 
     print()
     print(

@@ -208,7 +208,6 @@ def test_durability_overhead(benchmark, tmp_path):
         jobs,
         tmp_path / "journal-bench",
     )
-    runtime.close()
 
     print()
     print(

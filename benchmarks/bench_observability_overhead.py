@@ -16,12 +16,7 @@ does.  On noisy CI hosts timing jitter can exceed the gate for this
 sub-second workload, so the JSON records a rationale instead of failing
 when the absolute delta is below ``NOISE_FLOOR_SECONDS``.
 
-The gate runs on the backend ``$REPRO_RUNTIME_BACKEND`` selects (serial
-by default): under the process backend the traced run additionally pays
-for span-context shipping, worker-side telemetry sessions, and parent-
-side merging, so the same 5% gate also guards the cross-process
-propagation layer.  Emits ``BENCH_observability_overhead.json`` (serial)
-or ``BENCH_observability_<backend>.json`` next to the repo root.
+Emits ``BENCH_observability_overhead.json`` next to the repo root.
 ``REPRO_BENCH_SMOKE=1`` shrinks the scenario and repetition count so CI
 can exercise the gate in seconds.
 """
@@ -34,16 +29,13 @@ from pathlib import Path
 from repro.core import default_efes
 from repro.core.quality import ResultQuality
 from repro.reporting import render_table
-from repro.runtime import BACKEND_ENV_VAR, Runtime
+from repro.runtime import Runtime
 from repro.scenarios.example import ExampleParameters, example_scenario
 from conftest import run_once
 
-BACKEND = os.environ.get(BACKEND_ENV_VAR, "serial")
-
-OUTPUT = Path(__file__).resolve().parent.parent / (
-    "BENCH_observability_overhead.json"
-    if BACKEND == "serial"
-    else f"BENCH_observability_{BACKEND}.json"
+OUTPUT = (
+    Path(__file__).resolve().parent.parent
+    / "BENCH_observability_overhead.json"
 )
 
 #: Enabled-tracing overhead must stay below this fraction of the
@@ -77,14 +69,12 @@ def _min_run_seconds(scenario, repetitions, trace):
     best = float("inf")
     outcome = None
     for _ in range(repetitions):
-        runtime = Runtime(backend=BACKEND)
-        efes = default_efes(runtime=runtime)
+        efes = default_efes(runtime=Runtime())
         started = time.perf_counter()
         outcome = efes.run(
             scenario, ResultQuality.HIGH_QUALITY, trace=trace
         )
         best = min(best, time.perf_counter() - started)
-        runtime.close()
     return best, outcome
 
 
@@ -142,7 +132,6 @@ def test_observability_overhead(benchmark):
 
     payload = {
         "bench": "observability_overhead",
-        "backend": BACKEND,
         "scenario": scenario.name,
         "smoke": SMOKE,
         "repetitions": repetitions,
@@ -156,8 +145,7 @@ def test_observability_overhead(benchmark):
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
-    bench_runtime = Runtime(backend=BACKEND)
-    bench_efes = default_efes(runtime=bench_runtime)
+    bench_efes = default_efes(runtime=Runtime())
     run_once(
         benchmark,
         bench_efes.run,
@@ -165,7 +153,6 @@ def test_observability_overhead(benchmark):
         ResultQuality.HIGH_QUALITY,
         trace=True,
     )
-    bench_runtime.close()
 
     print()
     print(
@@ -180,7 +167,7 @@ def test_observability_overhead(benchmark):
                 ),
             ],
             title=f"Tracing overhead on {scenario.name} "
-            f"({BACKEND} backend, {'smoke' if SMOKE else 'full'} mode)",
+            f"({'smoke' if SMOKE else 'full'} mode)",
         )
     )
     print(f"{len(names)} spans recorded; wrote {OUTPUT.name}")

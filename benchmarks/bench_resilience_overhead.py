@@ -88,7 +88,6 @@ def _min_run_seconds(scenario, repetitions, plan):
                 started = time.perf_counter()
                 outcome = efes.run(scenario, ResultQuality.HIGH_QUALITY)
                 best = min(best, time.perf_counter() - started)
-        runtime.close()
     return best, outcome
 
 
@@ -177,7 +176,6 @@ def test_resilience_overhead(benchmark, tmp_path):
         scenario,
         ResultQuality.HIGH_QUALITY,
     )
-    bench_runtime.close()
 
     print()
     print(

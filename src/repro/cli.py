@@ -45,7 +45,7 @@ from .resilience import (
     FaultError,
     fault_plan_from_env,
 )
-from .runtime import BACKEND_ENV_VAR, BACKENDS, Runtime, set_default_runtime
+from .runtime import Runtime, set_default_runtime
 from .scenarios import (
     SCENARIO_BUILDERS,
     UnknownScenarioError,
@@ -793,19 +793,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="EFES: effort estimation for data integration & cleaning",
     )
     parser.add_argument("--seed", type=int, default=1, help="scenario seed")
-    # $REPRO_RUNTIME_BACKEND sets the default; main() rejects an unknown
-    # value because argparse only validates explicit arguments.
     parser.add_argument(
         "--backend",
-        choices=BACKENDS,
-        default=os.environ.get(BACKEND_ENV_VAR, "serial"),
-        help=f"assessment runtime backend (default: serial, or ${BACKEND_ENV_VAR})",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker count for the process backend (default: auto-sized)",
+        choices=("serial",),
+        default="serial",
+        help="assessment runtime backend (only serial exists)",
     )
     parser.add_argument(
         "--metrics",
@@ -966,8 +958,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_serve.add_argument(
         "--port", type=int, default=8765, help="front-end bind port"
     )
-    # Private dest: the global --workers (runtime pool size) must keep
-    # its parse result; main() never looks at fleet_workers.
     fleet_serve.add_argument(
         "--workers",
         dest="fleet_workers",
@@ -1091,10 +1081,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.workers is not None and args.workers < 1:
-        parser.error(
-            f"argument --workers: must be positive, got {args.workers}"
-        )
     try:
         # Validate the fault plan up front: a typo in a chaos run must be
         # a one-line error, not a silently disabled injection campaign.
@@ -1102,20 +1088,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"efes: invalid ${FAULT_PLAN_ENV_VAR}: {exc}", file=sys.stderr)
         return 2
-    # Likewise the backend variable: library code and service workers
-    # raise on an unknown value, so the CLI must not quietly run serial.
-    env_backend = os.environ.get(BACKEND_ENV_VAR)
-    if env_backend is not None and env_backend not in BACKENDS:
-        print(
-            f"efes: invalid ${BACKEND_ENV_VAR}: {env_backend!r} is not one "
-            f"of {', '.join(BACKENDS)}",
-            file=sys.stderr,
-        )
-        return 2
     # One runtime per invocation: every command (and the profiling
-    # underneath it) executes on the selected backend and records its
-    # instrumentation here.
-    runtime = Runtime(backend=args.backend, max_workers=args.workers)
+    # underneath it) records its instrumentation here.
+    runtime = Runtime(args.backend)
     set_default_runtime(runtime)
     commands = {
         "list": cmd_list,
@@ -1147,7 +1122,6 @@ def main(argv: list[str] | None = None) -> int:
         status = 1
     finally:
         set_default_runtime(None)
-        runtime.close()
     if args.metrics:
         print()
         print(runtime.metrics.render())

@@ -98,7 +98,7 @@ def default_efes(
     """EFES with the shipped modules and (by default) Table 9 settings.
 
     ``runtime`` optionally binds a dedicated :class:`repro.runtime.Runtime`
-    (serial or process backend + profile cache + metrics); by default the
+    (profile cache + metrics); by default the
     process-wide runtime is used.  ``strict`` fixes the framework's
     failure policy: ``True`` fails fast everywhere, ``False`` degrades
     everywhere, ``None`` keeps the per-method defaults (fail-fast for

@@ -132,7 +132,7 @@ class Efes:
         self.modules = list(modules)
         self.settings = settings or default_execution_settings()
         #: Optional dedicated runtime; ``None`` resolves to the active
-        #: process runtime at call time (see :mod:`repro.runtime`).
+        #: runtime at call time (see :mod:`repro.runtime`).
         self.runtime = runtime
         #: Failure policy: ``True`` = fail-fast everywhere, ``False`` =
         #: degrade everywhere, ``None`` (default) = fail-fast for the
@@ -165,12 +165,12 @@ class Efes:
     ) -> dict[str, ComplexityReport]:
         """Run every module's detector; returns reports keyed by module.
 
-        Detectors run on the runtime's backend (in a loop, or on the
-        process pool); the report dict is ordered by module declaration
-        order regardless of task completion order.  In strict mode (the default here) a failing
-        detector's exception propagates; with ``strict=False`` the failed
-        module's slot holds a :class:`~repro.resilience.DegradedResult`
-        instead and the other reports survive.
+        Detectors run one after another on the runtime; the report dict
+        is ordered by module declaration order.  In strict mode (the
+        default here) a failing detector's exception propagates; with
+        ``strict=False`` the failed module's slot holds a
+        :class:`~repro.resilience.DegradedResult` instead and the other
+        reports survive.
         """
         on_error = (
             "raise" if self._strictness(strict, default=True) else "degrade"

@@ -321,7 +321,7 @@ def run_experiments(
     """The full Section 6 evaluation (Figures 6 + 7 and the rmse numbers).
 
     ``runtime`` optionally supplies a :class:`repro.runtime.Runtime` for
-    the default framework (parallel backend, shared profile cache); the
+    the default framework (a shared profile cache); the
     cross-validation folds then re-profile each scenario from cache
     instead of from scratch.  ``scheduler`` additionally routes phase-1
     assessment through a :class:`repro.service.JobScheduler`, so repeated

@@ -53,7 +53,6 @@ from pathlib import Path
 
 from ..durability import JobJournal, RecoveryManager
 from ..observability import EventLog
-from ..observability.context import WorkerTelemetry, merge_worker_telemetry
 from ..resilience import HealthMonitor
 from ..runtime import RuntimeMetrics
 from ..runtime.metrics import snapshot_from_dict
@@ -971,8 +970,11 @@ class FleetSupervisor:
 
     def merged_metrics(self) -> RuntimeMetrics:
         """A fresh metrics instance folding every worker's latest
-        telemetry blob (worker-labelled, via ``merge_worker_telemetry``)
-        over the supervisor's own counters."""
+        telemetry blob over the supervisor's own counters.
+
+        A blob that does not decode or merge is counted on
+        ``worker_telemetry_dropped``, a good one on
+        ``worker_telemetry_merged``."""
         merged = RuntimeMetrics()
         merged.merge_snapshot(self.metrics.snapshot())
         with self._lock:
@@ -984,17 +986,11 @@ class FleetSupervisor:
         for worker_id, blob in blobs:
             try:
                 snapshot = snapshot_from_dict(blob.get("metrics") or {})
+                merged.merge_snapshot(snapshot)
             except (AttributeError, KeyError, TypeError, ValueError):
                 merged.increment("worker_telemetry_dropped")
                 continue
-            telemetry = WorkerTelemetry(
-                context=None,
-                pid=int(blob.get("pid") or 0),
-                spans=[],
-                metrics=snapshot,
-                events=[],
-            )
-            merge_worker_telemetry(telemetry, merged)
+            merged.increment("worker_telemetry_merged")
             merged.set_gauge(
                 "fleet_worker_jobs_submitted",
                 float(snapshot.counter("jobs_submitted")),

@@ -37,7 +37,7 @@ import threading
 from pathlib import Path
 
 from ..durability import FlushPolicy, JobJournal
-from ..runtime import BACKEND_ENV_VAR, Runtime
+from ..runtime import Runtime
 from ..service import JobScheduler, ReportStore, make_server
 from .protocol import (
     MessageReader,
@@ -88,9 +88,7 @@ class FleetWorker:
         self.telemetry_every = max(1, telemetry_every)
         self.drop_heartbeats_after = drop_heartbeats_after
         journal_dir, spool_dir = worker_dirs(self.fleet_dir, worker_id)
-        self.runtime = Runtime(
-            backend=os.environ.get(BACKEND_ENV_VAR, "serial")
-        )
+        self.runtime = Runtime()
         self.store = ReportStore(
             directory=spool_dir, metrics=self.runtime.metrics
         )
@@ -212,7 +210,6 @@ class FleetWorker:
         self.server.shutdown()
         self.server.server_close()
         self.scheduler.close(wait=True, timeout=5.0)
-        self.runtime.close()
         return 0
 
 

@@ -6,8 +6,8 @@ the aggregate counters of :class:`repro.runtime.RuntimeMetrics`:
 * **Tracing** (:mod:`~repro.observability.tracing`) — hierarchical span
   trees (``assess → detector:<name> → profile/ucc/ind/fd``, ``plan``,
   ``estimate``, ``service.job:<id>``) with :mod:`contextvars`-based
-  propagation, so spans opened on thread-pool workers attach to the
-  span that submitted the work.  Disabled by default; activating a
+  propagation, so instrumentation points need no tracer passed in.
+  Disabled by default; activating a
   :class:`Tracer` turns every instrumentation point on for that context.
 * **Histograms** (:mod:`~repro.observability.histograms`) — fixed
   log-scale latency distributions with p50/p95/p99 summaries, recorded
@@ -20,13 +20,6 @@ Exporters (:mod:`~repro.observability.export`) turn spans into JSON and
 aligned text trees, and metrics snapshots into Prometheus exposition.
 """
 
-from .context import (
-    SpanContext,
-    WorkerTelemetry,
-    WorkerTelemetrySession,
-    merge_worker_telemetry,
-    telemetry_session,
-)
 from .events import (
     EVENT_LOG_ENV_VAR,
     EventLog,
@@ -46,11 +39,7 @@ from .histograms import (
     Histogram,
     HistogramSnapshot,
 )
-from .resources import (
-    ResourceSampler,
-    publish_worker_resources,
-    sample_resources,
-)
+from .resources import ResourceSampler, sample_resources
 from .slo import (
     CRITICAL_BURN_RATE,
     WARN_BURN_RATE,
@@ -83,11 +72,8 @@ __all__ = [
     "SLOSpec",
     "SLOStatus",
     "Span",
-    "SpanContext",
     "Tracer",
     "WARN_BURN_RATE",
-    "WorkerTelemetry",
-    "WorkerTelemetrySession",
     "active_tracer",
     "correlation_scope",
     "current_correlation_id",
@@ -95,13 +81,10 @@ __all__ = [
     "default_slos",
     "escape_label_value",
     "is_tracing",
-    "merge_worker_telemetry",
     "prometheus_text",
-    "publish_worker_resources",
     "render_span_tree",
     "sample_resources",
     "span",
     "span_from_dict",
     "span_to_dict",
-    "telemetry_session",
 ]

@@ -118,32 +118,6 @@ class EventLog:
                     handle.write(line + "\n")
         return record
 
-    def absorb(self, records) -> int:
-        """Merge foreign event records (a worker's shipped stream).
-
-        Each record keeps its own timestamp and correlation ID but is
-        re-sequenced into this log's stream; malformed entries are
-        skipped, never raised — telemetry merging must not corrupt the
-        parent.  Returns the number of records absorbed.
-        """
-        absorbed = 0
-        for record in records:
-            if not isinstance(record, dict) or "event" not in record:
-                continue
-            copied = dict(record)
-            with self._lock:
-                self._sequence += 1
-                copied["seq"] = self._sequence
-                self._events.append(copied)
-                if self.path is not None:
-                    line = json.dumps(
-                        copied, sort_keys=True, ensure_ascii=False, default=str
-                    )
-                    with self.path.open("a", encoding="utf-8") as handle:
-                        handle.write(line + "\n")
-            absorbed += 1
-        return absorbed
-
     def logging_handler(self, level: int = logging.INFO) -> EventLogHandler:
         """A :mod:`logging` handler writing into this event log."""
         return EventLogHandler(self, level=level)

@@ -1,7 +1,7 @@
 """Fixed log-scale histograms with quantile summaries.
 
-Latency distributions under the process backend and the service's
-worker slots are long-tailed; counters and summed stage timings cannot
+Latency distributions under the service's worker slots are
+long-tailed; counters and summed stage timings cannot
 answer "what is the p95 detector latency under 4 clients?".
 :class:`Histogram` records observations into **fixed log-scale buckets**
 (factor-2 bounds from 1 microsecond up, the classic power-of-two latency
@@ -164,9 +164,9 @@ class Histogram:
     def merge(self, snapshot: HistogramSnapshot) -> None:
         """Fold a snapshot of another histogram into this one.
 
-        The cross-process aggregation primitive: a worker ships its
-        histogram snapshots home inside a ``WorkerTelemetry`` blob and
-        the parent merges them bucket-wise.  Only snapshots with
+        The cross-process aggregation primitive: a fleet worker ships
+        its metrics snapshot inside a heartbeat and the supervisor
+        merges the histograms bucket-wise.  Only snapshots with
         identical bounds merge — fixed log-scale buckets make that the
         common case by construction.
         """

@@ -1,22 +1,14 @@
-"""Process resource telemetry: RSS, CPU time, GC activity, spool I/O.
+"""Process resource telemetry: RSS, CPU time, GC activity.
 
-The fleet-observability complement to tracing and histograms: spans say
+The machine-cost complement to tracing and histograms: spans say
 *where* time went, histograms say *how it distributes*, and this module
-says *what it cost the machine* — per process, which matters once the
-process backend fans assessment work out across workers.  Everything
-here is stdlib-only: :func:`os.times` for CPU seconds,
-:mod:`resource` (``getrusage``) for peak RSS, :mod:`gc` for collection
-counts, and the scenario spool's byte accounting for I/O volume.
+says *what it cost the machine*.  Everything here is stdlib-only:
+:func:`os.times` for CPU seconds, :mod:`resource` (``getrusage``) for
+peak RSS, and :mod:`gc` for collection counts.
 
-Two consumers:
-
-* each worker samples itself once at the end of a telemetry session and
-  ships the document home inside its ``WorkerTelemetry`` blob — the
-  parent republishes the numbers as ``worker_*`` gauges keyed by
-  ``pid``,
-* the service's :class:`ResourceSampler` samples the *parent* process on
-  demand (every ``/metrics`` / ``/healthz`` scrape) into ``process_*``
-  gauges on the shared :class:`~repro.runtime.RuntimeMetrics`.
+The service's :class:`ResourceSampler` samples its own process on
+demand (every ``/metrics`` / ``/healthz`` scrape) into ``process_*``
+gauges on the shared :class:`~repro.runtime.RuntimeMetrics`.
 """
 
 from __future__ import annotations
@@ -49,9 +41,8 @@ def _rss_bytes() -> int:
 def sample_resources() -> dict:
     """One point-in-time resource document for the calling process.
 
-    Keys are stable and flat (every value numeric except ``pid``-as-int)
-    so the document can be shipped across a process boundary and turned
-    into labelled gauges verbatim.
+    Keys are stable and flat (every value numeric, ``pid`` an int) so
+    the document turns into gauges verbatim.
     """
     times = os.times()
     counts = gc.get_count()
@@ -59,9 +50,6 @@ def sample_resources() -> dict:
     for generation, stats in enumerate(gc.get_stats()):
         if generation < 3:
             collections[generation] = int(stats.get("collections", 0))
-    from ..runtime.spool import spool_stats
-
-    spool = spool_stats()
     return {
         "pid": os.getpid(),
         "rss_bytes": _rss_bytes(),
@@ -74,15 +62,10 @@ def sample_resources() -> dict:
         "gc_gen0_collections": collections[0],
         "gc_gen1_collections": collections[1],
         "gc_gen2_collections": collections[2],
-        "spool_reads": spool["reads"],
-        "spool_writes": spool["writes"],
-        "spool_bytes_read": spool["bytes_read"],
-        "spool_bytes_written": spool["bytes_written"],
     }
 
 
-#: Resource-document keys republished as gauges (``pid`` is a label,
-#: never a gauge).
+#: Resource-document keys published as gauges (``pid`` never is).
 GAUGE_KEYS = (
     "rss_bytes",
     "cpu_user_seconds",
@@ -91,24 +74,7 @@ GAUGE_KEYS = (
     "gc_gen0_collections",
     "gc_gen1_collections",
     "gc_gen2_collections",
-    "spool_reads",
-    "spool_writes",
-    "spool_bytes_read",
-    "spool_bytes_written",
 )
-
-
-def publish_worker_resources(metrics, resources: dict) -> None:
-    """Republish a worker's resource document as ``worker_*`` gauges.
-
-    Gauges are keyed by the worker's ``pid`` label so a pool of workers
-    shows up as one gauge family with per-process series.
-    """
-    pid = str(resources.get("pid", ""))
-    for key in GAUGE_KEYS:
-        value = resources.get(key)
-        if isinstance(value, (int, float)):
-            metrics.set_gauge(f"worker_{key}", float(value), pid=pid)
 
 
 class ResourceSampler:
@@ -127,9 +93,7 @@ class ResourceSampler:
     def sample(self) -> dict:
         doc = sample_resources()
         for key in GAUGE_KEYS:
-            value = doc.get(key)
-            if isinstance(value, (int, float)):
-                self.metrics.set_gauge(f"{self.prefix}_{key}", float(value))
+            self.metrics.set_gauge(f"{self.prefix}_{key}", float(doc[key]))
         self.samples_taken += 1
         return doc
 
@@ -145,8 +109,6 @@ class ResourceSampler:
                 + doc["gc_gen1_collections"]
                 + doc["gc_gen2_collections"]
             ),
-            "spool_bytes_read": doc["spool_bytes_read"],
-            "spool_bytes_written": doc["spool_bytes_written"],
         }
 
     def __repr__(self) -> str:

@@ -10,9 +10,6 @@ one run spend its time?" in a way the aggregated
 Propagation is :mod:`contextvars`-based: the active tracer and the
 current span live in context variables, so instrumentation points
 (:func:`span`) never need a tracer threaded through their signatures.
-Process-pool workers receive the current span as a
-:class:`~repro.observability.context.SpanContext` instead, and their
-spans are grafted back under the span that submitted the work.
 
 Tracing is **disabled by default**: with no tracer activated,
 :func:`span` returns a shared no-op handle without allocating, so the
@@ -222,23 +219,6 @@ class Tracer:
             f"Tracer(enabled={self.enabled}, roots={len(self.roots)}, "
             f"trace_id={self.trace_id!r})"
         )
-
-
-@contextmanager
-def detached_span_scope() -> Iterator[None]:
-    """Detach from any inherited current span for the ``with`` block.
-
-    Forked process-pool workers inherit the parent's contextvars as of
-    fork time — including a then-open span.  A worker must not attach
-    its spans to that stale copy (they would never register as roots of
-    its own tracer); telemetry sessions open this scope so worker spans
-    start a fresh subtree.
-    """
-    token = _CURRENT_SPAN.set(None)
-    try:
-        yield
-    finally:
-        _CURRENT_SPAN.reset(token)
 
 
 def span(name: str, **attributes):

@@ -72,8 +72,8 @@ def discover_uccs(
 ) -> list[UniqueColumnCombination]:
     """Minimal unique column combinations up to ``max_arity`` per relation.
 
-    Memoised and parallelised through the active runtime; the raw
-    computation is :func:`compute_uccs`.
+    Memoised through the active runtime; the raw computation is
+    :func:`compute_uccs`.
     """
     from ..runtime.engine import get_runtime
 
@@ -83,7 +83,7 @@ def discover_uccs(
 def compute_relation_uccs(
     database: Database, relation_name: str, max_arity: int = 2
 ) -> list[UniqueColumnCombination]:
-    """UCC discovery for a single relation (one unit of parallel work).
+    """UCC discovery for a single relation.
 
     Empty relations yield no UCCs: uniqueness of nothing is vacuous and
     would flood downstream consumers with spurious keys.
@@ -128,8 +128,8 @@ def discover_inds(
 ) -> list[InclusionDependency]:
     """All unary inclusion dependencies between distinct attribute columns.
 
-    Memoised and parallelised through the active runtime; the raw
-    computation is :func:`compute_inds`.
+    Memoised through the active runtime; the raw computation is
+    :func:`compute_inds`.
     """
     from ..runtime.engine import get_runtime
 
@@ -152,16 +152,6 @@ def compute_inds(
         instance = database.table(relation.name)
         for name in relation.attribute_names:
             value_sets[(relation.name, name)] = instance.distinct(name)
-    return _inds_from_value_sets(value_sets, min_values)
-
-
-def _inds_from_value_sets(
-    value_sets: dict[tuple[str, str], set[object]], min_values: int
-) -> list[InclusionDependency]:
-    """The pairwise subset half of IND discovery, shared by the serial
-    path and the process backend (which farms out only the value-set
-    scans); ``value_sets`` iteration order fixes the result order, so
-    callers build it relation-by-relation in schema order."""
     results: list[InclusionDependency] = []
     for (lhs_rel, lhs_attr), lhs_values in value_sets.items():
         if len(lhs_values) < min_values:
@@ -180,8 +170,8 @@ def _inds_from_value_sets(
 def discover_fds(database: Database) -> list[FunctionalDependency]:
     """All unary-determinant functional dependencies that hold exactly.
 
-    Memoised and parallelised through the active runtime; the raw
-    computation is :func:`compute_fds`.
+    Memoised through the active runtime; the raw computation is
+    :func:`compute_fds`.
     """
     from ..runtime.engine import get_runtime
 
@@ -191,7 +181,7 @@ def discover_fds(database: Database) -> list[FunctionalDependency]:
 def compute_relation_fds(
     database: Database, relation_name: str
 ) -> list[FunctionalDependency]:
-    """FD discovery for a single relation (one unit of parallel work).
+    """FD discovery for a single relation.
 
     NULL determinant values are skipped (SQL-style); trivial X→X FDs are
     excluded, as are FDs whose determinant is a UCC (those are implied).

@@ -147,9 +147,9 @@ def compute_column_profile(
 def profile_database(database: Database) -> dict[tuple[str, str], ColumnProfile]:
     """Profile every column of a database, keyed by (relation, attribute).
 
-    Runs through the active runtime: columns are profiled on its backend
-    (in a loop, or on the process pool) and both the per-column profiles
-    and the whole bundle are memoised against the database content.
+    Runs through the active runtime: columns are profiled in a loop and
+    both the per-column profiles and the whole bundle are memoised
+    against the database content.
     """
     from ..runtime.engine import get_runtime
 

@@ -9,11 +9,10 @@ losslessly.  Three consumers share the encoding:
 * **Content fingerprints** (:mod:`repro.runtime.cache`) hash
   :meth:`ColumnBlock.canonical_bytes`, so cache keys depend only on the
   typed values themselves — never on ``repr`` formatting, row order of
-  dict iteration, or which executor backend produced them.
-* **The scenario spool** (:mod:`repro.runtime.spool`) ships blocks to
-  worker processes as base64 JSON; a rehydrated instance is
-  value-identical to the original, which is what makes the process
-  backend's results byte-identical to the serial oracle.
+  dict iteration, or which process produced them.
+* **Scenario documents** (:func:`repro.scenarios.io.scenario_to_dict`)
+  carry blocks as base64 JSON; a decoded instance is value-identical to
+  the original, so it fingerprints and assesses byte-identically.
 * **Batch scans**: profiling statistics and UCC/IND/FD discovery operate
   on whole columns; the column-major instance hands them the values
   without per-row tuple gathering.
@@ -307,7 +306,7 @@ def decode_column(block: ColumnBlock) -> list[object]:
 
 
 # ----------------------------------------------------------------------
-# JSON document form (for the on-disk spool)
+# JSON document form (for scenario documents)
 # ----------------------------------------------------------------------
 
 

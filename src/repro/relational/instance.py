@@ -11,7 +11,7 @@ demand and memoised per mutation version.
 The canonical byte form of a column is produced by
 :mod:`repro.relational.columnar` (typed arrays + null bitmask);
 :meth:`RelationInstance.encoded_columns` memoises it per version for the
-content-fingerprint cache keys and the process-backend scenario spool.
+content-fingerprint cache keys and the scenario documents.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ class RelationInstance:
     ) -> None:
         """Replace all content with already-typed columns, without casting.
 
-        The rehydration path of the process-backend spool: decoded
-        columnar blocks hold exactly the values the original ``insert``
+        The decoding path of scenario documents: decoded columnar
+        blocks hold exactly the values the original ``insert``
         casts produced, so re-casting them would only cost time.  Columns
         must match the relation's arity and share one length; ``count``
         covers the zero-attribute corner where no column carries it.
@@ -256,8 +256,8 @@ class RelationInstance:
         attribute order; memoised per mutation version.
 
         This is the content form shared by fingerprinting
-        (:mod:`repro.runtime.cache`) and process-backend shipping
-        (:mod:`repro.runtime.spool`).
+        (:mod:`repro.runtime.cache`) and scenario documents
+        (:func:`repro.scenarios.io.database_to_dict`).
         """
         memo = self._encoded_memo
         if memo is not None and memo[0] == self._version:

@@ -4,12 +4,11 @@ Every hardening claim in this repository is testable because the code
 declares **named injection sites** — ``detector``, ``profile``,
 ``store.read``, ``store.write``, ``store.fsync``, ``scheduler.dispatch``,
 ``http.handler``, ``journal.append``, ``journal.fsync``,
-``journal.replay``, ``spool.read``, ``spool.write``,
-``process.dispatch``, ``process.worker``, ``deadline.checkpoint`` (fires
-only under an active :class:`~repro.runtime.deadline.CancelScope`, so
-delay rules stall exactly the code that must notice deadlines) — and a
-:class:`FaultPlan` decides, deterministically,
-which of them misbehave.  A plan is a list of :class:`FaultPoint` rules;
+``journal.replay``, ``deadline.checkpoint`` (fires only under an active
+:class:`~repro.runtime.deadline.CancelScope`, so delay rules stall
+exactly the code that must notice deadlines) — and a
+:class:`FaultPlan` decides, deterministically, which of them misbehave.
+A plan is a list of :class:`FaultPoint` rules;
 each rule matches a site (optionally filtered on the site's context,
 e.g. ``{"name": "mapping"}``) and fires one of three actions:
 
@@ -17,8 +16,9 @@ e.g. ``{"name": "mapping"}``) and fires one of three actions:
   so store/client I/O sites fail exactly like a disk or socket would),
 * ``delay``  — sleep ``delay_seconds`` before continuing (latency
   injection for timeout/watchdog testing),
-* ``corrupt`` — mangle the payload passing through a data site (spool
-  writes), producing torn/garbage bytes for the recovery scan to find.
+* ``corrupt`` — mangle the payload passing through a data site (store
+  and journal writes), producing torn/garbage bytes for the recovery
+  scan to find.
 
 Plans are activated programmatically (:func:`install_fault_plan`, or the
 :func:`injected_faults` context manager in tests) or via the

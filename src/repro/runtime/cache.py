@@ -17,10 +17,10 @@ Fingerprints hash the **canonical columnar encoding** of every relation
 (:meth:`~repro.relational.instance.RelationInstance.encoded_columns` —
 typed arrays + null bitmasks, every section length-prefixed), so keys
 depend only on the typed values themselves: not on ``repr`` formatting,
-not on constraint declaration order, and not on which executor backend
-computed the entry.  Hashing is O(bytes) — far cheaper than the
-profiling it saves — and digests are memoised per instance + version, so
-the steady-state key cost is a dict lookup.
+not on constraint declaration order, and not on which process computed
+the entry.  Hashing is O(bytes) — far cheaper than the profiling it
+saves — and digests are memoised per instance + version, so the
+steady-state key cost is a dict lookup.
 """
 
 from __future__ import annotations
@@ -176,54 +176,17 @@ class ProfileCache:
                 self.metrics.increment("cache_evictions")
         return result
 
-    def peek(
-        self, database: Database, operation_key: tuple[Hashable, ...]
-    ):
-        """The cached entry for ``database`` + operation, or ``None``.
-
-        Does not count a hit/miss and does not refresh LRU order — this
-        is the process backend's "which columns are already warm?" probe,
-        not a read on the critical path.
-        """
-        key = (fingerprint_database(database), *operation_key)
-        with self._lock:
-            return self._entries.get(key)
-
-    def put(
-        self,
-        database: Database,
-        operation_key: tuple[Hashable, ...],
-        value: object,
-    ) -> None:
-        """Store an externally computed entry under the canonical key.
-
-        The process backend computes entries in worker processes and
-        merges them here; because keys are pure content fingerprints the
-        merged entries are indistinguishable from locally computed ones.
-        """
-        self.put_raw((fingerprint_database(database), *operation_key), value)
-
-    def put_raw(self, key: tuple, value: object) -> None:
-        """Store an entry under an already-resolved key (worker merges)."""
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.metrics.increment("cache_evictions")
-
     def entries(self) -> list[tuple[tuple, object]]:
         """A snapshot of ``(key, value)`` pairs in LRU order (oldest
-        first); what a worker ships back to the coordinating process."""
+        first)."""
         with self._lock:
             return list(self._entries.items())
 
     def keys(self) -> list[tuple]:
         """A snapshot of the resolved cache keys, sorted.
 
-        Backend-equivalence tests compare these across executors: the
-        same scenario must populate the same content keys no matter
-        which backend computed them.
+        Tests compare these across runs: the same scenario must populate
+        the same content keys whether or not the run was traced.
         """
         with self._lock:
             return sorted(self._entries, key=repr)

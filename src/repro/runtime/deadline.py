@@ -9,16 +9,14 @@ Three pieces, mirroring the contextvars design of the Tracer:
 
 ``Deadline``
     An absolute point on the monotonic clock with ``remaining()`` /
-    ``expired``.  Budgets are shipped across process boundaries as
-    *remaining seconds* (never absolute times — the worker's clock is
-    not ours) and re-anchored with :func:`remaining_scope`.
+    ``expired``.
 
 ``CancelScope``
     Couples an optional deadline with an optional external cancel event
-    (the scheduler passes the job's ``cancel_event``) plus the grace
-    window the reaper honours.  ``activated()`` installs the scope in a
-    contextvar so checkpoints anywhere below — detectors, profiling
-    loops, dependency lattice search — observe it without plumbing.
+    (the scheduler passes the job's ``cancel_event``).  ``activated()``
+    installs the scope in a contextvar so checkpoints anywhere below —
+    detectors, profiling loops, dependency lattice search — observe it
+    without plumbing.
 
 ``checkpoint(site)``
     The cooperative cancellation point.  With no active scope it is one
@@ -33,9 +31,9 @@ Cancellation raises :class:`OperationCancelled` (or its deadline
 flavour :class:`DeadlineExceededError`); the engine's degradation
 boundaries convert those into :class:`~repro.resilience.DegradedResult`
 tombstones, which is what turns a timed-out run into a priced partial
-estimate instead of a crash.  :class:`WorkerReapedError` marks the
-non-cooperative path: a pool worker that ignored its shipped budget past
-the grace window and was hard-killed by the executor's reaper.
+estimate instead of a crash.  A computation that never reaches a
+checkpoint is settled ``FAILED`` by the scheduler once its grace window
+passes.
 """
 
 from __future__ import annotations
@@ -54,16 +52,12 @@ __all__ = [
     "Deadline",
     "DeadlineExceededError",
     "OperationCancelled",
-    "WorkerReapedError",
     "checkpoint",
     "current_scope",
-    "remaining_scope",
-    "wire_deadline",
 ]
 
-#: Seconds a cancelled computation gets to reach its next checkpoint
-#: before the hard layers (scheduler grace reap, process-pool reaper)
-#: take over.
+#: Seconds a cancelled job gets to reach its next checkpoint before the
+#: scheduler's grace reap settles it ``FAILED``.
 DEFAULT_GRACE = 0.5
 
 
@@ -86,17 +80,6 @@ class DeadlineExceededError(OperationCancelled):
 
     def __init__(
         self, message: str = "deadline exceeded", site: str = ""
-    ) -> None:
-        super().__init__(message, site)
-
-
-class WorkerReapedError(DeadlineExceededError):
-    """A pool worker overran deadline + grace and was hard-killed."""
-
-    reason = "reaped"
-
-    def __init__(
-        self, message: str = "worker reaped past deadline", site: str = ""
     ) -> None:
         super().__init__(message, site)
 
@@ -134,19 +117,17 @@ _SCOPE: contextvars.ContextVar["CancelScope | None"] = contextvars.ContextVar(
 class CancelScope:
     """A deadline and/or cancel event observed by checkpoints below."""
 
-    __slots__ = ("deadline", "cancel_event", "grace", "label")
+    __slots__ = ("deadline", "cancel_event", "label")
 
     def __init__(
         self,
         deadline: Deadline | None = None,
         cancel_event: "threading.Event | None" = None,
         *,
-        grace: float = DEFAULT_GRACE,
         label: str = "",
     ) -> None:
         self.deadline = deadline
         self.cancel_event = cancel_event
-        self.grace = max(0.0, float(grace))
         self.label = label
 
     def cancel_reason(self) -> str | None:
@@ -162,12 +143,6 @@ class CancelScope:
             return "cancelled"
         return None
 
-    def remaining(self) -> float | None:
-        """Seconds of budget left, or ``None`` for an unbounded scope."""
-        if self.deadline is None:
-            return None
-        return max(0.0, self.deadline.remaining())
-
     @contextlib.contextmanager
     def activated(self):
         """Install this scope for the duration of the ``with`` block."""
@@ -178,10 +153,7 @@ class CancelScope:
             _SCOPE.reset(token)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CancelScope(label={self.label!r}, deadline={self.deadline!r}, "
-            f"grace={self.grace:g})"
-        )
+        return f"CancelScope(label={self.label!r}, deadline={self.deadline!r})"
 
 
 def current_scope() -> CancelScope | None:
@@ -221,29 +193,3 @@ def checkpoint(site: str = "", **context) -> None:
     raise OperationCancelled(
         f"operation cancelled at checkpoint {where!r}", site=where
     )
-
-
-def wire_deadline() -> float | None:
-    """The active scope's remaining budget, for shipping inside a task.
-
-    Returns *remaining seconds* (monotonic clocks do not travel across
-    process boundaries), or ``None`` when the run is unbounded.
-    """
-    scope = _SCOPE.get()
-    if scope is None or scope.deadline is None:
-        return None
-    return max(0.0, scope.deadline.remaining())
-
-
-@contextlib.contextmanager
-def remaining_scope(seconds: float | None, *, label: str = ""):
-    """Re-anchor a shipped budget against the local clock (worker side).
-
-    ``None`` means unbounded: yields without installing a scope.
-    """
-    if seconds is None:
-        yield None
-        return
-    scope = CancelScope(deadline=Deadline.after(seconds), label=label)
-    with scope.activated():
-        yield scope

@@ -66,9 +66,9 @@ class MetricsSnapshot:
 
     ``timestamp`` (unix seconds) lets two scrapes of the service's
     ``/metrics`` endpoint be diffed into rates.  ``counters`` holds the
-    unlabelled counters; labelled series (``process_fallbacks`` by
-    ``reason``, worker gauges by ``pid``) live in ``counter_series`` and
-    ``gauges`` as ``(name, labels, value)`` triples.
+    unlabelled counters; labelled series (``fleet_failovers`` by
+    ``reason``, fleet gauges by ``worker``) live in ``counter_series``
+    and ``gauges`` as ``(name, labels, value)`` triples.
     """
 
     counters: dict[str, int]
@@ -173,9 +173,7 @@ def snapshot_from_dict(doc: dict) -> MetricsSnapshot:
     Lets a snapshot cross a process boundary as JSON — a fleet worker
     ships ``snapshot().to_dict()`` inside its heartbeat and the
     supervisor rebuilds it here before handing it to
-    :meth:`RuntimeMetrics.merge_snapshot` (or to
-    ``merge_worker_telemetry`` for worker-labelled publication).
-    Histogram series whose sparse bucket bounds are not the default
+    :meth:`RuntimeMetrics.merge_snapshot`.  Histogram series whose sparse bucket bounds are not the default
     log-scale ladder are dropped rather than misreconstructed; raises
     ``ValueError``/``KeyError``/``TypeError`` on a structurally torn
     document so callers can discard the whole blob.
@@ -237,7 +235,7 @@ class RuntimeMetrics:
 
     def increment(self, name: str, by: int = 1, **labels) -> None:
         """Bump a counter; labels select a series within the family
-        (``increment("process_fallbacks", reason="spool_io")``)."""
+        (``increment("fleet_failovers", reason="liveness")``)."""
         if labels:
             key = (name, _label_key(labels))
             with self._lock:
@@ -263,7 +261,7 @@ class RuntimeMetrics:
     # -- gauges -----------------------------------------------------------
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
-        """Set a point-in-time gauge (worker RSS, pool utilisation, SLO
+        """Set a point-in-time gauge (process RSS, slot utilisation, SLO
         burn rate); last write wins."""
         with self._lock:
             self._gauges[(name, _label_key(labels))] = float(value)
@@ -389,14 +387,13 @@ class RuntimeMetrics:
     def merge_snapshot(self, snapshot: MetricsSnapshot) -> None:
         """Fold another instance's snapshot into this one.
 
-        The parent-side half of cross-process telemetry: a worker ships a
+        The supervisor-side half of fleet telemetry: a worker ships a
         :class:`MetricsSnapshot` of its process-local metrics and the
-        parent adds counters, accumulates stage timings (work sums and
-        call counts add; ``max_seconds`` takes the max — ``wall_seconds``
-        also adds, so it reads as per-process elapsed, not fleet
-        latency), and merges histograms bucket-wise.  Gauges are *not*
-        merged — they are point-in-time and per-process; worker resource
-        gauges are published separately under a ``pid`` label.
+        supervisor adds counters, accumulates stage timings (work sums
+        and call counts add; ``max_seconds`` takes the max —
+        ``wall_seconds`` also adds, so it reads as per-process elapsed,
+        not fleet latency), and merges histograms bucket-wise.  Gauges
+        are *not* merged — they are point-in-time and per-process.
         """
         for name, value in snapshot.counters.items():
             if value:

@@ -202,7 +202,7 @@ def load_database(
 
 
 # ----------------------------------------------------------------------
-# In-memory document forms (columnar payloads; used by the runtime spool)
+# In-memory document forms (columnar payloads)
 # ----------------------------------------------------------------------
 
 
@@ -210,10 +210,9 @@ def database_to_dict(database: Database) -> dict:
     """A JSON-compatible document of a whole database.
 
     Relation data rides as canonical columnar blocks
-    (:mod:`repro.relational.columnar`, base64 payloads), so a rehydrated
+    (:mod:`repro.relational.columnar`, base64 payloads), so a decoded
     database is **value-identical** to the original — same typed values,
-    same content fingerprint — which is what lets process-backend workers
-    produce byte-identical results and merge-compatible cache entries.
+    same content fingerprint, byte-identical assessment results.
     """
     relations = []
     for rel in database.schema.relations:
@@ -276,8 +275,7 @@ def scenario_to_dict(scenario: IntegrationScenario) -> dict:
     """A single JSON-compatible document of a whole scenario.
 
     Unlike :func:`save_scenario` (a directory of CSVs for human
-    adoption), this form is self-contained and exact — the shipping
-    format of the process backend's scenario spool.
+    adoption), this form is self-contained and exact.
     """
     return {
         "version": FORMAT_VERSION,

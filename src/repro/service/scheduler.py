@@ -108,7 +108,6 @@ from ..durability import (
     submitted_record,
 )
 from ..runtime import (
-    BACKEND_ENV_VAR,
     CancelScope,
     Deadline,
     OperationCancelled,
@@ -175,18 +174,8 @@ class JobScheduler:
             raise ValueError(
                 f"idempotency_window must be >= 0, got {idempotency_window}"
             )
-        self._owns_runtime = runtime is None and (
-            efes is None or efes.runtime is None
-        )
         if runtime is None:
-            # Honour $REPRO_RUNTIME_BACKEND (serial/process)
-            # so a service deployment selects its assessment backend the
-            # same way the CLI does.
-            runtime = (
-                efes.runtime
-                if efes and efes.runtime
-                else Runtime(backend=os.environ.get(BACKEND_ENV_VAR, "serial"))
-            )
+            runtime = efes.runtime if efes and efes.runtime else Runtime()
         self.runtime = runtime
         self.efes = efes if efes is not None else default_efes(runtime=runtime)
         self.store = (
@@ -215,18 +204,13 @@ class JobScheduler:
             self.events = EventLog(
                 path=os.environ.get(EVENT_LOG_ENV_VAR) or None
             )
-        # The runtime's worker telemetry (fallback records, absorbed
-        # worker events) lands in the service's lifecycle stream unless
-        # the runtime already has a sink of its own.
-        if getattr(self.runtime, "events", None) is None:
-            self.runtime.events = self.events
         #: Health state machine surfaced by ``/healthz``.
         self.health = HealthMonitor()
         #: Multi-window burn-rate SLOs over settled-job outcomes,
         #: surfaced by ``GET /slo`` and folded into the health state.
         self.slo = slo if slo is not None else SLOMonitor()
-        #: Per-process resource telemetry (RSS, CPU, GC, spool IO),
-        #: published as ``process_*`` gauges on ``/metrics``.
+        #: Per-process resource telemetry (RSS, CPU, GC), published as
+        #: ``process_*`` gauges on ``/metrics``.
         self.sampler = ResourceSampler(self.runtime.metrics)
         #: Consecutive-failure breaker guarding job admission.
         self.breaker = (
@@ -1007,7 +991,6 @@ class JobScheduler:
                     else None
                 ),
                 cancel_event=job.cancel_event,
-                grace=self.deadline_grace,
                 label=f"job:{job.id}",
             )
             try:
@@ -1272,9 +1255,8 @@ class JobScheduler:
         """Re-sample point-in-time gauges before a ``/metrics`` scrape.
 
         Publishes the dispatcher process's resource sample
-        (``process_*`` gauges), scheduler pool utilization, executor
-        dispatch stats, the profile-cache hit rate, and the current SLO
-        burn-rate gauges.
+        (``process_*`` gauges), job-slot utilization, the profile-cache
+        hit rate, and the current SLO burn-rate gauges.
         """
         self.sampler.sample()
         with self._lock:
@@ -1293,11 +1275,6 @@ class JobScheduler:
             "scheduler_worker_utilisation", busy / self.workers
         )
         self.metrics.set_gauge("scheduler_queue_depth", float(queue_depth))
-        if self.runtime.executor is not None:
-            for key, value in self.runtime.executor.stats().items():
-                self.metrics.set_gauge(
-                    f"executor_{key}", float(value)
-                )
         hits = self.metrics.counter("cache_hits")
         misses = self.metrics.counter("cache_misses")
         lookups = hits + misses
@@ -1481,8 +1458,6 @@ class JobScheduler:
             except OSError:  # pragma: no cover - dying disk at shutdown
                 pass
             self.journal.close()
-        if self._owns_runtime:
-            self.runtime.close()
 
     def __enter__(self) -> "JobScheduler":
         return self

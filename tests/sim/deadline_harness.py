@@ -18,39 +18,22 @@ the tentpole's acceptance shape:
   queued behind it completes while the stalled payload is still
   draining.
 
-The delay plan is installed in-context for the serial/threads backends
-and through ``$REPRO_FAULT_PLAN`` for the process backend (pool workers
-resolve the environment plan on their side of the fork, so the stall
-lands inside the worker that must self-abort).
+The delay plan is installed in-context with
+:func:`~repro.resilience.faults.injected_faults`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 import random
 import time
 
-from repro.resilience.faults import (
-    FAULT_PLAN_ENV_VAR,
-    FaultPlan,
-    FaultPoint,
-    injected_faults,
-    reset_fault_plan,
-)
+from repro.resilience.faults import FaultPlan, FaultPoint, injected_faults
 from repro.service import JobScheduler, JobState
 
 #: Wall-clock slack on top of deadline + grace: scheduler wakeups, slow
 #: CI boxes, and the post-checkpoint tombstoning work.
 SETTLE_MARGIN = 2.0
-
-
-def sleeper_task(task) -> tuple:
-    """A module-level *non-cooperative* pool task: no checkpoints, just
-    wall-clock.  Used to force the executor's hard-kill reaper."""
-    time.sleep(task[0])
-    return task
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,21 +76,6 @@ class DeadlinePlan:
             seed=self.seed,
             name=f"deadline-sim-{self.seed}",
         )
-
-    def plan_doc(self) -> dict:
-        """The same plan as ``$REPRO_FAULT_PLAN`` JSON (process leg)."""
-        return {
-            "seed": self.seed,
-            "name": f"deadline-sim-{self.seed}",
-            "points": [
-                {
-                    "site": "deadline.checkpoint",
-                    "action": "delay",
-                    "delay_seconds": self.delay,
-                    "times": self.stalls,
-                }
-            ],
-        }
 
     @property
     def settle_bound(self) -> float:
@@ -205,34 +173,9 @@ def assert_episode_invariants(result: DeadlineSimResult) -> None:
 
 
 def run_deadline_sim(seed: int, scenario, runtime) -> DeadlineSimResult:
-    """One in-context episode (serial/threads backends)."""
+    """One seeded episode on ``runtime``."""
     plan = DeadlinePlan.from_seed(seed)
     with injected_faults(plan.fault_plan()):
         result = _run_episode(plan, scenario, runtime)
-    assert_episode_invariants(result)
-    return result
-
-
-def run_deadline_sim_process(seed: int, scenario) -> DeadlineSimResult:
-    """One episode on the process backend, plan shipped via the
-    environment so pool workers stall (and self-abort) on their side of
-    the fork.  Builds a fresh runtime per episode: the pool must be
-    spawned *after* the plan lands in ``os.environ``."""
-    from repro.runtime import Runtime
-
-    plan = DeadlinePlan.from_seed(seed)
-    previous = os.environ.get(FAULT_PLAN_ENV_VAR)
-    os.environ[FAULT_PLAN_ENV_VAR] = json.dumps(plan.plan_doc())
-    reset_fault_plan()
-    runtime = Runtime(backend="process", max_workers=2)
-    try:
-        result = _run_episode(plan, scenario, runtime)
-    finally:
-        runtime.close()
-        if previous is None:
-            os.environ.pop(FAULT_PLAN_ENV_VAR, None)
-        else:
-            os.environ[FAULT_PLAN_ENV_VAR] = previous
-        reset_fault_plan()
     assert_episode_invariants(result)
     return result

@@ -23,9 +23,7 @@ SEED_COUNT = int(os.environ.get("REPRO_CRASH_SIM_SEEDS", "200"))
 
 @pytest.fixture(scope="module")
 def shared_runtime():
-    runtime = Runtime()
-    yield runtime
-    runtime.close()
+    return Runtime()
 
 
 @pytest.mark.parametrize("seed", range(SEED_COUNT))

@@ -40,25 +40,18 @@ class TestParser:
         assert args.quality == "high"
         assert args.url is None
 
-    @pytest.mark.parametrize("backend", ["threads", "auto"])
+    @pytest.mark.parametrize("backend", ["threads", "auto", "process"])
     def test_removed_backends_are_usage_errors(self, backend, capsys):
         with pytest.raises(SystemExit) as exited:
             main(["--backend", backend, "list"])
         assert exited.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-
-class TestBackendEnvironment:
-    @pytest.mark.parametrize("value", ["threads", "auto", "seriall"])
-    def test_unknown_value_is_rejected(self, value, capsys, monkeypatch):
-        from repro.runtime import BACKEND_ENV_VAR
-
-        monkeypatch.setenv(BACKEND_ENV_VAR, value)
-        assert main(["list"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert BACKEND_ENV_VAR in captured.err and repr(value) in captured.err
+    def test_removed_workers_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--workers", "2", "list"])
+        assert exited.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestCommands:
@@ -230,8 +223,6 @@ class TestFleetCommands:
         assert args.fleet_workers == 2
         assert args.fleet_dir == "fleet"
         assert args.heartbeat_interval == 0.5
-        # The global runtime --workers must survive the subparser.
-        assert args.workers is None
 
     def test_fleet_status_against_live_fleet(self, tmp_path, capsys):
         import time

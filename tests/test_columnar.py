@@ -1,12 +1,12 @@
 """Property tests for the typed-array column codec and the columnar
 instance layout.
 
-Two contracts underpin the process backend's bit-equivalence claim:
+Two contracts underpin the content fingerprints and scenario documents:
 
 * the codec is **lossless** — any column of post-cast values (None /
   bool / int / float / str, any mix, any width, any unicode) round-trips
   exactly through encode → decode, including via the base64 JSON form
-  the spool writes, and
+  of scenario documents, and
 * the row view and the column view of an instance are the **same data**
   — every profiling statistic computed from one equals the statistic
   computed from the other.

@@ -21,11 +21,8 @@ from repro.runtime.deadline import (
     Deadline,
     DeadlineExceededError,
     OperationCancelled,
-    WorkerReapedError,
     checkpoint,
     current_scope,
-    remaining_scope,
-    wire_deadline,
 )
 from repro.service import JobScheduler, JobState, ServiceClient, make_server
 from repro.service.client import (
@@ -86,14 +83,11 @@ class TestCancelScope:
 
     def test_exception_hierarchy(self):
         assert issubclass(DeadlineExceededError, OperationCancelled)
-        assert issubclass(WorkerReapedError, DeadlineExceededError)
 
     def test_exceptions_survive_pickling(self):
-        # Deadline aborts cross the process-pool boundary.
         for cls in (
             OperationCancelled,
             DeadlineExceededError,
-            WorkerReapedError,
         ):
             restored = pickle.loads(pickle.dumps(cls("boom")))
             assert isinstance(restored, cls)
@@ -130,21 +124,6 @@ class TestCancelScope:
         with injected_faults(plan):
             checkpoint("unscoped")
         assert plan.trip_count("deadline.checkpoint") == 0
-
-    def test_wire_deadline_round_trip(self):
-        assert wire_deadline() is None
-        with CancelScope(deadline=Deadline.after(4.0)).activated():
-            budget = wire_deadline()
-        assert budget is not None and 0.0 < budget <= 4.0
-        with remaining_scope(budget, label="worker") as scope:
-            assert scope is current_scope()
-            remaining = scope.remaining()
-            assert remaining is not None and remaining <= budget
-
-    def test_remaining_scope_none_is_unbounded(self):
-        with remaining_scope(None) as scope:
-            assert scope is None
-            assert current_scope() is None
 
 
 def _sleeper(seconds):

@@ -539,6 +539,7 @@ def test_merged_metrics_labels_workers(fleet):
     snapshot = merged.snapshot()
     assert snapshot.gauge("fleet_worker_jobs_submitted", worker="w0") == 3.0
     assert snapshot.counter("worker_telemetry_dropped") == 1
+    assert snapshot.counter("worker_telemetry_merged") == 1
     # The merged view is also what /metrics serves.
     doc = client.metrics()
     assert "fleet" in doc

@@ -22,21 +22,15 @@ from repro.observability import (
     ResourceSampler,
     SLOMonitor,
     SLOSpec,
-    SpanContext,
     Tracer,
-    WorkerTelemetry,
     correlation_scope,
     current_correlation_id,
     escape_label_value,
-    merge_worker_telemetry,
     prometheus_text,
-    publish_worker_resources,
     render_span_tree,
     sample_resources,
     span,
-    telemetry_session,
 )
-from repro.observability.context import NOOP_TELEMETRY_SESSION
 from repro.observability.slo import RollingCounter
 from repro.runtime import Runtime, RuntimeMetrics
 
@@ -131,15 +125,12 @@ class TestRunTraced:
     def test_profile_spans_annotate_cache_hits(self, small_example):
         runtime = Runtime(backend="serial")
         efes = default_efes(runtime=runtime)
-        try:
-            cold = efes.run(
-                small_example, ResultQuality.HIGH_QUALITY, trace=True
-            )
-            warm = efes.run(
-                small_example, ResultQuality.HIGH_QUALITY, trace=True
-            )
-        finally:
-            runtime.close()
+        cold = efes.run(
+            small_example, ResultQuality.HIGH_QUALITY, trace=True
+        )
+        warm = efes.run(
+            small_example, ResultQuality.HIGH_QUALITY, trace=True
+        )
         cold_profiles = cold.trace.find("profile")
         warm_profiles = warm.trace.find("profile")
         assert cold_profiles and warm_profiles
@@ -538,244 +529,6 @@ class TestExperimentTraces:
 
 
 # ----------------------------------------------------------------------
-# Cross-process trace propagation
-# ----------------------------------------------------------------------
-
-
-class TestSpanContext:
-    def test_capture_is_none_without_a_tracer(self):
-        assert SpanContext.capture() is None
-        assert telemetry_session(None) is NOOP_TELEMETRY_SESSION
-
-    def test_capture_snapshots_the_active_trace(self):
-        tracer = Tracer()
-        with tracer.activated(), correlation_scope("req-ctx"):
-            with span("parent"):
-                context = SpanContext.capture(backend="process")
-        assert context.trace_id == tracer.trace_id
-        assert context.parent_span_id == tracer.root.span_id
-        assert context.correlation_id == "req-ctx"
-        assert context.backend == "process"
-
-    def test_round_trips_through_dict(self):
-        tracer = Tracer()
-        with tracer.activated():
-            with span("parent"):
-                context = SpanContext.capture()
-        assert SpanContext.from_dict(context.to_dict()) == context
-
-    def test_from_dict_rejects_malformed_documents(self):
-        with pytest.raises(ValueError):
-            SpanContext.from_dict({"nope": 1})
-
-
-class TestWorkerTelemetrySession:
-    def _context(self):
-        tracer = Tracer()
-        with tracer.activated():
-            with span("assess"):
-                return SpanContext.capture()
-
-    def test_collects_spans_metrics_events_and_resources(self):
-        context = self._context()
-        metrics = RuntimeMetrics()
-        session = telemetry_session(context, metrics=metrics)
-        with session:
-            session.emit("worker.task", stage="detector")
-            metrics.increment("cache_misses")
-            with span("detector:test", backend="process"):
-                with span("profile"):
-                    pass
-        blob = session.telemetry
-        assert blob.pid == os.getpid()
-        assert [doc["name"] for doc in blob.spans] == ["detector:test"]
-        assert blob.spans[0]["trace_id"] == context.trace_id
-        assert blob.spans[0]["children"][0]["name"] == "profile"
-        assert blob.metrics.counter("cache_misses") == 1
-        assert [record["event"] for record in blob.events] == ["worker.task"]
-        assert blob.resources["pid"] == os.getpid()
-
-    def test_empty_worker_metrics_are_not_shipped(self):
-        context = self._context()
-        session = telemetry_session(context, metrics=RuntimeMetrics())
-        with session:
-            pass
-        assert session.telemetry.metrics is None
-        assert session.telemetry.spans == []
-
-    def test_detaches_from_an_inherited_open_span(self):
-        # Regression: a forked pool worker inherits the parent's
-        # contextvars as of fork time, including the span that was open
-        # when the pool spawned.  The session must detach, or worker
-        # spans would attach to that stale copy and never register as
-        # roots of the session tracer (shipping an empty span list).
-        tracer = Tracer()
-        with tracer.activated():
-            with span("assess"):
-                context = SpanContext.capture()
-                session = telemetry_session(context)
-                with session:
-                    with span("detector:inner"):
-                        pass
-        assert [doc["name"] for doc in session.telemetry.spans] == [
-            "detector:inner"
-        ]
-        # ... and the parent tree must not have absorbed the worker span.
-        assert tracer.root.children == []
-
-
-class TestTelemetryMerge:
-    def _worker_blob(self, context):
-        worker_metrics = RuntimeMetrics()
-        session = telemetry_session(context, metrics=worker_metrics)
-        with session:
-            worker_metrics.increment("cache_hits")
-            session.emit("worker.task", stage="detector")
-            with span("detector:worker", backend="process", pid=1234):
-                with span("profile"):
-                    pass
-        return session.telemetry
-
-    def test_grafts_worker_spans_under_the_current_span(self):
-        tracer = Tracer()
-        metrics = RuntimeMetrics()
-        events = EventLog()
-        with tracer.activated():
-            with span("assess"):
-                context = SpanContext.capture()
-                blob = self._worker_blob(context)
-                assert (
-                    merge_worker_telemetry(blob, metrics, events=events)
-                    is True
-                )
-        root = tracer.root
-        assert [child.name for child in root.children] == ["detector:worker"]
-        detector = root.children[0]
-        assert detector.attributes["backend"] == "process"
-        assert detector.parent_id == root.span_id
-        assert [child.name for child in detector.children] == ["profile"]
-        # Grafting rewrites every shipped node onto the parent's trace.
-        assert {node.trace_id for node in root.walk()} == {tracer.trace_id}
-        assert metrics.counter("worker_telemetry_merged") == 1
-        assert metrics.counter("cache_hits") == 1
-        assert any(
-            record["event"] == "worker.task" for record in events.records()
-        )
-        # The worker's resource sample lands as pid-labelled gauges.
-        pid = str(blob.pid)
-        assert metrics.gauge("worker_rss_bytes", pid=pid) > 0
-
-    def test_none_telemetry_is_a_noop(self):
-        metrics = RuntimeMetrics()
-        assert merge_worker_telemetry(None, metrics) is False
-        assert metrics.counter("worker_telemetry_merged") == 0
-
-    def test_malformed_blob_is_dropped_whole(self):
-        tracer = Tracer()
-        metrics = RuntimeMetrics()
-        with tracer.activated():
-            with span("assess"):
-                context = SpanContext.capture()
-                garbage = WorkerTelemetry(
-                    context=context,
-                    pid=0,
-                    spans=["not a span document"],
-                )
-                assert merge_worker_telemetry(garbage, metrics) is False
-        # The torn blob never touched the parent tree and was counted.
-        assert tracer.root.children == []
-        assert metrics.counter("worker_telemetry_dropped") == 1
-        assert metrics.counter("worker_telemetry_merged") == 0
-
-    def test_side_channels_fold_even_without_a_recording_parent(self):
-        tracer = Tracer()
-        with tracer.activated():
-            with span("assess"):
-                context = SpanContext.capture()
-        blob = self._worker_blob(context)
-        metrics = RuntimeMetrics()
-        # No span open here: spans cannot graft, but the worker's
-        # metrics still fold into the parent's counters.
-        assert merge_worker_telemetry(blob, metrics) is False
-        assert metrics.counter("cache_hits") == 1
-        assert metrics.counter("worker_telemetry_merged") == 1
-
-
-class TestCrossProcessTracing:
-    def test_process_run_yields_one_seamless_tree(self, small_example):
-        runtime = Runtime(backend="process", max_workers=2)
-        efes = default_efes(runtime=runtime)
-        outcome = efes.run(
-            small_example, ResultQuality.HIGH_QUALITY, trace=True
-        )
-        root = outcome.trace
-        nodes = list(root.walk())
-        # One trace id across the whole tree, parent and workers alike.
-        assert {node.trace_id for node in nodes} == {root.trace_id}
-        worker_spans = [
-            node
-            for node in nodes
-            if node.attributes.get("backend") == "process"
-            and node.attributes.get("pid")
-        ]
-        assert worker_spans, "no worker-side spans were merged"
-        detectors = {
-            node.name
-            for node in worker_spans
-            if node.name.startswith("detector:")
-        }
-        assert detectors == {
-            "detector:mapping",
-            "detector:structure",
-            "detector:values",
-        }
-        # Worker detector spans hang under the parent's assess span.
-        assess = root.find("assess")[0]
-        for node in worker_spans:
-            if node.name.startswith("detector:"):
-                assert node.parent_id == assess.span_id
-        assert runtime.metrics.counter("worker_telemetry_merged") >= 3
-        assert runtime.metrics.counter("worker_telemetry_dropped") == 0
-        assert runtime.metrics.counter("process_fallbacks") == 0
-        runtime.close()
-
-
-class TestFallbackReasons:
-    def test_reason_classification(self):
-        import pickle
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.resilience.faults import FaultError
-        from repro.runtime.spool import SpoolError
-
-        reason = Runtime._fallback_reason
-        assert reason(FaultError("injected")) == "fault"
-        assert reason(BrokenProcessPool("worker died")) == "broken_pool"
-        assert reason(SpoolError("torn read")) == "spool_io"
-        assert reason(pickle.PicklingError("no")) == "codec"
-        assert reason(AttributeError("lookup failed")) == "codec"
-        assert reason(RuntimeError("anything else")) == "other"
-
-    def test_fallback_increments_labelled_counter_and_emits_event(self):
-        from repro.resilience.faults import FaultError
-
-        runtime = Runtime(backend="process", max_workers=2)
-        runtime.events = EventLog()
-        runtime._note_process_fallback(FaultError("boom"), stage="detectors")
-        assert (
-            runtime.metrics.counter("process_fallbacks", reason="fault") == 1
-        )
-        # The unlabelled read still sums the family.
-        assert runtime.metrics.counter("process_fallbacks") == 1
-        record = runtime.events.records()[-1]
-        assert record["event"] == "process.fallback"
-        assert record["stage"] == "detectors"
-        assert record["reason"] == "fault"
-        assert "FaultError" in record["error"]
-        runtime.close()
-
-
-# ----------------------------------------------------------------------
 # Resource telemetry
 # ----------------------------------------------------------------------
 
@@ -789,8 +542,13 @@ class TestResourceTelemetry:
         assert doc["cpu_seconds"] == pytest.approx(
             doc["cpu_user_seconds"] + doc["cpu_system_seconds"]
         )
-        for key in ("gc_gen0_collections", "spool_reads", "spool_bytes_read"):
-            assert key in doc
+        assert "gc_gen0_collections" in doc
+        # Spool state is the report store's (``store.spooled``); the
+        # process document carries none.
+        summary = ResourceSampler(RuntimeMetrics()).summary()
+        assert not [
+            key for key in (*doc, *summary) if key.startswith("spool_")
+        ]
 
     def test_resource_sampler_sets_process_gauges(self):
         metrics = RuntimeMetrics()
@@ -802,16 +560,6 @@ class TestResourceTelemetry:
         assert summary["pid"] == os.getpid()
         assert summary["rss_bytes"] > 0
         assert sampler.samples_taken == 2
-
-    def test_publish_worker_resources_labels_by_pid(self):
-        metrics = RuntimeMetrics()
-        publish_worker_resources(
-            metrics, {"pid": 1234, "rss_bytes": 4096, "cpu_seconds": 1.5}
-        )
-        assert metrics.gauge("worker_rss_bytes", pid="1234") == 4096.0
-        assert metrics.gauge("worker_cpu_seconds", pid="1234") == 1.5
-        # The pid is a label, never a gauge of its own.
-        assert metrics.gauge("worker_pid", pid="1234") is None
 
 
 # ----------------------------------------------------------------------
@@ -1050,23 +798,6 @@ class TestServiceSLO:
         assert "repro_slo_burn_rate" in text
         assert 'slo="availability",window="fast"' in text
 
-    def test_process_executor_stats_feed_the_gauges(self):
-        runtime = Runtime(backend="process", max_workers=2)
-        try:
-            stats = runtime.executor.stats()
-        finally:
-            runtime.close()
-        assert stats["max_workers"] == 2
-        for key in (
-            "dispatches",
-            "pooled_tasks",
-            "inline_tasks",
-            "peak_inflight",
-            "pool_live",
-        ):
-            assert key in stats
-
-
 class TestSloCli:
     def test_slo_table_and_json(self, service, capsys):
         from repro.cli import main
@@ -1096,81 +827,3 @@ class TestSloCli:
 
         assert main(["slo", "--url", "http://127.0.0.1:1"]) == 1
         assert "cannot fetch SLOs" in capsys.readouterr().err
-
-
-class TestTraceCliBackend:
-    """``efes --backend ... trace`` runs the traced pipeline on that backend."""
-
-    def _walk(self, doc):
-        yield doc
-        for child in doc.get("children", ()):
-            yield from self._walk(child)
-
-    def _worker_spans(self, path):
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        return [
-            node
-            for node in self._walk(doc)
-            if node.get("attributes", {}).get("backend") == "process"
-        ]
-
-    def test_backend_flag_selects_the_process_backend(
-        self, tmp_path, capsys
-    ):
-        from repro.cli import main
-
-        output = tmp_path / "trace.json"
-        assert (
-            main(
-                [
-                    "--backend",
-                    "process",
-                    "--workers",
-                    "2",
-                    "trace",
-                    "s4-s4",
-                    "--output",
-                    str(output),
-                ]
-            )
-            == 0
-        )
-        workers = self._worker_spans(output)
-        assert workers, "process run should merge worker-side spans"
-        assert all(node["attributes"].get("pid") for node in workers)
-        out = capsys.readouterr().out
-        assert "run:s4-s4" in out
-
-    def test_trace_honours_the_backend_env_var(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        from repro.cli import main
-        from repro.runtime import BACKEND_ENV_VAR
-
-        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
-        output = tmp_path / "trace.json"
-        assert main(["trace", "s4-s4", "--output", str(output)]) == 0
-        assert self._worker_spans(output)
-
-    def test_explicit_flag_overrides_the_env_var(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        from repro.cli import main
-        from repro.runtime import BACKEND_ENV_VAR
-
-        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
-        output = tmp_path / "trace.json"
-        assert (
-            main(
-                [
-                    "--backend",
-                    "serial",
-                    "trace",
-                    "s4-s4",
-                    "--output",
-                    str(output),
-                ]
-            )
-            == 0
-        )
-        assert self._worker_spans(output) == []

@@ -107,30 +107,28 @@ class TestSection62Runtime:
 
 
 class TestRuntimeRegression:
-    """The paper-exact numbers survive the parallel, cached runtime.
+    """The paper-exact numbers survive the cached runtime.
 
     The baseline configuration (Table 1) and the running example's
     estimates (Tables 5/8) must be byte-for-byte unchanged when every
-    detector and profile runs through the process backend.
+    detector and profile runs on a fresh runtime with a cold cache.
     """
 
     @pytest.fixture(scope="class")
-    def process_runtime(self):
+    def fresh_runtime(self):
         from repro.runtime import Runtime
 
-        runtime = Runtime(backend="process", max_workers=2)
-        yield runtime
-        runtime.close()
+        return Runtime()
 
     @pytest.fixture(scope="class")
-    def process_estimate(self, example, process_runtime):
+    def fresh_estimate(self, example, fresh_runtime):
         from repro.core import default_efes
 
-        return default_efes(runtime=process_runtime).estimate(
+        return default_efes(runtime=fresh_runtime).estimate(
             example, ResultQuality.HIGH_QUALITY
         )
 
-    def test_table1_baseline_unchanged(self, example, process_runtime):
+    def test_table1_baseline_unchanged(self, example, fresh_runtime):
         from repro.core import (
             HARDEN_TASKS,
             HOURS_PER_ATTRIBUTE,
@@ -139,7 +137,7 @@ class TestRuntimeRegression:
 
         assert HOURS_PER_ATTRIBUTE == pytest.approx(8.05)
         assert sum(hours for _, hours in HARDEN_TASKS) == pytest.approx(8.05)
-        with process_runtime.activated():
+        with fresh_runtime.activated():
             baseline = AttributeCountingBaseline().estimate(
                 example, ResultQuality.HIGH_QUALITY
             )
@@ -147,15 +145,15 @@ class TestRuntimeRegression:
             8.05 * 60 * example.total_source_attributes()
         )
 
-    def test_table5_structure_total_unchanged(self, process_estimate):
-        assert process_estimate.by_category()[
+    def test_table5_structure_total_unchanged(self, fresh_estimate):
+        assert fresh_estimate.by_category()[
             TaskCategory.CLEANING_STRUCTURE
         ] == pytest.approx(224.0)
 
-    def test_table8_value_total_unchanged(self, process_estimate):
-        assert process_estimate.by_category()[
+    def test_table8_value_total_unchanged(self, fresh_estimate):
+        assert fresh_estimate.by_category()[
             TaskCategory.CLEANING_VALUES
         ] == pytest.approx(15.0)
 
-    def test_whole_estimate_matches_serial(self, process_estimate, high_estimate):
-        assert repr(process_estimate) == repr(high_estimate)
+    def test_whole_estimate_matches_serial(self, fresh_estimate, high_estimate):
+        assert repr(fresh_estimate) == repr(high_estimate)

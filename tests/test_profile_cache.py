@@ -140,7 +140,7 @@ class TestCanonicalKeys:
 
     Keys must be independent of constraint declaration order and immune
     to separator-forging values — and therefore identical no matter
-    which executor backend computed the entry.
+    which process computed the entry.
     """
 
     def test_constraint_declaration_order_is_irrelevant(self):
@@ -203,34 +203,6 @@ class TestCanonicalKeys:
         assert fingerprint_database(
             one(DataType.INTEGER, 1)
         ) != fingerprint_database(one(DataType.FLOAT, 1.0))
-
-    def test_put_then_peek_round_trips(self):
-        cache = ProfileCache()
-        db = build_database()
-        key = ("profile_column", "albums", "id", "integer")
-        assert cache.peek(db, key) is None
-        sentinel = object()
-        cache.put(db, key, sentinel)
-        assert cache.peek(db, key) is sentinel
-        # peek is passive: no hit/miss accounting.
-        assert cache.metrics.cache_hits == 0
-        assert cache.metrics.cache_misses == 0
-
-    def test_entries_merge_between_caches(self):
-        """Worker-cache entries merged via put_raw are indistinguishable
-        from locally computed ones (same content keys)."""
-        db = build_database()
-        worker_runtime = Runtime()
-        worker_runtime.profile_database(db)
-        parent = ProfileCache()
-        for key, value in worker_runtime.cache.entries():
-            parent.put_raw(key, value)
-        parent_runtime = Runtime(cache=parent, metrics=parent.metrics)
-        parent_runtime.profile_database(db)
-        assert parent.metrics.cache_hits >= 1
-        assert sorted(parent.keys(), key=repr) == sorted(
-            worker_runtime.cache.keys(), key=repr
-        )
 
 
 def random_database(seed: int) -> Database:

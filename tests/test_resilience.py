@@ -203,15 +203,12 @@ class TestDegradedPipeline:
             [FaultPoint(site="detector", match={"name": "mapping"})]
         )
         runtime = Runtime(backend="serial")
-        try:
-            efes = default_efes(runtime=runtime)
-            with injected_faults(plan):
-                outcome = efes.run(
-                    small_example, ResultQuality.HIGH_QUALITY, trace=True
-                )
-            counters = runtime.metrics.snapshot().counters
-        finally:
-            runtime.close()
+        efes = default_efes(runtime=runtime)
+        with injected_faults(plan):
+            outcome = efes.run(
+                small_example, ResultQuality.HIGH_QUALITY, trace=True
+            )
+        counters = runtime.metrics.snapshot().counters
         assert counters["degraded_total"] >= 1
         assert counters["detectors_degraded"] >= 1
         spans = {span.name: span for span in outcome.trace.walk()}
