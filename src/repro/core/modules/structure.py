@@ -4,6 +4,8 @@ The *structure conflict detector* converts source and target into CSGs,
 matches every atomic target relationship to the most concise composite
 source relationship (Section 4.1), compares prescribed vs inferred
 cardinalities, and counts actually conflicting source elements (Table 3).
+Its result is cached per source content in the runtime's
+``ProfileCache``, so a re-quote of assessed content converts nothing.
 
 The *structure repair planner* (Section 4.2) chooses cleaning tasks from
 Table 4 and simulates them on a virtual CSG instance (Fig. 5): every
@@ -29,6 +31,7 @@ from ...csg.paths import (
 )
 from ...matching.correspondence import CorrespondenceSet
 from ...relational.database import Database
+from ...runtime import fingerprint_database, get_runtime
 from ...scenarios.scenario import IntegrationScenario
 from ..framework import EstimationModule
 from ..quality import ResultQuality
@@ -97,6 +100,36 @@ class StructureConflictDetector:
         self.use_conciseness = use_conciseness
 
     def detect(
+        self,
+        source: Database,
+        target: Database,
+        correspondences: CorrespondenceSet,
+    ) -> list[StructureViolation]:
+        """The violations of ``source`` against ``target``, cached per source
+        content on the active runtime.
+
+        They are a pure function of both contents, the correspondences and
+        this detector's options, which make up the cache key.  Only the
+        source's name is applied after the lookup, so a content-identical
+        source under another name reports its own.
+        """
+        violations = get_runtime().structure_violations(
+            source,
+            (
+                "structure",
+                fingerprint_database(target),
+                tuple(correspondences),
+                self.max_path_length,
+                self.use_conciseness,
+            ),
+            lambda: tuple(self._detect(source, target, correspondences)),
+        )
+        return [
+            dataclasses.replace(violation, source_database=source.name)
+            for violation in violations
+        ]
+
+    def _detect(
         self,
         source: Database,
         target: Database,

@@ -188,6 +188,14 @@ class Csg:
     def outgoing(self, node: Node) -> tuple[Relationship, ...]:
         return tuple(self._outgoing[node.name])
 
+    def has_relationship(self, relationship: Relationship) -> bool:
+        """Whether ``relationship`` is this graph's own object, not an
+        equal-looking one of a graph rebuilt from the same schema."""
+        return any(
+            rel is relationship
+            for rel in self._outgoing.get(relationship.start.name, ())
+        )
+
     def relationship(self, start_name: str, end_name: str) -> Relationship:
         """The (first) direct relationship from ``start_name`` to ``end_name``."""
         for rel in self._outgoing.get(start_name, ()):

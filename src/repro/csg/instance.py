@@ -6,6 +6,10 @@ the set of links between those elements.  The instance is what lets the
 structure conflict detector turn a *potential* conflict (cardinality
 mismatch) into a *counted* one (how many source elements actually violate
 the target constraint, Table 3).
+
+Links are keyed by the identity of the graph's relationship objects, so a
+path must come from the instance's own graph: :meth:`CsgInstance.image_sets`
+raises :class:`~repro.csg.graph.CsgError` for one that does not.
 """
 
 from __future__ import annotations
@@ -71,6 +75,14 @@ class CsgInstance:
         reaches (possibly empty)."""
         if not path:
             raise CsgError("image_sets requires a non-empty path")
+        for relationship in path:
+            # Links are keyed by object identity: a relationship of another
+            # graph would find none and silently count zero images.
+            if not self.graph.has_relationship(relationship):
+                raise CsgError(
+                    f"relationship {relationship.label} is not in CSG "
+                    f"{self.graph.name!r}"
+                )
         start_node = path[0].start.name
         reachable: dict[object, set[object]] = {
             element: {element} for element in self._elements[start_node]

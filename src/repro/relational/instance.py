@@ -10,7 +10,7 @@ demand and memoised per mutation version.
 
 The canonical byte form of a column is produced by
 :mod:`repro.relational.columnar` (typed arrays + null bitmask);
-:meth:`RelationInstance.encoded_columns` memoises it per version for the
+:meth:`RelationInstance.encoded_columns` builds it for the
 content-fingerprint cache keys and the scenario documents.
 """
 
@@ -40,9 +40,8 @@ class RelationInstance:
         ]
         self._count = 0
         self._version = 0
-        #: Per-version memos of the row view and the canonical encoding.
+        #: Per-version memo of the row view.
         self._row_memo: tuple[int, tuple[Row, ...]] | None = None
-        self._encoded_memo: tuple[int, tuple[ColumnBlock, ...]] | None = None
         self.insert_all(rows)
 
     # ------------------------------------------------------------------
@@ -253,18 +252,17 @@ class RelationInstance:
 
     def encoded_columns(self) -> tuple[ColumnBlock, ...]:
         """The canonical typed-array encoding of every column, in schema
-        attribute order; memoised per mutation version.
+        attribute order.
 
         This is the content form shared by fingerprinting
         (:mod:`repro.runtime.cache`) and scenario documents
-        (:func:`repro.scenarios.io.database_to_dict`).
+        (:func:`repro.scenarios.io.database_to_dict`).  It is not
+        memoised: fingerprints memoise their digest, so nothing encodes a
+        version twice, and a kept encoding would stay alive next to the
+        structure detector's CSG instance, which is built after the
+        source is fingerprinted.
         """
-        memo = self._encoded_memo
-        if memo is not None and memo[0] == self._version:
-            return memo[1]
-        encoded = tuple(encode_column(column) for column in self._columns)
-        self._encoded_memo = (self._version, encoded)
-        return encoded
+        return tuple(encode_column(column) for column in self._columns)
 
     def __len__(self) -> int:
         return self._count

@@ -1,10 +1,11 @@
 """Content-keyed memoisation of expensive profiling results.
 
-Profiles and discovered dependencies are pure functions of an immutable
-database instance, yet the benchmark scripts and the cross-validation
-folds of :mod:`repro.experiments` re-profile the same scenarios over and
-over.  :class:`ProfileCache` keys every entry on a **content
-fingerprint** of the database, so
+Profiles, discovered dependencies and the structure detector's
+violations are pure functions of immutable database instances, yet the
+benchmark scripts, the cross-validation folds of :mod:`repro.experiments`
+and every re-quote assess the same content over and over.
+:class:`ProfileCache` keys every entry on a **content fingerprint** of
+the database, so
 
 * repeated profiling of unchanged data is a cache hit,
 * any mutation (insert/update/delete/map_column) bumps the instance's
@@ -134,9 +135,11 @@ class ProfileCache:
 
     Keys are ``(fingerprint, *operation_key)`` where the operation key
     names the computation and its parameters, e.g.
-    ``("profile_column", "songs", "length", "integer")`` or
-    ``("uccs", 2)``.  Hits and misses are counted on the attached
-    :class:`~repro.runtime.metrics.RuntimeMetrics`.
+    ``("profile_column", "songs", "length", "integer")``, ``("uccs", 2)``
+    or ``("structure", target fingerprint, correspondences, ...)``.  Hits
+    and misses are counted on the attached
+    :class:`~repro.runtime.metrics.RuntimeMetrics`, structure lookups
+    included.
     """
 
     def __init__(

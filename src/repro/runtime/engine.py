@@ -10,6 +10,9 @@ instances.  :class:`Runtime` exploits that:
 * the cached profiling entry points (``profile_column``,
   ``profile_database``, ``discover_uccs/inds/fds``) memoise results in a
   content-keyed :class:`~repro.runtime.cache.ProfileCache`,
+* ``structure_violations`` memoises the structure detector's result per
+  source in the same cache, so a re-quote of assessed content converts
+  no CSG (stage ``csg`` runs once per source counted, never on a hit),
 * everything is instrumented on a :class:`RuntimeMetrics` instance that
   :class:`~repro.core.framework.Efes`, the CLI, and the benchmark
   conftest can query.
@@ -247,6 +250,27 @@ class Runtime:
                     database,
                     span=span,
                 ),
+            )
+
+    # -- cached structure conflicts -----------------------------------------
+
+    def structure_violations(
+        self, database, operation_key: tuple, compute: Callable
+    ):
+        """The structure detector's violations of ``database`` (§4.1).
+
+        ``operation_key`` names everything besides the source content that
+        the violations depend on.  On a miss, ``compute()`` converts the
+        source into its CSG instance and counts it, timed as stage ``csg``,
+        so a re-quote of assessed content converts nothing.
+        """
+        with tracing.span(
+            "csg", database=database.name, cache_hit=True
+        ) as span:
+            return self.cache.get_or_compute(
+                database,
+                operation_key,
+                lambda: self._timed("csg", compute, span=span),
             )
 
     def _timed(self, stage: str, function: Callable, *args, span=None):

@@ -213,3 +213,15 @@ class TestImageCounts:
         )
         counts = instance.image_counts(path)
         assert counts[tuple_id("tracks", 0)] == 1
+
+    def test_path_from_another_graph_is_rejected(self, setup, schema):
+        # A graph rebuilt from the same schema has equal-looking but
+        # distinct relationship objects, which own no links here: counting
+        # through one would report 0 images for every element.
+        _, instance, _ = setup
+        rebuilt = schema_to_csg(schema)
+        foreign = (rebuilt.relationship("records", "records.artist"),)
+        with pytest.raises(CsgError, match="records->records.artist"):
+            instance.image_counts(foreign)
+        with pytest.raises(CsgError, match="records->records.artist"):
+            instance.count_violations(foreign, Cardinality.of(1))

@@ -81,19 +81,26 @@ class TestSerialInstrumentation:
         # Pins the stage names and call counts the serial loops record,
         # so no stage can silently drop out of the metrics.
         runtime = Runtime("serial")
-        default_efes(runtime=runtime).run(
-            scenario_s1_s2(seed=1), ResultQuality.HIGH_QUALITY
-        )
+        scenario = scenario_s1_s2(seed=1)
+        default_efes(runtime=runtime).run(scenario, ResultQuality.HIGH_QUALITY)
         stages = runtime.metrics.snapshot().stages
         assert {name: timing.calls for name, timing in stages.items()} == {
             "assess": 1,
             "assess.detector": 3,
+            "csg": 1,
             "profile": 10,
             "plan": 1,
             "price": 1,
         }
         # The serial path dispatches no pool tasks.
         assert runtime.metrics.counter("tasks_submitted") == 0
+        # A re-quote reads every CSG path count from the cache: it fills
+        # no CSG instance and profiles nothing.
+        default_efes(runtime=runtime).run(scenario, ResultQuality.HIGH_QUALITY)
+        stages = runtime.metrics.snapshot().stages
+        assert stages["csg"].calls == 1
+        assert stages["profile"].calls == 10
+        assert stages["assess"].calls == 2
 
 
 class TestSingleAssessment:
