@@ -93,48 +93,23 @@ def tuple_id(relation_name: str, index: int) -> TupleId:
 def database_to_csg(database: Database) -> tuple[Csg, CsgInstance]:
     """Convert a database into a CSG plus the CSG instance of its data.
 
-    Table-node elements are abstract tuple ids; attribute-node elements
-    are the distinct non-null values of the attribute; attribute links
-    connect tuple ids to their values; equality links connect the common
-    values of FK attribute pairs.
+    The instance records each relation's row count and a copy of each
+    attribute's column; nothing per tuple or per value is built here.
+    Its table-node elements are the tuple ids ``(relation, i)``, its
+    attribute-node elements the distinct non-null values of the
+    attribute, and its links (tuple id to value, and the common values
+    of FK attribute pairs) are derived from the columns when a path is
+    counted (:mod:`repro.csg.instance`).
     """
     graph = schema_to_csg(database.schema)
-    instance = CsgInstance(graph)
+    row_counts: dict[str, int] = {}
+    columns: dict[str, list[object]] = {}
     for relation in database.schema.relations:
         table = database.table(relation.name)
-        ids = [tuple_id(relation.name, index) for index in range(len(table))]
-        instance.add_elements(relation.name, ids)
-        for position, attribute in enumerate(relation.attributes):
-            node_name = f"{relation.name}.{attribute.name}"
-            relationship = graph.relationship(relation.name, node_name)
-            links = []
-            values: set[object] = set()
-            for index, row in enumerate(table):
-                value = row[position]
-                if value is None:
-                    continue
-                values.add(value)
-                links.append((ids[index], value))
-            instance.add_elements(node_name, values)
-            instance.add_links(relationship, links)
-    for constraint in database.schema.foreign_keys():
-        _link_foreign_key(graph, instance, constraint)
-    return graph, instance
-
-
-def _link_foreign_key(
-    graph: Csg, instance: CsgInstance, constraint: ForeignKey
-) -> None:
-    for attribute, referenced_attribute in zip(
-        constraint.attributes, constraint.referenced_attributes
-    ):
-        referencing_name = f"{constraint.relation}.{attribute}"
-        referenced_name = f"{constraint.referenced}.{referenced_attribute}"
-        relationship = graph.relationship(referencing_name, referenced_name)
-        common = instance.elements(referencing_name) & instance.elements(
-            referenced_name
-        )
-        instance.add_links(relationship, [(value, value) for value in common])
+        row_counts[relation.name] = len(table)
+        for attribute, column in zip(relation.attributes, table.columns()):
+            columns[f"{relation.name}.{attribute.name}"] = column
+    return graph, CsgInstance(graph, row_counts, columns)
 
 
 def attribute_node_of(graph: Csg, relation: str, attribute: str) -> Node:

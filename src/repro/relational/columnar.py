@@ -34,16 +34,30 @@ Encoding kinds (chosen per column, most specific first):
 All multi-byte integers are little-endian regardless of host byte order,
 so canonical bytes (and with them every fingerprint) are stable across
 machines.
+
+:func:`encode_column` works a column at a time, since every cold
+assessment fingerprints every column before its first cache lookup.  The
+kind comes from the set of the values' exact types (plus one ``min`` and
+``max`` for the int64 range); a column without nulls gets an all-ones
+mask, and a nullable one packs its 0/1 presence bytes through one
+base-2 ``int``; payloads are one ``array`` (or ``bytes``) call over the
+column, and text is ``map(str.encode)`` with offsets from
+``itertools.accumulate``.
+Only ``object`` columns, and the null fills of nullable typed ones, take
+one Python step per value.  The bytes are those of the per-value encoder
+this replaced (``tests/test_columnar.py`` keeps it as the reference).
 """
 
 from __future__ import annotations
 
 import base64
 import dataclasses
+import operator
 import struct
 import sys
 from array import array
 from collections.abc import Sequence
+from itertools import accumulate, compress, repeat
 
 __all__ = [
     "ColumnBlock",
@@ -56,11 +70,15 @@ __all__ = [
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
+_NONE_TYPE = type(None)
 
 #: Physical encodings a block may use.
 KINDS = ("empty", "int64", "float64", "bool", "text", "object")
 
 _LITTLE = sys.byteorder == "little"
+
+#: Presence bytes (0/1 per row) to the ASCII digits of a base-2 literal.
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class ColumnCodecError(ValueError):
@@ -83,13 +101,22 @@ def _from_le(typecode: str, raw: bytes) -> array:
     return typed
 
 
-def _pack_mask(values: Sequence[object]) -> bytes:
-    """One bit per row, LSB-first within each byte; 1 = value present."""
-    mask = bytearray((len(values) + 7) // 8)
-    for index, value in enumerate(values):
-        if value is not None:
-            mask[index >> 3] |= 1 << (index & 7)
-    return bytes(mask)
+def _pack_mask(present: bytes) -> bytes:
+    """One bit per row, LSB-first within each byte; 1 = value present.
+
+    ``present`` holds one 0/1 byte per row.  Reversed as ``0``/``1``
+    digits it is the mask's little-endian integer in base 2, which
+    ``int`` parses in linear time and without the digit limit that
+    guards the other bases.
+    """
+    digits = present.translate(_BIT_DIGITS)[::-1]
+    return int(digits, 2).to_bytes((len(present) + 7) // 8, "little")
+
+
+def _full_mask(count: int) -> bytes:
+    """The mask of ``count`` rows that are all present."""
+    full, tail = divmod(count, 8)
+    return b"\xff" * full + (bytes(((1 << tail) - 1,)) if tail else b"")
 
 
 def _mask_bit(mask: bytes, index: int) -> bool:
@@ -143,32 +170,27 @@ class ColumnBlock:
 # ----------------------------------------------------------------------
 
 
-def _classify(values: Sequence[object]) -> str:
-    if not values:
-        return "empty"
-    kinds: set[str] = set()
-    for value in values:
-        if value is None:
-            continue
-        if type(value) is bool:
-            kinds.add("bool")
-        elif type(value) is int:
-            if _INT64_MIN <= value <= _INT64_MAX:
-                kinds.add("int64")
-            else:
-                return "object"
-        elif type(value) is float:
-            kinds.add("float64")
-        elif type(value) is str:
-            kinds.add("text")
-        else:
-            return "object"
-        if len(kinds) > 1:
-            return "object"
-    if not kinds:
+_KIND_OF_TYPE = {bool: "bool", int: "int64", float: "float64", str: "text"}
+
+#: What a null row holds in the payload of a typed kind (``bool`` rows
+#: hold ``bool(None)``, a zero byte).
+_NULL_FILL = {"int64": 0, "float64": 0.0, "text": ""}
+
+
+def _classify(types: set[type], present: Sequence[object]) -> str:
+    """The kind of a non-empty column from the exact types of its
+    non-null values, and those values for the int64 range check."""
+    if not types:
         # All-null column: int64 with an all-zero mask is the cheapest.
         return "int64"
-    return kinds.pop()
+    if len(types) > 1:
+        return "object"
+    kind = _KIND_OF_TYPE.get(next(iter(types)), "object")
+    if kind == "int64" and (
+        min(present) < _INT64_MIN or max(present) > _INT64_MAX
+    ):
+        return "object"
+    return kind
 
 
 def _encode_object(value: object) -> bytes:
@@ -190,31 +212,40 @@ def _encode_object(value: object) -> bytes:
 
 
 def encode_column(values: Sequence[object]) -> ColumnBlock:
-    """Encode one column of typed values into its canonical block."""
+    """Encode one column of typed values into its canonical block.
+
+    Every step is a whole-column operation (type set, ``min``/``max``,
+    mask packing, ``array`` construction, ``map`` and ``accumulate``);
+    only ``object`` columns, and the null fills of typed ones, visit
+    values one at a time in Python.
+    """
     values = list(values)
-    kind = _classify(values)
-    mask = _pack_mask(values)
     count = len(values)
-    if kind == "empty":
+    if not count:
         return ColumnBlock("empty", 0, b"", b"")
+    types = set(map(type, values))
+    if _NONE_TYPE in types:
+        types.discard(_NONE_TYPE)
+        flags = bytes(map(operator.is_not, values, repeat(None)))
+        kind = _classify(types, list(compress(values, flags)))
+        mask = _pack_mask(flags)
+        fill = _NULL_FILL.get(kind)
+        filled = values if fill is None else [
+            fill if value is None else value for value in values
+        ]
+    else:
+        kind = _classify(types, values)
+        mask = _full_mask(count)
+        filled = values
     if kind == "int64":
-        typed = array("q", (0 if v is None else v for v in values))
-        return ColumnBlock("int64", count, mask, _le(typed))
+        return ColumnBlock("int64", count, mask, _le(array("q", filled)))
     if kind == "float64":
-        typed = array("d", (0.0 if v is None else v for v in values))
-        return ColumnBlock("float64", count, mask, _le(typed))
+        return ColumnBlock("float64", count, mask, _le(array("d", filled)))
     if kind == "bool":
-        payload = bytes(
-            0 if v is None else (1 if v else 0) for v in values
-        )
-        return ColumnBlock("bool", count, mask, payload)
+        return ColumnBlock("bool", count, mask, bytes(map(bool, values)))
     if kind == "text":
-        blobs = [b"" if v is None else v.encode("utf-8") for v in values]
-        offsets = array("q")
-        position = 0
-        for blob in blobs:
-            position += len(blob)
-            offsets.append(position)
+        blobs = list(map(str.encode, filled))
+        offsets = array("q", accumulate(map(len, blobs)))
         return ColumnBlock("text", count, mask, b"".join(blobs), _le(offsets))
     payload = b"".join(
         b"\x00" if v is None else _encode_object(v) for v in values

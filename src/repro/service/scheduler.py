@@ -62,7 +62,9 @@ predecessor left behind through a
 :class:`~repro.durability.RecoveryManager` — re-enqueueing unsettled
 jobs, settling crashed-but-stored ones from the spool, and rebuilding
 the **idempotency-key** dedup window so a client retrying a submit
-after a crash neither loses nor double-runs work.
+after a crash neither loses nor double-runs work.  A keyed submission the
+store answers is journalled as settled before its ack, so its key
+survives the crash too.
 """
 
 from __future__ import annotations
@@ -317,7 +319,10 @@ class JobScheduler:
         submission is fsynced to the write-ahead log before this method
         returns (under the default flush policy), and a journal append
         failure raises :class:`~repro.durability.JournalError` instead of
-        acknowledging a job that could be lost.  ``scenario_seed`` is
+        acknowledging a job that could be lost.  A store hit with a key
+        is journalled the same way, as a settled record, so its retry
+        after a crash dedups onto the same job; a keyless store hit
+        writes nothing.  ``scenario_seed`` is
         recorded alongside the scenario name so recovery can re-resolve
         the same scenario after a crash.
         """
@@ -357,6 +362,24 @@ class JobScheduler:
             job.result = stored
             job.from_store = True
             job.finished_at = time.time()
+            if self.journal is not None and idempotency_key:
+                # A keyed answer promises its retry the same job id, so
+                # it reaches the journal before the ack, like a queued
+                # submission; recovery re-registers it as settled.
+                # Keyless hits have no retry to honour and stay off it.
+                self.journal.append(
+                    settled_record(
+                        job.id,
+                        JobState.DONE.value,
+                        store_key=key,
+                        from_store=True,
+                        idempotency_key=idempotency_key,
+                        kind=job.kind,
+                        scenario=job.scenario_name,
+                    ),
+                    durable=self.journal.flush_policy.fsync_on_ack,
+                )
+                job.journalled = True
             self.metrics.increment("jobs_from_store")
             with self._lock:
                 self._jobs[job.id] = job

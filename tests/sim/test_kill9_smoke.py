@@ -105,6 +105,16 @@ def _wait_settled(port: int, job_id: str, deadline_seconds: float = 30.0):
     raise AssertionError(f"job {job_id} never settled")
 
 
+def _stop(proc: subprocess.Popen) -> str:
+    proc.send_signal(signal.SIGTERM)
+    try:
+        proc.wait(timeout=15)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait(timeout=10)
+    return proc.stdout.read()
+
+
 @pytest.mark.slow
 def test_kill9_restart_recovers_acked_jobs(tmp_path):
     journal_dir = tmp_path / "journal"
@@ -140,15 +150,41 @@ def test_kill9_restart_recovers_acked_jobs(tmp_path):
             again = _submit(port2, key)
             assert again["id"] == job_id
     finally:
-        proc2.send_signal(signal.SIGTERM)
-        try:
-            proc2.wait(timeout=15)
-        except subprocess.TimeoutExpired:
-            proc2.kill()
-            proc2.wait(timeout=10)
-    output = proc2.stdout.read()
+        output = _stop(proc2)
     assert proc2.returncode == 0, output
     assert "journal recovery:" in output
+
+
+@pytest.mark.slow
+def test_kill9_restart_keeps_keyed_store_hit(tmp_path):
+    """A keyed POST the report store answers is acknowledged done, so
+    it must survive a crash like a queued job: its id keeps answering
+    and its key keeps deduplicating after a restart."""
+    journal_dir = tmp_path / "journal"
+    spool = tmp_path / "spool"
+    port = _free_port()
+    proc = _serve(port, journal_dir, spool)
+    try:
+        _wait_healthy(port)
+        first = _submit(port, "key-a")
+        assert _wait_settled(port, first["id"])["state"] == "done"
+        hit = _submit(port, "key-b")
+        assert hit["from_store"] is True
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+
+    port2 = _free_port()
+    proc2 = _serve(port2, journal_dir, spool)
+    try:
+        health = _wait_healthy(port2)
+        assert health["recovery"]["jobs_seen"] == 2
+        job = _job(port2, hit["id"])
+        assert job["state"] == "done" and job["from_store"] is True
+        assert _submit(port2, "key-b")["id"] == hit["id"]
+    finally:
+        output = _stop(proc2)
+    assert proc2.returncode == 0, output
 
 
 @pytest.mark.slow

@@ -348,6 +348,46 @@ class TestSchedulerRecovery:
         finally:
             restarted.close()
 
+    def test_keyed_store_hit_survives_restart(self, tmp_path, small_example):
+        journal_dir, spool = tmp_path / "journal", tmp_path / "spool"
+        scheduler = JobScheduler(
+            workers=1,
+            journal=JobJournal(journal_dir, flush=FlushPolicy.strict()),
+            store=ReportStore(spool),
+        )
+        try:
+            first = scheduler.submit(small_example, "assess")
+            assert scheduler.wait(first.id, timeout=60).state is JobState.DONE
+            records = scheduler.journal.appended_records
+            keyless = scheduler.submit(small_example, "assess")
+            assert keyless.from_store
+            # A keyless hit has no retry to honour: nothing is journalled.
+            assert scheduler.journal.appended_records == records
+            keyed = scheduler.submit(
+                small_example, "assess", idempotency_key="key-b"
+            )
+            assert keyed.from_store and keyed.state is JobState.DONE
+            assert scheduler.journal.appended_records == records + 1
+        finally:
+            scheduler.close()
+        # Only the journal and the spool cross the restart.
+        restarted = JobScheduler(
+            workers=1,
+            journal=JobJournal(journal_dir, flush=FlushPolicy.strict()),
+            store=ReportStore(spool),
+        )
+        try:
+            assert restarted.recovery_summary["jobs_seen"] == 2
+            recovered = restarted.job(keyed.id)
+            assert recovered is not None
+            assert recovered.state is JobState.DONE and recovered.from_store
+            again = restarted.submit(
+                small_example, "assess", idempotency_key="key-b"
+            )
+            assert again.id == keyed.id
+        finally:
+            restarted.close()
+
     def test_unresolvable_payload_becomes_failed_tombstone(self, tmp_path):
         journal = JobJournal(tmp_path)
         journal.append(_submitted("a", payload_ref="ref-a"))
