@@ -19,6 +19,7 @@ before fixing tasks and detecting infinite cleaning loops.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 from ...csg.cardinality import Cardinality, Interval
 from ...csg.convert import database_to_csg, schema_to_csg
@@ -51,18 +52,6 @@ class InfiniteCleaningLoopError(RuntimeError):
     tasks.  EFES proposes only consistent repair strategies." — raising is
     the consistent reaction; the message names the oscillating tasks.
     """
-
-
-def _cross_product(image_sets: list[set]) -> list[tuple]:
-    """All value combinations across the per-attribute image sets."""
-    combos: list[tuple] = [()]
-    for images in image_sets:
-        combos = [
-            combo + (value,)
-            for combo in combos
-            for value in sorted(images, key=str)
-        ]
-    return combos
 
 
 def _node_mapping(
@@ -318,11 +307,9 @@ class StructureConflictDetector:
                 images = [images_of.get(element, set()) for images_of in image_sets]
                 if not all(images):
                     continue  # incomplete keys are exempt, like SQL
-                combos = {
-                    combo
-                    for combo in _cross_product(images)
-                }
-                for combo in combos:
+                # Combinations of distinct images are distinct: each
+                # element counts once per combination.
+                for combo in itertools.product(*images):
                     seen[combo] = seen.get(combo, 0) + 1
             duplicate_extras = sum(
                 count - 1 for count in seen.values() if count > 1

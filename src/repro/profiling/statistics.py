@@ -17,6 +17,15 @@ actual statistics"; the concrete formulas below follow the paper's
 guidance where given (e.g. a single dominating text pattern ⇒ importance
 near 1; many different patterns ⇒ importance near 0) and otherwise use
 standard distribution-overlap measures.
+
+Every statistic computes from a :class:`ColumnSummary` with per-distinct
+work: text patterns come from one :func:`extract_patterns` call over the
+column's distinct texts, casts run once per distinct value where equal
+values cast alike and otherwise through one caster looked up per column,
+and squared deviations and histogram bins are computed once per distinct
+number.  Float sums still add in row order, so every statistic is
+byte-identical to its per-value definition, which the tests keep as the
+reference.
 """
 
 from __future__ import annotations
@@ -27,9 +36,9 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 
-from ..relational.datatypes import DataType, can_cast, cast
+from ..relational.datatypes import DataType, cast, try_cast_column
 from ..relational.errors import TypeCastError
-from .patterns import extract_pattern, generalize_pattern
+from .patterns import extract_patterns, generalize_pattern
 
 __all__ = [
     "CharacterHistogram",
@@ -71,6 +80,32 @@ def _to_float(value: object) -> float | None:
         return float(cast(value, DataType.FLOAT))
     except TypeCastError:
         return None
+
+
+def _mean_and_std(numbers: Sequence[float]) -> tuple[float, float]:
+    """Mean and standard deviation of a non-empty column of numbers.
+
+    Each ``(x - mean) ** 2`` is computed once per distinct ``x`` and the
+    squares are summed in row order.  A column whose sum or squares
+    overflow, such as one holding both -1e308 and 1e308, is computed over
+    its values divided by their largest magnitude instead.
+    """
+    count = len(numbers)
+    mean = sum(numbers) / count
+    try:
+        squares = {x: (x - mean) ** 2 for x in set(numbers)}
+        variance = sum(map(squares.__getitem__, numbers)) / count
+    except OverflowError:
+        variance = math.inf
+    if math.isfinite(mean) and math.isfinite(variance):
+        return mean, math.sqrt(variance)
+    scale = max(map(abs, numbers))
+    scaled = [x / scale for x in numbers]
+    mean = sum(scaled) / count
+    variance = sum((x - mean) ** 2 for x in scaled) / count
+    # Values in [-1, 1] deviate by at most 1; the clamp drops rounding
+    # that would overflow at the largest scales.
+    return mean * scale, min(math.sqrt(variance), 1.0) * scale
 
 
 class ColumnSummary:
@@ -128,7 +163,7 @@ class ColumnSummary:
             memo = {value: _to_float(value) for value in self.counts}
             numbers = map(memo.__getitem__, self.non_null)
         else:
-            numbers = map(_to_float, self.non_null)
+            numbers = try_cast_column(self.non_null, DataType.FLOAT)
         return [number for number in numbers if number is not None]
 
 
@@ -175,16 +210,17 @@ class FillStatus(Statistic):
         datatype: DataType = DataType.STRING,
     ) -> "FillStatus":
         summary = ColumnSummary.of(values)
+        # A non-null value casts to None only when it cannot be cast.
         if summary.exact:
+            counts = summary.counts
+            casts = try_cast_column(counts, datatype)
             uncastable = sum(
                 count
-                for value, count in summary.counts.items()
-                if not can_cast(value, datatype)
+                for cast_value, count in zip(casts, counts.values())
+                if cast_value is None
             )
         else:
-            uncastable = sum(
-                1 for value in summary.non_null if not can_cast(value, datatype)
-            )
+            uncastable = try_cast_column(summary.non_null, datatype).count(None)
         return cls(
             total=len(summary.values),
             nulls=summary.nulls,
@@ -297,9 +333,10 @@ class TextPatternStatistic(Statistic):
     def compute(
         cls, values: Sequence[object] | ColumnSummary
     ) -> "TextPatternStatistic":
+        texts = ColumnSummary.of(values).texts
         counts: Counter[str] = Counter()
-        for text, count in ColumnSummary.of(values).texts.items():
-            counts[extract_pattern(text)] += count
+        for pattern, count in zip(extract_patterns(list(texts)), texts.values()):
+            counts[pattern] += count
         total = sum(counts.values())
         distribution = tuple(
             sorted(
@@ -422,9 +459,8 @@ class StringLengthStatistic(Statistic):
         lengths = list(map(len, map(str, ColumnSummary.of(values).non_null)))
         if not lengths:
             return cls(mean=0.0, std=0.0, count=0)
-        mean = sum(lengths) / len(lengths)
-        variance = sum((length - mean) ** 2 for length in lengths) / len(lengths)
-        return cls(mean=mean, std=math.sqrt(variance), count=len(lengths))
+        mean, std = _mean_and_std(lengths)
+        return cls(mean=mean, std=std, count=len(lengths))
 
     def importance(self) -> float:
         # A tight length distribution (small coefficient of variation) is a
@@ -464,9 +500,8 @@ class MeanStatistic(Statistic):
         numeric = ColumnSummary.of(values).numbers
         if not numeric:
             return cls(mean=0.0, std=0.0, count=0)
-        mean = sum(numeric) / len(numeric)
-        variance = sum((value - mean) ** 2 for value in numeric) / len(numeric)
-        return cls(mean=mean, std=math.sqrt(variance), count=len(numeric))
+        mean, std = _mean_and_std(numeric)
+        return cls(mean=mean, std=std, count=len(numeric))
 
     def importance(self) -> float:
         if self.count == 0:
@@ -514,14 +549,14 @@ class NumericHistogram(Statistic):
         if not numeric:
             return cls(lo=0.0, hi=0.0, bins=(), count=0)
         lo, hi = min(numeric), max(numeric)
-        counts = [0] * cls.BIN_COUNT
-        for value in numeric:
-            counts[cls._bin_index(value, lo, hi)] += 1
+        counts: Counter[int] = Counter()
+        for value, count in Counter(numeric).items():
+            counts[cls._bin_index(value, lo, hi)] += count
         total = len(numeric)
         return cls(
             lo=lo,
             hi=hi,
-            bins=tuple(count / total for count in counts),
+            bins=tuple(counts[index] / total for index in range(cls.BIN_COUNT)),
             count=total,
         )
 
@@ -529,7 +564,11 @@ class NumericHistogram(Statistic):
     def _bin_index(value: float, lo: float, hi: float) -> int:
         if hi == lo:
             return 0
-        position = (value - lo) / (hi - lo)
+        span = hi - lo
+        if math.isinf(span):
+            # The range is wider than the largest float: halve every term.
+            value, lo, span = value / 2, lo / 2, hi / 2 - lo / 2
+        position = (value - lo) / span
         return min(int(position * NumericHistogram.BIN_COUNT),
                    NumericHistogram.BIN_COUNT - 1)
 
@@ -539,9 +578,12 @@ class NumericHistogram(Statistic):
         if not source.count or not self.count:
             return ()
         counts = [0.0] * self.BIN_COUNT
-        source_width = (source.hi - source.lo) / max(len(source.bins), 1)
+        # A range wider than the largest float is walked at half scale.
+        scale = 0.5 if math.isinf(source.hi - source.lo) else 1.0
+        source_lo = source.lo * scale
+        source_width = (source.hi * scale - source_lo) / max(len(source.bins), 1)
         for index, share in enumerate(source.bins):
-            midpoint = source.lo + (index + 0.5) * source_width
+            midpoint = (source_lo + (index + 0.5) * source_width) / scale
             if self.lo <= midpoint <= self.hi:
                 counts[self._bin_index(midpoint, self.lo, self.hi)] += share
         return tuple(counts)

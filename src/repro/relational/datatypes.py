@@ -157,6 +157,22 @@ def cast_column(values: Iterable[object], datatype: DataType) -> list[object]:
     return [None if value is None else caster(value) for value in values]
 
 
+def try_cast_column(values: Iterable[object], datatype: DataType) -> list[object]:
+    """:func:`cast_column`, with ``None`` for each value that cannot be cast.
+
+    A non-null value casts to ``None`` only when it cannot be cast, so
+    ``try_cast_column(non_null, datatype).count(None)`` counts those.
+    """
+    caster = _CASTERS[datatype]
+    casts: list[object] = []
+    for value in values:
+        try:
+            casts.append(None if value is None else caster(value))
+        except TypeCastError:
+            casts.append(None)
+    return casts
+
+
 def can_cast(value: object, datatype: DataType) -> bool:
     """Whether :func:`cast` would succeed for ``value`` and ``datatype``."""
     try:

@@ -1,5 +1,6 @@
 """Unit + property tests for the value-fit column statistics."""
 
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -467,8 +468,14 @@ def pooled(atoms):
     )
 
 
+#: Unicode digits and spaces; the pattern separator, a literal ``_`` (the
+#: space token), letters that look like tokens, an astral digit and
+#: letter, and a lone surrogate.
 short_text = st.text(
-    alphabet=st.sampled_from("09²٣ \x1c　:.,-+eaZé"), max_size=6
+    alphabet=st.sampled_from(
+        [*"09²٣ \x1c　:.,-+eaZé", "\x00", "_", "N", "A", "𝟘", "𝐀", "\ud800"]
+    ),
+    max_size=6,
 )
 atoms = st.one_of(
     st.none(),
@@ -556,6 +563,62 @@ def test_column_profiles_match_per_value_reference(build):
     assert profiled > 0
 
 
+def test_deviations_add_in_row_order():
+    """Squared deviations are computed per distinct value but summed in
+    row order: on these columns another order gives other bits."""
+    numbers = [0.1, 0.7, 0.1, 0.3, 0.7, 2.5, 0.1, 1e-3, 3.3, 0.2] * 3
+    lengths = [1, 2, 2, 7, 1, 30, 3, 2, 11, 1, 5, 6, 9] * 3
+    texts = ["a" * length for length in lengths]
+
+    def deviation_sum(column):
+        mean = sum(column) / len(column)
+        return sum((x - mean) ** 2 for x in column)
+
+    for column in (numbers, lengths):
+        assert deviation_sum(column) != deviation_sum(sorted(column))
+    assert repr(MeanStatistic.compute(numbers)) == repr(reference_mean(numbers))
+    assert repr(StringLengthStatistic.compute(texts)) == repr(
+        reference_string_length(texts)
+    )
+
+
+#: Columns whose range, sum or sum of squares overflows a float.
+WIDE_NUMBERS = {
+    "range": [-1e308, 1e308],
+    "sum": [1e308, 1e308, 5.0],
+    "ints": [-(10**308), 3, 10**308, None, "4:43"],
+    "squares": [-1.3e154, 1.3e154],
+    "extremes": [-1.7976931348623157e308, 1.7976931348623157e308, 0.0, 1e-300],
+}
+
+
+@pytest.mark.parametrize(
+    "values", list(WIDE_NUMBERS.values()), ids=list(WIDE_NUMBERS)
+)
+@pytest.mark.parametrize(
+    "statistic_type", [MeanStatistic, NumericHistogram, ValueRange]
+)
+def test_wide_finite_columns_get_finite_statistics(statistic_type, values):
+    """A column whose range or sums overflow a float still gets finite
+    statistics, which fit themselves."""
+    stat = statistic_type.compute(values)
+    fields = [
+        value
+        for value in dataclasses.astuple(stat)
+        for value in (value if isinstance(value, tuple) else (value,))
+    ]
+    assert all(math.isfinite(field) for field in fields), stat
+    assert stat.fit(stat) >= 0.9
+
+
+def test_wide_column_statistics():
+    mean = MeanStatistic.compute([-1e308, 1e308])
+    assert (mean.mean, mean.std) == (0.0, 1e308)
+    assert MeanStatistic.compute([1e308, 1e308]).std == 0.0
+    histogram = NumericHistogram.compute([-1e308, 1e308, 1e308, 0.0])
+    assert histogram.bins == (0.25, 0, 0, 0, 0, 0.25, 0, 0, 0, 0.5)
+
+
 # ----------------------------------------------------------------------
 # Metamorphic checks
 # ----------------------------------------------------------------------
@@ -615,23 +678,22 @@ def single_column_database(datatype, values):
     return database
 
 
-def test_extract_pattern_runs_once_per_distinct_string(monkeypatch):
+def test_extract_patterns_runs_once_on_the_distinct_texts(monkeypatch):
     distinct = ["4:43", "6:55", "A Title", "x-1", "", "٣ ²", "4:43 "]
     rng = random.Random(13)
     values = [rng.choice(distinct) for _ in range(500)]
     assert set(values) == set(distinct)
-    calls = Counter()
-    real = statistics_module.extract_pattern
+    calls = []
+    real = statistics_module.extract_patterns
 
-    def counted(text):
-        calls[text] += 1
-        return real(text)
+    def recorded(texts):
+        calls.append(list(texts))
+        return real(texts)
 
-    monkeypatch.setattr(statistics_module, "extract_pattern", counted)
+    monkeypatch.setattr(statistics_module, "extract_patterns", recorded)
     database = single_column_database(DataType.STRING, values)
     profile = compute_column_profile(database, "r", "x")
-    assert sum(calls.values()) == len(distinct)
-    assert set(calls) == set(distinct)
+    assert calls == [list(dict.fromkeys(values))]
     assert profile.statistic("text_pattern") == reference_text_pattern(values)
 
 

@@ -254,3 +254,25 @@ class TestTable8Effort:
         report = module.assess(example)
         tasks = module.plan(example, report, ResultQuality.LOW_EFFORT)
         assert tasks == []
+
+
+class TestWideNumericColumn:
+    def test_values_module_survives_a_column_wider_than_a_float(self):
+        """Two positions of m1-f2 at -10**308 and 10**308: the column's
+        squares and range overflow a float, yet the value module runs."""
+        from repro import Runtime, default_efes
+        from repro.scenarios import scenario_m1_f2
+
+        scenario = scenario_m1_f2(3)
+        (source,) = [s for s in scenario.sources if s.schema.has_relation("rtracks")]
+        tracks = source.table("rtracks")
+        for row, value in zip(tracks.rows[:2], (-(10**308), 10**308)):
+            tracks.update_where(
+                lambda other, row=tracks.row_dict(row): other == row,
+                {"position": value},
+            )
+        assert tracks.column("position")[:2] == [-(10**308), 10**308]
+        efes = default_efes(runtime=Runtime("serial"))
+        outcome = efes.run(scenario, ResultQuality.HIGH_QUALITY, strict=True)
+        assert outcome.degradations == []
+        assert "values" in outcome.reports
