@@ -116,6 +116,10 @@ class FleetWorker:
         self._sock = socket.create_connection(
             (self.control_host, self.control_port), timeout=10.0
         )
+        # The timeout bounds connecting only: the supervisor sends
+        # nothing, so a timed-out read would look like its EOF and stop
+        # an idle worker.
+        self._sock.settimeout(None)
         send_message(
             self._sock,
             hello_message(

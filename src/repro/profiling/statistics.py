@@ -20,12 +20,13 @@ standard distribution-overlap measures.
 
 Every statistic computes from a :class:`ColumnSummary` with per-distinct
 work: text patterns come from one :func:`extract_patterns` call over the
-column's distinct texts, casts run once per distinct value where equal
-values cast alike and otherwise through one caster looked up per column,
-and squared deviations and histogram bins are computed once per distinct
-number.  Float sums still add in row order, so every statistic is
-byte-identical to its per-value definition, which the tests keep as the
-reference.
+column's distinct texts; casts run not at all where the column's value
+types already are the datatype's, once per distinct value where equal
+values cast alike, and otherwise through one caster looked up per
+column; squared deviations, entropy terms and histogram bins are
+computed once per distinct number or count.  Float sums still add in
+row order, so every statistic is byte-identical to its per-value
+definition, which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 
-from ..relational.datatypes import DataType, cast, try_cast_column
+from ..relational.datatypes import DataType, cast, is_native, try_cast_column
 from ..relational.errors import TypeCastError
 from .patterns import extract_patterns, generalize_pattern
 
@@ -116,8 +117,12 @@ class ColumnSummary:
     whose ``str()`` or cast differs, such as ``0.0``/``-0.0`` or
     ``1``/``True``/``1.0``: text work is keyed on the ``str()`` itself,
     and casts are shared between equal values only in an :attr:`exact`
-    column.  Float sums stay in row order.  Each part is computed on
-    first use.
+    column.  The column's set of value types, computed once, skips work
+    that cannot change a value: an all-``str`` column's texts are its
+    counts, an all-``int`` column's floats come from one ``map(float)``,
+    and a column whose values already have a datatype's native type casts
+    to it without a caster call.  Float sums stay in row order.  Each
+    part is computed on first use.
     """
 
     def __init__(self, values: Sequence[object]) -> None:
@@ -139,6 +144,11 @@ class ColumnSummary:
         return len(self.values) - len(self.non_null)
 
     @functools.cached_property
+    def types(self) -> frozenset[type]:
+        """The exact Python types of the non-null values."""
+        return frozenset(map(type, self.non_null))
+
+    @functools.cached_property
     def counts(self) -> Counter[object]:
         """Count of each non-null value, in first-occurrence order."""
         return Counter(self.non_null)
@@ -146,6 +156,8 @@ class ColumnSummary:
     @functools.cached_property
     def texts(self) -> Counter[str]:
         """Count of each ``str()`` of a non-null value."""
+        if self.types <= {str}:
+            return self.counts  # str() of a str is the value itself
         return Counter(map(str, self.non_null))
 
     @functools.cached_property
@@ -153,12 +165,16 @@ class ColumnSummary:
         """Whether equal values are identical, so that each key of
         :attr:`counts` stands for values of one ``str()`` and one cast:
         true when every value is a ``str``, or every value an ``int``."""
-        types = set(map(type, self.non_null))
-        return types <= {str} or types == {int}
+        return self.types <= {str} or self.types == {int}
 
     @functools.cached_property
     def numbers(self) -> list[float]:
         """The non-null values castable to FLOAT, cast, in row order."""
+        if self.types == {int}:
+            try:
+                return list(map(float, self.non_null))
+            except OverflowError:
+                pass  # an int beyond float range: the casts refuse it
         if self.exact:
             memo = {value: _to_float(value) for value in self.counts}
             numbers = map(memo.__getitem__, self.non_null)
@@ -211,7 +227,9 @@ class FillStatus(Statistic):
     ) -> "FillStatus":
         summary = ColumnSummary.of(values)
         # A non-null value casts to None only when it cannot be cast.
-        if summary.exact:
+        if is_native(summary.types, datatype):
+            uncastable = 0
+        elif summary.exact:
             counts = summary.counts
             casts = try_cast_column(counts, datatype)
             uncastable = sum(
@@ -290,8 +308,13 @@ class Constancy(Statistic):
         distinct = len(counts)
         if total <= 1 or distinct <= 1:
             return cls(constancy=1.0, distinct_count=distinct, total=total)
-        frequencies = [count / total for count in counts.values()]
-        entropy = shannon_entropy(frequencies)
+        # shannon_entropy's p * log2(p), computed once per distinct count
+        # and added in the same order as over every value's frequency.
+        terms = {}
+        for count in set(counts.values()):
+            p = count / total
+            terms[count] = p * math.log2(p)
+        entropy = -sum(map(terms.__getitem__, counts.values()))
         max_entropy = math.log2(total)
         return cls(
             constancy=_bounded(1.0 - entropy / max_entropy),
@@ -456,7 +479,11 @@ class StringLengthStatistic(Statistic):
     def compute(
         cls, values: Sequence[object] | ColumnSummary
     ) -> "StringLengthStatistic":
-        lengths = list(map(len, map(str, ColumnSummary.of(values).non_null)))
+        summary = ColumnSummary.of(values)
+        texts = summary.non_null
+        if not summary.types <= {str}:
+            texts = map(str, texts)
+        lengths = list(map(len, texts))
         if not lengths:
             return cls(mean=0.0, std=0.0, count=0)
         mean, std = _mean_and_std(lengths)

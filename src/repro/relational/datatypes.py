@@ -67,7 +67,10 @@ def _cast_integer(value: object) -> int:
 
 def _cast_float(value: object) -> float:
     if isinstance(value, (int, float)):  # bool is an int
-        result = float(value)
+        try:
+            result = float(value)
+        except OverflowError as exc:  # an int too large for a double
+            raise TypeCastError(value, DataType.FLOAT) from exc
     elif isinstance(value, str):
         try:
             result = float(value.strip())
@@ -138,6 +141,23 @@ _CASTERS = {
     DataType.DATE: _cast_date,
 }
 
+#: The Python type whose values a datatype's caster returns unchanged.
+#: Types are compared exactly: a ``bool`` is an ``int`` but casts to
+#: INTEGER as ``int(value)``.  FLOAT refuses NaN and the infinities and
+#: DATE checks the shape, so neither casts any type as the identity.
+_NATIVE_TYPES = {
+    DataType.INTEGER: int,
+    DataType.STRING: str,
+    DataType.BOOLEAN: bool,
+}
+
+
+def is_native(types: set[type] | frozenset[type], datatype: DataType) -> bool:
+    """Whether values of exactly the Python ``types`` (``NoneType`` for
+    NULL) all cast to ``datatype`` as themselves."""
+    native = _NATIVE_TYPES.get(datatype)
+    return native is not None and types <= {native, type(None)}
+
 
 def cast(value: object, datatype: DataType) -> object:
     """Cast ``value`` to ``datatype``.
@@ -152,7 +172,16 @@ def cast(value: object, datatype: DataType) -> object:
 
 
 def cast_column(values: Iterable[object], datatype: DataType) -> list[object]:
-    """:func:`cast` every value of a column, looking the caster up once."""
+    """:func:`cast` every value of a column, as a new list.
+
+    A column whose non-null values all have exactly the datatype's native
+    type (see :func:`is_native`) is copied without calling the caster,
+    since every cast would return its argument; any other column is cast
+    value by value through one caster looked up per column.
+    """
+    values = list(values)
+    if is_native(set(map(type, values)), datatype):
+        return values
     caster = _CASTERS[datatype]
     return [None if value is None else caster(value) for value in values]
 

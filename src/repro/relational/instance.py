@@ -17,6 +17,7 @@ content-fingerprint cache keys and the scenario documents.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from itertools import repeat
 
 from .columnar import ColumnBlock, encode_column
 from .datatypes import cast, cast_column
@@ -66,7 +67,10 @@ class RelationInstance:
 
         Every row is checked before any value is cast, and every value is
         cast before any is stored, so a batch that raises inserts nothing.
-        The version is bumped once per non-empty batch.
+        A batch of plain ``dict`` rows, as the scenario generators load,
+        is gathered a column at a time; :func:`cast_column` then copies a
+        column whose values already have its datatype's type without
+        casting them.  The version is bumped once per non-empty batch.
         """
         self._append(*self._typed_columns(rows))
 
@@ -79,28 +83,41 @@ class RelationInstance:
         relation = self.relation
         names = relation.attribute_names
         known = frozenset(names)
-        checked: list[Sequence[object]] = []
-        for row in rows:
-            if isinstance(row, Mapping):
-                if not known.issuperset(row):
-                    raise InstanceError(
-                        f"unknown attributes for {relation.name!r}: "
-                        f"{sorted(set(row) - known)}"
-                    )
-                checked.append([row.get(name) for name in names])
-            else:
-                values = list(row)
-                if len(values) != len(names):
-                    raise InstanceError(
-                        f"arity mismatch for {relation.name!r}: expected "
-                        f"{len(names)}, got {len(values)}"
-                    )
-                checked.append(values)
-        columns = [
+        rows = list(rows)
+        columns: Iterable[Iterable[object]]
+        if set(map(type, rows)) == {dict}:
+            for row in rows:
+                self._check_known(row, known)
+            columns = [map(dict.get, rows, repeat(name)) for name in names]
+        else:
+            checked: list[Sequence[object]] = []
+            for row in rows:
+                if isinstance(row, Mapping):
+                    self._check_known(row, known)
+                    checked.append([row.get(name) for name in names])
+                else:
+                    values = list(row)
+                    if len(values) != len(names):
+                        raise InstanceError(
+                            f"arity mismatch for {relation.name!r}: expected "
+                            f"{len(names)}, got {len(values)}"
+                        )
+                    checked.append(values)
+            columns = zip(*checked)
+        typed = [
             cast_column(column, attribute.datatype)
-            for column, attribute in zip(zip(*checked), relation.attributes)
+            for column, attribute in zip(columns, relation.attributes)
         ]
-        return len(checked), columns
+        return len(rows), typed
+
+    def _check_known(
+        self, row: Mapping[str, object], known: frozenset[str]
+    ) -> None:
+        if not known.issuperset(row):
+            raise InstanceError(
+                f"unknown attributes for {self.relation.name!r}: "
+                f"{sorted(set(row) - known)}"
+            )
 
     def _append(self, count: int, columns: list[list[object]]) -> None:
         if count:

@@ -37,3 +37,21 @@ def efes():
 def example_reports(example, efes):
     """The three complexity reports of the running example."""
     return efes.assess(example)
+
+
+@pytest.fixture()
+def caster_calls(monkeypatch):
+    """Calls of each per-value caster, by datatype, while the test runs."""
+    from collections import Counter
+
+    from repro.relational import datatypes
+
+    calls = Counter()
+    for datatype, caster in list(datatypes._CASTERS.items()):
+
+        def counted(value, caster=caster, datatype=datatype):
+            calls[datatype] += 1
+            return caster(value)
+
+        monkeypatch.setitem(datatypes._CASTERS, datatype, counted)
+    return calls

@@ -1,13 +1,19 @@
 """Unit tests for repro.relational.datatypes."""
 
+import enum
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.relational import RelationInstance, relation
 from repro.relational.datatypes import (
     DataType,
     can_cast,
     cast,
+    cast_column,
     infer_datatype,
+    try_cast_column,
 )
 from repro.relational.errors import TypeCastError
 
@@ -58,6 +64,20 @@ class TestCastFloat:
     def test_non_finite_float_rejected(self, value):
         with pytest.raises(TypeCastError):
             cast(value, DataType.FLOAT)
+
+    @pytest.mark.parametrize(
+        "value",
+        [10**309, -(10**309), 2**1024],
+        ids=["10**309", "-10**309", "2**1024"],
+    )
+    def test_int_beyond_float_range_rejected(self, value):
+        with pytest.raises(TypeCastError):
+            cast(value, DataType.FLOAT)
+        assert not can_cast(value, DataType.FLOAT)
+        assert try_cast_column([value, 1], DataType.FLOAT) == [None, 1.0]
+
+    def test_largest_int_below_float_range_converts(self):
+        assert cast(2**1023, DataType.FLOAT) == 2.0**1023
 
     @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
     def test_non_finite_float_cannot_enter_a_float_column(self, value):
@@ -162,3 +182,64 @@ class TestDataTypeProperties:
         assert DataType.STRING.is_textual
         assert DataType.DATE.is_textual
         assert not DataType.INTEGER.is_textual
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Name(str):
+    """A ``str`` subclass: STRING keeps it as it is, not as a ``str``."""
+
+
+def _outcome(function, values, datatype):
+    """Each result value with its type, or the exception raised."""
+    try:
+        result = function(values, datatype)
+    except Exception as exc:  # noqa: BLE001 - exceptions must match too
+        return ("raises", type(exc), str(exc))
+    assert result is not values
+    return [(type(value), repr(value)) for value in result]
+
+
+def _reference_cast_column(values, datatype):
+    return [cast(value, datatype) for value in values]
+
+
+_atoms = [
+    st.integers(-(10**6), 10**6),
+    st.booleans(),
+    st.floats(width=16),
+    st.text(max_size=4),
+    st.sampled_from(list(Level)),
+    st.text(max_size=4).map(Name),
+    st.sampled_from(
+        ["1999-12-31", " 2015-03-23 ", "2000-13-01", "2015-²³-01"]
+        + ["２０１５-03-23"]  # fullwidth digits
+    ),
+    st.just(10**309),
+]
+#: Single-type columns with NULLs, as typed instances hold, and mixed ones.
+_columns = st.one_of(
+    *(st.lists(st.one_of(st.none(), atom), max_size=12) for atom in _atoms),
+    st.lists(st.one_of(st.none(), *_atoms), max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_columns)
+@example(values=[1, True, None, False])
+@example(values=[Level.LOW, 2, None])
+@example(values=[Name("a"), "b"])
+@example(values=[1.5, float("nan")])
+@example(values=[2, float("inf")])
+@example(values=[-(10**309), 3])
+@example(values=["2015-03-23", "2015-²³-01"])
+@example(values=[])
+@example(values=[None, None])
+@pytest.mark.parametrize("datatype", list(DataType), ids=str)
+def test_cast_column_equals_casting_each_value(datatype, values):
+    expected = _outcome(_reference_cast_column, values, datatype)
+    assert _outcome(cast_column, values, datatype) == expected
+    assert _outcome(cast_column, tuple(values), datatype) == expected

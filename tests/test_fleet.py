@@ -172,6 +172,29 @@ def test_reader_returns_none_on_eof():
         right.close()
 
 
+def test_worker_control_socket_has_no_timeout_once_connected(tmp_path):
+    """The connect timeout must not stay on the control socket: the
+    supervisor sends nothing, so a read that timed out would stop an idle
+    worker as if the supervisor had closed the connection."""
+    from repro.fleet.worker import FleetWorker
+
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        worker = FleetWorker("w0", 1, tmp_path, listener.getsockname()[1])
+        try:
+            worker.connect()
+            peer, _ = listener.accept()
+            with peer:
+                peer.settimeout(5.0)
+                assert MessageReader(peer).read()["type"] == "hello"
+                assert worker._sock.gettimeout() is None
+            # Only the supervisor's EOF stops the worker.
+            assert worker._stop.wait(5.0)
+        finally:
+            worker._sock.close()
+            worker.server.server_close()
+            worker.scheduler.close(wait=True, timeout=5.0)
+
+
 # -- submit envelopes (satellite: resubmission carries the envelope) -------
 
 

@@ -1,5 +1,8 @@
 """Unit tests for repro.relational.instance and database."""
 
+from collections import OrderedDict
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,6 +188,75 @@ class TestInsertAll:
         instance.insert(())
         assert len(instance) == 3
         assert instance.columns() == []
+
+
+@st.composite
+def _dict_rows(draw):
+    """A row as a plain ``dict``, the form the scenario generators load."""
+    row = draw(_rows())
+    if isinstance(row, dict):
+        return row
+    return dict(zip(TYPED.attribute_names, row))
+
+
+@st.composite
+def _any_form_rows(draw):
+    """A row as a ``dict``, an ``OrderedDict``, a ``MappingProxyType``, a
+    list or a tuple."""
+    row = draw(_rows())
+    if isinstance(row, dict):
+        form = draw(st.sampled_from([dict, OrderedDict, MappingProxyType]))
+    else:
+        form = draw(st.sampled_from([list, tuple]))
+    return form(row)
+
+
+class TestDictBatches:
+    """A batch of plain dicts is gathered a column at a time; every other
+    batch row by row.  Both are repeated ``insert`` made all or nothing."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_dict_rows(), max_size=8))
+    def test_dict_batch_equals_repeated_insert(self, rows):
+        batch, single = RelationInstance(TYPED), RelationInstance(TYPED)
+        batch.insert_all(rows)
+        for row in rows:
+            single.insert(row)
+        assert _content(batch) == _content(single)
+        assert batch.version == (1 if rows else 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_any_form_rows(), max_size=8))
+    def test_mixed_row_forms_equal_repeated_insert(self, rows):
+        batch, single = RelationInstance(TYPED), RelationInstance(TYPED)
+        batch.insert_all(iter(rows))
+        for row in rows:
+            single.insert(row)
+        assert _content(batch) == _content(single)
+        assert batch.version == (1 if rows else 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(_dict_rows(), max_size=4),
+        st.lists(_dict_rows(), max_size=6),
+        st.sampled_from([{"nope": 1}, {"i": 1, "oops": None}]),
+        st.data(),
+    )
+    def test_unknown_attribute_anywhere_inserts_nothing(
+        self, loaded, rows, bad_row, data
+    ):
+        position = data.draw(st.integers(0, len(rows)))
+        batch = RelationInstance(TYPED, loaded)
+        before, version = _content(batch), batch.version
+        with pytest.raises(InstanceError, match="unknown attributes"):
+            batch.insert_all(rows[:position] + [bad_row] + rows[position:])
+        assert _content(batch) == before
+        assert batch.version == version
+
+    def test_refused_dict_batch_names_the_first_bad_row(self):
+        instance = RelationInstance(TYPED)
+        with pytest.raises(InstanceError, match=r"\['oops'\]"):
+            instance.insert_all([{"i": 1}, {"oops": 2}, {"nope": 3}])
 
 
 class TestColumnAccess:

@@ -282,6 +282,15 @@ class TestCatalogue:
         assert capsys.readouterr().out.split() == list(SCENARIO_BUILDERS)
 
 
+@pytest.mark.parametrize("name", list(SCENARIO_BUILDERS))
+def test_building_calls_no_caster(name, caster_calls):
+    """The generators emit values of each column's native type, so the
+    column-at-a-time load casts none of them."""
+    scenario = SCENARIO_BUILDERS[name](1)
+    assert scenario.target.total_rows() > 0
+    assert not caster_calls
+
+
 def _count_builds(monkeypatch, delay=0.0, fail=None):
     """Replace every catalogue builder with a stub that records its seed.
 

@@ -715,3 +715,51 @@ def test_numeric_casts_run_once_per_distinct_string(monkeypatch):
     assert sorted(calls) == sorted(distinct)
     assert profile.statistic("mean") == reference_mean(values)
     assert profile.statistic("value_range") == reference_value_range(values)
+
+
+@pytest.mark.parametrize(
+    "values", [[10**309, 1, 2], [1, -(10**309), None, 2, 10**309]]
+)
+def test_int_beyond_float_range_is_no_float(values):
+    """Such an int is uncastable to FLOAT and skipped by the numeric
+    statistics, as NaN is, instead of raising OverflowError."""
+    fill = FillStatus.compute(values, DataType.FLOAT)
+    assert fill == reference_fill_status(values, DataType.FLOAT)
+    assert fill.uncastable == sum(abs(v) > 10**308 for v in values if v)
+    for statistic_type in (MeanStatistic, ValueRange, NumericHistogram):
+        statistic = statistic_type.compute(values)
+        assert repr(statistic) == repr(REFERENCES[statistic_type](values))
+        assert statistic.count == 2
+
+
+@pytest.mark.parametrize(
+    "datatype, values",
+    [
+        (DataType.STRING, ["4:43", "x", "4:43", None, "", "٣ ²"] * 20),
+        (DataType.INTEGER, [215900, 3, 3, None, -7, 0] * 20),
+        (DataType.BOOLEAN, [True, None, False, True] * 20),
+    ],
+    ids=["str", "int", "bool"],
+)
+def test_native_columns_load_and_profile_without_casts(
+    caster_calls, datatype, values
+):
+    """A column whose values already have its datatype's type is neither
+    cast on insert nor against that datatype when profiled."""
+    database = single_column_database(datatype, values)
+    profile = compute_column_profile(database, "r", "x", datatype)
+    assert not caster_calls
+    assert repr(profile) == repr(reference_profile(database, "r", "x", datatype))
+
+
+def test_constancy_adds_entropy_terms_in_value_order():
+    """Entropy terms are computed once per distinct count but added in
+    the order of the values: on this column the counts' sorted order
+    gives other bits."""
+    values = [value for value in range(40) for _ in range(value % 7 + 1)]
+    random.Random(5).shuffle(values)
+    counts = Counter(values)
+    total = len(values)
+    terms = [c / total * math.log2(c / total) for c in counts.values()]
+    assert -sum(terms) != -sum(sorted(terms))
+    assert repr(Constancy.compute(values)) == repr(reference_constancy(values))

@@ -276,3 +276,20 @@ class TestWideNumericColumn:
         outcome = efes.run(scenario, ResultQuality.HIGH_QUALITY, strict=True)
         assert outcome.degradations == []
         assert "values" in outcome.reports
+
+    def test_values_module_survives_an_int_beyond_float_range(self):
+        """One position of m1-f2 at 10**309, beyond the largest double:
+        it counts as uncastable to FLOAT and the value module runs."""
+        from repro import Runtime, default_efes
+        from repro.scenarios import scenario_m1_f2
+
+        scenario = scenario_m1_f2(3)
+        (source,) = [s for s in scenario.sources if s.schema.has_relation("rtracks")]
+        tracks = source.table("rtracks")
+        row = tracks.row_dict(tracks.rows[0])
+        tracks.update_where(lambda other: other == row, {"position": 10**309})
+        assert tracks.column("position")[0] == 10**309
+        efes = default_efes(runtime=Runtime("serial"))
+        outcome = efes.run(scenario, ResultQuality.HIGH_QUALITY, strict=True)
+        assert outcome.degradations == []
+        assert "values" in outcome.reports
