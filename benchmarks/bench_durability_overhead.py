@@ -3,7 +3,7 @@
 The write-ahead job journal puts one fsynced ``submitted`` record in
 front of every acknowledged submission and batches the advisory
 ``dispatched``/``settled`` records behind it; this bench guards what
-that costs on a representative service workload: a fleet of estimate
+that costs on a representative service workload: a batch of estimate
 jobs (real ``Efes.run`` payloads over a generated scenario) driven
 through a live :class:`JobScheduler`, with and without a journal under
 the default batch flush policy.
@@ -78,8 +78,8 @@ def _scenario():
     )
 
 
-def _fleet_seconds(runtime, payload, jobs, journal_dir):
-    """Wall seconds to submit + settle a fleet of journalled jobs."""
+def _batch_seconds(runtime, payload, jobs, journal_dir):
+    """Wall seconds to submit + settle a batch of journalled jobs."""
     journal = (
         JobJournal(journal_dir, flush=FlushPolicy.batched())
         if journal_dir is not None
@@ -142,11 +142,11 @@ def test_durability_overhead(benchmark, tmp_path):
         return {"total_minutes": outcome.estimate.total_minutes}
 
     off_seconds = min(
-        _fleet_seconds(runtime, payload, jobs, None)
+        _batch_seconds(runtime, payload, jobs, None)
         for _ in range(repetitions)
     )
     on_seconds = min(
-        _fleet_seconds(
+        _batch_seconds(
             runtime, payload, jobs, tmp_path / f"journal-{index}"
         )
         for index in range(repetitions)
@@ -202,7 +202,7 @@ def test_durability_overhead(benchmark, tmp_path):
 
     run_once(
         benchmark,
-        _fleet_seconds,
+        _batch_seconds,
         runtime,
         payload,
         jobs,

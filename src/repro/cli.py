@@ -18,14 +18,7 @@ of the shipped scenarios:
   (exit 3 when any objective is burning critically),
 * ``efes recover <journal>``   — replay a job journal offline:
   ``--dry-run`` prints what recovery would do, without it the journal
-  is checkpointed and compacted; ``--fleet <dir>`` prints one combined
-  unsettled-jobs table over every worker journal (live and fenced) of a
-  fleet directory, strictly read-only,
-* ``efes fleet serve``         — run N supervised worker processes
-  behind one HTTP front end (heartbeats, liveness failover,
-  exactly-once re-dispatch, shared result spool),
-* ``efes fleet status``        — show a running fleet's workers, jobs,
-  and health (exit 3 while the fleet is degraded).
+  is checkpointed and compacted.
 """
 
 from __future__ import annotations
@@ -426,8 +419,6 @@ def cmd_recover(args: argparse.Namespace) -> int:
     from .durability import JobJournal, RecoveryManager
     from .service import ReportStore
 
-    if args.fleet:
-        return _recover_fleet(args)
     directory = pathlib.Path(args.journal_dir)
     if not directory.is_dir():
         print(
@@ -457,186 +448,6 @@ def cmd_recover(args: argparse.Namespace) -> int:
     ):
         print(f"  {field:22s} {summary[field]}")
     return 0
-
-
-def _recover_fleet(args: argparse.Namespace) -> int:
-    """One combined unsettled-jobs table over a whole fleet directory.
-
-    Read-only by construction: every worker journal — live *and* fenced
-    (``journal-fenced-<epoch>``) — is replayed without checkpointing or
-    compacting, so the command is safe to run against the directory of a
-    crashed fleet before deciding anything.
-    """
-    import pathlib
-
-    from .durability import JobJournal, RecoveryManager
-    from .service import ReportStore
-
-    directory = pathlib.Path(args.journal_dir)
-    workers_root = directory / "workers"
-    if not workers_root.is_dir():
-        print(
-            f"efes: {args.journal_dir!r} is not a fleet directory "
-            "(no workers/ underneath)",
-            file=sys.stderr,
-        )
-        return 2
-    spool = directory / "spool"
-    store = ReportStore(directory=spool) if spool.is_dir() else None
-    rows = []
-    journals = jobs_seen = settled = 0
-    for journal_dir in sorted(workers_root.glob("*/journal*")):
-        if not journal_dir.is_dir():
-            continue
-        journals += 1
-        worker_id = journal_dir.parent.name
-        journal = JobJournal(journal_dir)
-        try:
-            replay = RecoveryManager(journal, store).replay()
-        finally:
-            journal.close()
-        for job_id, state in replay.jobs.items():
-            jobs_seen += 1
-            if state.is_settled:
-                settled += 1
-                continue
-            in_store = bool(
-                store is not None
-                and state.store_key
-                and store.contains(state.store_key)
-            )
-            rows.append(
-                (
-                    worker_id,
-                    journal_dir.name,
-                    job_id,
-                    state.field("scenario") or "-",
-                    state.field("kind") or "-",
-                    "dispatched" if state.dispatched else "queued",
-                    state.idempotency_key or "-",
-                    "yes" if in_store else "no",
-                )
-            )
-    print(
-        render_table(
-            [
-                "Worker",
-                "Journal",
-                "Job",
-                "Scenario",
-                "Kind",
-                "State",
-                "Idempotency key",
-                "In store",
-            ],
-            rows,
-            title=f"Unsettled jobs across fleet {directory} "
-            f"({journals} journal(s), {jobs_seen} job(s) seen, "
-            f"{settled} settled)",
-        )
-    )
-    if not rows:
-        print("every journalled job is settled")
-    return 0
-
-
-def cmd_fleet(args: argparse.Namespace) -> int:
-    if args.fleet_command == "serve":
-        return _fleet_serve(args)
-    return _fleet_status(args)
-
-
-def _fleet_serve(args: argparse.Namespace) -> int:
-    from .fleet import (
-        FleetSupervisor,
-        ProcessWorkerBackend,
-        make_fleet_server,
-    )
-
-    backend = ProcessWorkerBackend(
-        args.fleet_dir,
-        job_workers=args.job_workers,
-        queue_size=args.queue_size,
-        heartbeat_interval=args.heartbeat_interval,
-        journal_fsync=args.journal_fsync,
-    )
-    supervisor = FleetSupervisor(
-        args.fleet_dir,
-        workers=args.fleet_workers,
-        backend=backend,
-        heartbeat_interval=args.heartbeat_interval,
-        restart_dead=not args.no_restart,
-    )
-    supervisor.start()
-    server = make_fleet_server(supervisor, host=args.host, port=args.port)
-    print(
-        f"efes fleet listening on {server.url} "
-        f"(workers={args.fleet_workers}, "
-        f"fleet dir={supervisor.fleet_dir}, "
-        f"control port={supervisor.control_port})",
-        flush=True,
-    )
-    return _serve_until_stopped(server, supervisor.close)
-
-
-def _fleet_status(args: argparse.Namespace) -> int:
-    from .service import ServiceClient, ServiceError
-
-    url = args.url or os.environ.get(SERVICE_URL_ENV_VAR) or (
-        "http://127.0.0.1:8765"
-    )
-    client = ServiceClient(url)
-    try:
-        _, doc = client._request("GET", "/fleet/status")
-    except (ServiceError, OSError) as exc:
-        print(
-            f"efes: cannot fetch fleet status from {url}: {exc}",
-            file=sys.stderr,
-        )
-        return 1
-    if args.json:
-        import json
-
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        rows = [
-            (
-                worker["worker_id"],
-                worker["state"],
-                worker["epoch"],
-                worker["pid"] or "-",
-                worker["beats"],
-                worker["failovers"],
-                worker["status"].get("queue_depth", "-"),
-            )
-            for worker in doc["workers"]
-        ]
-        print(
-            render_table(
-                [
-                    "Worker",
-                    "State",
-                    "Epoch",
-                    "PID",
-                    "Beats",
-                    "Failovers",
-                    "Queue",
-                ],
-                rows,
-                title=f"Fleet at {url}: {doc['live']}/{doc['size']} live, "
-                f"{doc['failovers']} failover(s)",
-            )
-        )
-        jobs = doc["jobs"]
-        print(
-            f"jobs: {jobs['routed']} routed, {jobs['parked']} parked, "
-            f"{jobs['supervisor_settled']} supervisor-settled, "
-            f"{jobs['redispatched']} redispatched, "
-            f"{jobs['completed_from_store']} completed from store"
-        )
-        print(f"health: {doc['health']['state']}")
-    # Same convention as `efes slo`: scripts can branch on degradation.
-    return EXIT_DEGRADED if doc["degraded"] else 0
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
@@ -715,7 +526,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
             "stages only (unrun stages are degraded tombstones)",
             file=sys.stderr,
         )
-    # Same convention as `efes fleet` / `efes slo`: exit 3 marks a
+    # Same convention as `efes slo`: exit 3 marks a
     # degraded (partial) answer that scripts should treat differently
     # from success or failure.
     return EXIT_DEGRADED if degraded else 0
@@ -920,11 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
     recover = subparsers.add_parser(
         "recover", help="replay a job journal offline (inspect or compact)"
     )
-    recover.add_argument(
-        "journal_dir",
-        help="journal directory to replay (with --fleet: the fleet "
-        "directory holding workers/ and spool/)",
-    )
+    recover.add_argument("journal_dir", help="journal directory to replay")
     recover.add_argument(
         "--spool",
         default=None,
@@ -934,86 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dry-run",
         action="store_true",
         help="report what recovery would do without writing anything",
-    )
-    recover.add_argument(
-        "--fleet",
-        action="store_true",
-        help="treat the directory as a fleet dir: print one combined "
-        "unsettled-jobs table over every worker journal, live and "
-        "fenced, strictly read-only",
-    )
-
-    fleet = subparsers.add_parser(
-        "fleet", help="run or inspect a supervised worker fleet"
-    )
-    fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
-    fleet_serve = fleet_sub.add_parser(
-        "serve",
-        help="run N supervised worker processes behind one HTTP front "
-        "end (heartbeats, failover, exactly-once re-dispatch)",
-    )
-    fleet_serve.add_argument(
-        "--host", default="127.0.0.1", help="front-end bind address"
-    )
-    fleet_serve.add_argument(
-        "--port", type=int, default=8765, help="front-end bind port"
-    )
-    fleet_serve.add_argument(
-        "--workers",
-        dest="fleet_workers",
-        type=int,
-        default=2,
-        help="supervised worker processes (default: 2)",
-    )
-    fleet_serve.add_argument(
-        "--fleet-dir",
-        default="fleet",
-        help="fleet state directory: per-worker journals + the shared "
-        "result spool (default: ./fleet)",
-    )
-    fleet_serve.add_argument(
-        "--job-workers",
-        type=int,
-        default=2,
-        help="concurrent job slots per worker (default: 2)",
-    )
-    fleet_serve.add_argument(
-        "--queue-size",
-        type=int,
-        default=64,
-        help="per-worker queue capacity before backpressure (default: 64)",
-    )
-    fleet_serve.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=0.5,
-        help="worker heartbeat cadence in seconds (default: 0.5; the "
-        "liveness deadline is 6x this)",
-    )
-    fleet_serve.add_argument(
-        "--journal-fsync",
-        default="batch",
-        help="worker journal flush policy: strict, batch, batch:N, or "
-        "none (default: batch)",
-    )
-    fleet_serve.add_argument(
-        "--no-restart",
-        action="store_true",
-        help="do not respawn dead workers (the fleet shrinks instead)",
-    )
-    fleet_status = fleet_sub.add_parser(
-        "status", help="show a running fleet's workers, jobs, and health"
-    )
-    fleet_status.add_argument(
-        "--url",
-        default=None,
-        help=f"fleet front-end URL (default: ${SERVICE_URL_ENV_VAR} or "
-        "http://127.0.0.1:8765)",
-    )
-    fleet_status.add_argument(
-        "--json",
-        action="store_true",
-        help="print the raw /fleet/status document instead of a table",
     )
 
     submit = subparsers.add_parser(
@@ -1105,7 +832,6 @@ def main(argv: list[str] | None = None) -> int:
         "submit": cmd_submit,
         "slo": cmd_slo,
         "recover": cmd_recover,
-        "fleet": cmd_fleet,
     }
     try:
         status = commands[args.command](args)

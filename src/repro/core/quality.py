@@ -37,7 +37,7 @@ def parse_quality(quality: ResultQuality | str | None) -> ResultQuality:
     """The quality a request names; ``None`` asks for high quality.
 
     The one parser of quality names at the system's boundaries: the CLI,
-    the scheduler and both HTTP front ends.  Raises :class:`ValueError`
+    the scheduler and the HTTP front end.  Raises :class:`ValueError`
     for anything but a :class:`ResultQuality` or one of the names
     ``high``, ``high_quality``, ``low`` and ``low_effort``.
     """

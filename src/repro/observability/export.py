@@ -178,20 +178,10 @@ def prometheus_text(
     """
     lines: list[str] = []
 
-    # Counter families: the unlabelled counter and any labelled series
-    # of the same name share one TYPE declaration.
-    counter_families: dict[str, list[tuple[dict, float]]] = {}
-    for name in snapshot.counters:
-        counter_families.setdefault(name, []).append(
-            ({}, snapshot.counters[name])
-        )
-    for name, labels, value in getattr(snapshot, "counter_series", ()):
-        counter_families.setdefault(name, []).append((dict(labels), value))
-    for name in sorted(counter_families):
+    for name in sorted(snapshot.counters):
         metric = f"{prefix}_{sanitize_metric_name(name)}_total"
         lines.append(f"# TYPE {metric} counter")
-        for labels, value in counter_families[name]:
-            lines.append(f"{metric}{format_labels(labels)} {value}")
+        lines.append(f"{metric} {snapshot.counters[name]}")
 
     gauge_families: dict[str, list[tuple[dict, float]]] = {}
     for name, labels, value in getattr(snapshot, "gauges", ()):

@@ -8,8 +8,8 @@ answer "what is the p95 detector latency under 4 clients?".
 ladder), so
 
 * recording is O(1) and lock-cheap — a bisect plus two adds,
-* histograms with identical bounds are mergeable and directly exportable
-  to Prometheus's cumulative ``_bucket{le=...}`` exposition,
+* every histogram shares one bucket ladder, directly exportable to
+  Prometheus's cumulative ``_bucket{le=...}`` exposition,
 * p50/p95/p99 are estimated by linear interpolation inside the bucket
   that contains the target rank, which is exact enough at factor-2
   resolution for dashboard use.
@@ -127,23 +127,20 @@ class HistogramSnapshot:
 
 
 class Histogram:
-    """A thread-safe fixed-bucket histogram of one metric series."""
+    """A thread-safe histogram of one metric series over
+    :data:`DEFAULT_BOUNDS`."""
 
-    __slots__ = ("name", "labels", "bounds", "_counts", "_count", "_sum",
-                 "_min", "_max", "_lock")
+    __slots__ = ("name", "labels", "_counts", "_count", "_sum", "_min",
+                 "_max", "_lock")
 
     def __init__(
         self,
         name: str,
         labels: tuple[tuple[str, str], ...] = (),
-        bounds: tuple[float, ...] = DEFAULT_BOUNDS,
     ) -> None:
-        if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
-            raise ValueError("histogram bounds must be strictly increasing")
         self.name = name
         self.labels = labels
-        self.bounds = tuple(bounds)
-        self._counts = [0] * (len(bounds) + 1)
+        self._counts = [0] * (len(DEFAULT_BOUNDS) + 1)
         self._count = 0
         self._sum = 0.0
         self._min = float("inf")
@@ -151,7 +148,7 @@ class Histogram:
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
-        index = bisect.bisect_left(self.bounds, value)
+        index = bisect.bisect_left(DEFAULT_BOUNDS, value)
         with self._lock:
             self._counts[index] += 1
             self._count += 1
@@ -161,43 +158,12 @@ class Histogram:
             if value > self._max:
                 self._max = value
 
-    def merge(self, snapshot: HistogramSnapshot) -> None:
-        """Fold a snapshot of another histogram into this one.
-
-        The cross-process aggregation primitive: a fleet worker ships
-        its metrics snapshot inside a heartbeat and the supervisor
-        merges the histograms bucket-wise.  Only snapshots with
-        identical bounds merge — fixed log-scale buckets make that the
-        common case by construction.
-        """
-        if tuple(snapshot.bounds) != self.bounds:
-            raise ValueError(
-                f"cannot merge histogram {snapshot.name!r}: bucket bounds "
-                "differ from this histogram's"
-            )
-        if len(snapshot.counts) != len(self._counts):
-            raise ValueError(
-                f"cannot merge histogram {snapshot.name!r}: bucket count "
-                f"mismatch ({len(snapshot.counts)} != {len(self._counts)})"
-            )
-        if snapshot.count == 0:
-            return
-        with self._lock:
-            for index, bucket_count in enumerate(snapshot.counts):
-                self._counts[index] += bucket_count
-            self._count += snapshot.count
-            self._sum += snapshot.sum
-            if snapshot.min < self._min:
-                self._min = snapshot.min
-            if snapshot.max > self._max:
-                self._max = snapshot.max
-
     def snapshot(self) -> HistogramSnapshot:
         with self._lock:
             return HistogramSnapshot(
                 name=self.name,
                 labels=self.labels,
-                bounds=self.bounds,
+                bounds=DEFAULT_BOUNDS,
                 counts=tuple(self._counts),
                 count=self._count,
                 sum=self._sum,

@@ -1,5 +1,5 @@
-"""The service health state machine: healthy / slo-warning /
-fleet-degraded / degraded / draining.
+"""The service health state machine: healthy / slo-warning / degraded /
+draining.
 
 ``/healthz`` needs more nuance than alive-or-dead: a service whose
 circuit breaker is open, whose report store has quarantined entries, or
@@ -7,26 +7,22 @@ whose watchdog found stuck workers is *up* but *degraded* — load
 balancers should prefer other replicas without killing this one.  A
 service whose SLO error budget is burning faster than sustainable (but
 not yet critically) is in *slo-warning* — still routable, but operators
-should look.  A fleet front end that has lost part of its worker fleet
-(but can still serve) is *fleet-degraded* — it sheds its lowest-priority
-work and keeps answering.  A service that has begun graceful shutdown is
-*draining* — it finishes running jobs but accepts nothing new.
+should look.  A service that has begun graceful shutdown is *draining* —
+it finishes running jobs but accepts nothing new.
 
 State machine::
 
-    HEALTHY <──> SLO-WARNING <──> FLEET-DEGRADED <──> DEGRADED
-       │              │                  │                │
-       └──────────────┴────> DRAINING <──┴────────────────┘
-                          (terminal: shutdown began)
+    HEALTHY <──> SLO-WARNING <──> DEGRADED
+       │              │               │
+       └──────────────┴──> DRAINING <─┘
+                  (terminal: shutdown began)
 
 :class:`HealthMonitor` tracks two named sets: *reasons* (hard
-degradation) and *warnings* (soft, advisory) — plus the
-:meth:`set_fleet_degraded` flag a fleet supervisor drives from worker
-liveness.  The derived state is ``draining`` permanently once
-:meth:`start_draining` is called, else ``degraded`` while any reason is
-flagged, else ``fleet-degraded`` while the fleet flag is up, else
-``slo-warning`` while any warning is flagged, else ``healthy``.  All of
-it is part of the snapshot so operators see *why*, not just *what*.
+degradation) and *warnings* (soft, advisory).  The derived state is
+``draining`` permanently once :meth:`start_draining` is called, else
+``degraded`` while any reason is flagged, else ``slo-warning`` while any
+warning is flagged, else ``healthy``.  All of it is part of the snapshot
+so operators see *why*, not just *what*.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ import threading
 class HealthState(enum.Enum):
     HEALTHY = "healthy"
     SLO_WARNING = "slo-warning"
-    FLEET_DEGRADED = "fleet-degraded"
     DEGRADED = "degraded"
     DRAINING = "draining"
 
@@ -54,7 +49,6 @@ class HealthMonitor:
         self._reasons: set[str] = set()
         self._warnings: set[str] = set()
         self._draining = False
-        self._fleet_degraded = False
 
     def flag(self, reason: str) -> None:
         """Mark a degradation reason active (idempotent)."""
@@ -88,18 +82,6 @@ class HealthMonitor:
         else:
             self.clear_warning(warning)
 
-    def set_fleet_degraded(self, active: bool) -> None:
-        """Flag partial worker-fleet loss (idempotent both ways).
-
-        A fleet supervisor raises this while live workers < the fleet
-        size: the front end is still serving — warm results and
-        high-priority work keep flowing — but it is shedding its
-        lowest-priority jobs, so load balancers and operators must see
-        the difference from both ``healthy`` and hard-``degraded``.
-        """
-        with self._lock:
-            self._fleet_degraded = active
-
     def start_draining(self) -> None:
         """Enter the terminal draining state (graceful shutdown began)."""
         with self._lock:
@@ -110,8 +92,6 @@ class HealthMonitor:
             return HealthState.DRAINING
         if self._reasons:
             return HealthState.DEGRADED
-        if self._fleet_degraded:
-            return HealthState.FLEET_DEGRADED
         if self._warnings:
             return HealthState.SLO_WARNING
         return HealthState.HEALTHY
@@ -137,7 +117,6 @@ class HealthMonitor:
                 "state": self._state_locked().value,
                 "reasons": sorted(self._reasons),
                 "warnings": sorted(self._warnings),
-                "fleet_degraded": self._fleet_degraded,
             }
 
     def __repr__(self) -> str:

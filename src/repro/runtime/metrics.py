@@ -25,11 +25,7 @@ import time
 from collections.abc import Iterator
 from contextlib import contextmanager
 
-from ..observability.histograms import (
-    DEFAULT_BOUNDS,
-    Histogram,
-    HistogramSnapshot,
-)
+from ..observability.histograms import Histogram, HistogramSnapshot
 
 
 @dataclasses.dataclass
@@ -65,33 +61,19 @@ class MetricsSnapshot:
     """An immutable copy of the metrics at one point in time.
 
     ``timestamp`` (unix seconds) lets two scrapes of the service's
-    ``/metrics`` endpoint be diffed into rates.  ``counters`` holds the
-    unlabelled counters; labelled series (``fleet_failovers`` by
-    ``reason``, fleet gauges by ``worker``) live in ``counter_series``
-    and ``gauges`` as ``(name, labels, value)`` triples.
+    ``/metrics`` endpoint be diffed into rates.  Labelled gauges (SLO
+    burn rates by ``slo`` and ``window``) live in ``gauges`` as
+    ``(name, labels, value)`` triples.
     """
 
     counters: dict[str, int]
     stages: dict[str, StageTiming]
     histograms: tuple[HistogramSnapshot, ...] = ()
     timestamp: float = 0.0
-    counter_series: tuple[tuple[str, LabelSet, int], ...] = ()
     gauges: tuple[tuple[str, LabelSet, float], ...] = ()
 
-    def counter(self, name: str, **labels) -> int:
-        """The counter's value: one labelled series, or — with no labels
-        given — the sum over the unlabelled counter and every series."""
-        if labels:
-            wanted = _label_key(labels)
-            for series_name, series_labels, value in self.counter_series:
-                if series_name == name and series_labels == wanted:
-                    return value
-            return 0
-        total = self.counters.get(name, 0)
-        for series_name, _, value in self.counter_series:
-            if series_name == name:
-                total += value
-        return total
+    def counter(self, name: str) -> int:
+        return self.counters.get(name, 0)
 
     def gauge(self, name: str, **labels) -> float | None:
         wanted = _label_key(labels)
@@ -113,10 +95,6 @@ class MetricsSnapshot:
         return {
             "timestamp": self.timestamp,
             "counters": dict(self.counters),
-            "counter_series": [
-                {"name": name, "labels": dict(labels), "value": value}
-                for name, labels, value in self.counter_series
-            ],
             "gauges": [
                 {"name": name, "labels": dict(labels), "value": value}
                 for name, labels, value in self.gauges
@@ -137,94 +115,12 @@ class MetricsSnapshot:
         }
 
 
-def _histogram_from_dict(doc: dict) -> HistogramSnapshot | None:
-    """Rebuild one histogram snapshot from its sparse JSON form.
-
-    ``to_dict`` keeps only non-empty buckets; the counts vector is
-    re-expanded against :data:`DEFAULT_BOUNDS`.  Histograms recorded
-    with custom bounds cannot be reconstructed from the sparse form and
-    yield ``None`` (the caller skips them).
-    """
-    bounds = DEFAULT_BOUNDS
-    index_of = {bound: index for index, bound in enumerate(bounds)}
-    index_of[float("inf")] = len(bounds)
-    counts = [0] * (len(bounds) + 1)
-    for bucket in doc.get("buckets", ()):
-        index = index_of.get(float(bucket["le"]))
-        if index is None:
-            return None
-        counts[index] = int(bucket["count"])
-    count = int(doc.get("count", 0))
-    return HistogramSnapshot(
-        name=str(doc["name"]),
-        labels=_label_key(doc.get("labels", {})),
-        bounds=bounds,
-        counts=tuple(counts),
-        count=count,
-        sum=float(doc.get("sum", 0.0)),
-        min=float(doc.get("min", 0.0)) if count else 0.0,
-        max=float(doc.get("max", 0.0)) if count else 0.0,
-    )
-
-
-def snapshot_from_dict(doc: dict) -> MetricsSnapshot:
-    """The inverse of :meth:`MetricsSnapshot.to_dict`.
-
-    Lets a snapshot cross a process boundary as JSON — a fleet worker
-    ships ``snapshot().to_dict()`` inside its heartbeat and the
-    supervisor rebuilds it here before handing it to
-    :meth:`RuntimeMetrics.merge_snapshot`.  Histogram series whose sparse bucket bounds are not the default
-    log-scale ladder are dropped rather than misreconstructed; raises
-    ``ValueError``/``KeyError``/``TypeError`` on a structurally torn
-    document so callers can discard the whole blob.
-    """
-    histograms = []
-    for histogram_doc in doc.get("histograms", ()):
-        histogram = _histogram_from_dict(histogram_doc)
-        if histogram is not None:
-            histograms.append(histogram)
-    return MetricsSnapshot(
-        counters={
-            str(name): int(value)
-            for name, value in doc.get("counters", {}).items()
-        },
-        stages={
-            str(name): StageTiming(
-                calls=int(stage.get("calls", 0)),
-                seconds=float(stage.get("seconds", 0.0)),
-                max_seconds=float(stage.get("max_seconds", 0.0)),
-                wall_seconds=float(stage.get("wall_seconds", 0.0)),
-            )
-            for name, stage in doc.get("stages", {}).items()
-        },
-        histograms=tuple(histograms),
-        timestamp=float(doc.get("timestamp", 0.0)),
-        counter_series=tuple(
-            (
-                str(series["name"]),
-                _label_key(series.get("labels", {})),
-                int(series["value"]),
-            )
-            for series in doc.get("counter_series", ())
-        ),
-        gauges=tuple(
-            (
-                str(series["name"]),
-                _label_key(series.get("labels", {})),
-                float(series["value"]),
-            )
-            for series in doc.get("gauges", ())
-        ),
-    )
-
-
 class RuntimeMetrics:
     """Thread-safe counters, stage timings, and histograms."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
-        self._counter_series: dict[tuple[str, LabelSet], int] = {}
         self._gauges: dict[tuple[str, LabelSet], float] = {}
         self._stages: dict[str, StageTiming] = {}
         #: Wall-clock bookkeeping per stage: [active_calls, entered_perf].
@@ -233,30 +129,13 @@ class RuntimeMetrics:
 
     # -- counters --------------------------------------------------------
 
-    def increment(self, name: str, by: int = 1, **labels) -> None:
-        """Bump a counter; labels select a series within the family
-        (``increment("fleet_failovers", reason="liveness")``)."""
-        if labels:
-            key = (name, _label_key(labels))
-            with self._lock:
-                self._counter_series[key] = (
-                    self._counter_series.get(key, 0) + by
-                )
-            return
+    def increment(self, name: str, by: int = 1) -> None:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + by
 
-    def counter(self, name: str, **labels) -> int:
-        """One labelled series, or — without labels — the family total
-        (unlabelled counter plus every labelled series)."""
+    def counter(self, name: str) -> int:
         with self._lock:
-            if labels:
-                return self._counter_series.get((name, _label_key(labels)), 0)
-            total = self._counters.get(name, 0)
-            for (series_name, _), value in self._counter_series.items():
-                if series_name == name:
-                    total += value
-            return total
+            return self._counters.get(name, 0)
 
     # -- gauges -----------------------------------------------------------
 
@@ -354,7 +233,6 @@ class RuntimeMetrics:
         with self._lock:
             return (
                 not self._counters
-                and not self._counter_series
                 and not self._stages
                 and not self._histograms
             )
@@ -372,65 +250,15 @@ class RuntimeMetrics:
                     histogram.snapshot() for histogram in histograms
                 ),
                 timestamp=time.time(),
-                counter_series=tuple(
-                    (name, labels, value)
-                    for (name, labels), value in sorted(
-                        self._counter_series.items()
-                    )
-                ),
                 gauges=tuple(
                     (name, labels, value)
                     for (name, labels), value in sorted(self._gauges.items())
                 ),
             )
 
-    def merge_snapshot(self, snapshot: MetricsSnapshot) -> None:
-        """Fold another instance's snapshot into this one.
-
-        The supervisor-side half of fleet telemetry: a worker ships a
-        :class:`MetricsSnapshot` of its process-local metrics and the
-        supervisor adds counters, accumulates stage timings (work sums
-        and call counts add; ``max_seconds`` takes the max —
-        ``wall_seconds`` also adds, so it reads as per-process elapsed,
-        not fleet latency), and merges histograms bucket-wise.  Gauges
-        are *not* merged — they are point-in-time and per-process.
-        """
-        for name, value in snapshot.counters.items():
-            if value:
-                self.increment(name, by=value)
-        for name, labels, value in snapshot.counter_series:
-            if value:
-                key = (name, labels)
-                with self._lock:
-                    self._counter_series[key] = (
-                        self._counter_series.get(key, 0) + value
-                    )
-        for name, timing in snapshot.stages.items():
-            with self._lock:
-                mine = self._stages.get(name)
-                if mine is None:
-                    mine = self._stages[name] = StageTiming()
-                mine.calls += timing.calls
-                mine.seconds += timing.seconds
-                mine.wall_seconds += timing.wall_seconds
-                if timing.max_seconds > mine.max_seconds:
-                    mine.max_seconds = timing.max_seconds
-        for histogram_snapshot in snapshot.histograms:
-            key = (histogram_snapshot.name, histogram_snapshot.labels)
-            with self._lock:
-                histogram = self._histograms.get(key)
-                if histogram is None:
-                    histogram = self._histograms[key] = Histogram(
-                        histogram_snapshot.name,
-                        labels=histogram_snapshot.labels,
-                        bounds=histogram_snapshot.bounds,
-                    )
-            histogram.merge(histogram_snapshot)
-
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()
-            self._counter_series.clear()
             self._gauges.clear()
             self._stages.clear()
             self._stage_active.clear()
@@ -450,11 +278,6 @@ class RuntimeMetrics:
                 lines.append(
                     f"    {'cache_hit_rate':24s} {hits / (hits + misses):.1%}"
                 )
-        if snapshot.counter_series:
-            lines.append("  labelled counters:")
-            for name, labels, value in snapshot.counter_series:
-                rendered = ",".join(f"{k}={v}" for k, v in labels)
-                lines.append(f"    {name}{{{rendered}}} {value}")
         if snapshot.stages:
             lines.append("  stages (work | wall latency | worst call):")
             for name in sorted(snapshot.stages):

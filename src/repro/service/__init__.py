@@ -17,8 +17,7 @@ estimates retrievable without recomputation.  This subsystem provides it:
   startup recovery scan instead of serving them,
 * :mod:`~repro.service.http_api` — a stdlib ``ThreadingHTTPServer``
   exposing submit/status/result/cancel plus ``/healthz`` and
-  ``/metrics`` through the one request handler the fleet front end
-  shares, with :class:`ServiceClient` as the Python counterpart
+  ``/metrics``, with :class:`ServiceClient` as the Python counterpart
   (retrying transient unavailability under a
   :class:`~repro.resilience.RetryPolicy`).
 

@@ -127,9 +127,8 @@ class SubmitEnvelope:
     client therefore freezes every submission into an envelope, keeps a
     window of them keyed by idempotency key, and
     :meth:`ServiceClient.resubmit` replays the envelope verbatim —
-    nothing is rebuilt from (possibly different) defaults.  The fleet
-    supervisor rides the same type when it re-dispatches a dead worker's
-    unsettled jobs to a survivor.
+    nothing is rebuilt from (possibly different) defaults.  The server
+    parses a request into the same type (:meth:`from_request`).
     """
 
     scenario: str
@@ -206,30 +205,6 @@ class SubmitEnvelope:
                 or headers.get("Idempotency-Key")
                 or ""
             ),
-        )
-
-    def to_dict(self) -> dict:
-        """A JSON form (ridden by the fleet control plane)."""
-        doc = self.body()
-        doc["idempotency_key"] = self.idempotency_key
-        if self.correlation_id:
-            doc["correlation_id"] = self.correlation_id
-        if self.deadline is not None:
-            doc["deadline"] = self.deadline
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> SubmitEnvelope:
-        return cls(
-            scenario=doc["scenario"],
-            kind=doc.get("kind", "estimate"),
-            quality=doc.get("quality"),
-            priority=int(doc.get("priority", 0)),
-            timeout=doc.get("timeout"),
-            seed=int(doc.get("seed", 1)),
-            correlation_id=doc.get("correlation_id"),
-            idempotency_key=doc.get("idempotency_key", ""),
-            deadline=doc.get("deadline"),
         )
 
 

@@ -1,46 +1,39 @@
 """The stdlib-only HTTP front end of the assessment service.
 
 Built on :class:`http.server.ThreadingHTTPServer` — no dependencies
-beyond the standard library.  One request handler,
-:class:`ServiceHandler`, serves both ``efes serve``
-(:class:`ServiceServer`, over one :class:`JobScheduler`) and ``efes
-fleet serve`` (:class:`repro.fleet.FleetServer`, over the fleet
-supervisor).  Resources, with the servers that answer them (S = service,
-F = fleet)::
+beyond the standard library.  :class:`ServiceServer` serves one
+:class:`JobScheduler` (``efes serve``) through :class:`ServiceHandler`.
+Resources::
 
-    POST   /jobs             S F  submit {"scenario", "kind", "quality",
-                                  "priority", "timeout", "seed",
-                                  "correlation_id", "idempotency_key"}
-                                  -> 202 job
-                                  (the X-Correlation-ID header also binds
-                                  the job's correlation ID; the
-                                  Idempotency-Key header dedups retried
-                                  submissions — a repeat inside the dedup
-                                  window returns the original job, even
-                                  across a crash/restart when a journal is
-                                  configured; the X-Deadline-Ms header is
-                                  the job's execution budget in
-                                  milliseconds — equivalent to the body's
-                                  "timeout" field, which wins when both
-                                  are present)
-    GET    /jobs             S    all known jobs (newest last);
-                                  ``?state=`` filters by lifecycle state
-    GET    /jobs/<id>        S F  one job's status
-    GET    /jobs/<id>/result S F  200 result doc | 202 still pending |
-                                  410 cancelled | 500 failed
-    DELETE /jobs/<id>        S F  cancel; returns the job status
-    GET    /trace/<id>       S    the job's span tree (service.job:<id>
-                                  root)
-    GET    /healthz          S F  liveness and health; the fields are
-                                  the server's (see its ``health`` view)
-    GET    /metrics          S F  counters, stage timings and histograms
-                                  plus the server's own statistics;
-                                  ``Accept: text/plain`` (or
-                                  ``?format=prometheus``) switches to
-                                  Prometheus text exposition
-    GET    /slo              S    declarative SLOs with fast/slow-window
-                                  burn rates and the derived health state
-    GET    /fleet/status       F  the supervisor's full status document
+    POST   /jobs             submit {"scenario", "kind", "quality",
+                             "priority", "timeout", "seed",
+                             "correlation_id", "idempotency_key"}
+                             -> 202 job
+                             (the X-Correlation-ID header also binds the
+                             job's correlation ID; the Idempotency-Key
+                             header dedups retried submissions — a repeat
+                             inside the dedup window returns the original
+                             job, even across a crash/restart when a
+                             journal is configured; the X-Deadline-Ms
+                             header is the job's execution budget in
+                             milliseconds — equivalent to the body's
+                             "timeout" field, which wins when both are
+                             present)
+    GET    /jobs             all known jobs (newest last); ``?state=``
+                             filters by lifecycle state
+    GET    /jobs/<id>        one job's status
+    GET    /jobs/<id>/result 200 result doc | 202 still pending |
+                             410 cancelled | 500 failed
+    DELETE /jobs/<id>        cancel; returns the job status
+    GET    /trace/<id>       the job's span tree (service.job:<id> root)
+    GET    /healthz          liveness and health
+    GET    /metrics          counters, stage timings and histograms plus
+                             scheduler and store statistics;
+                             ``Accept: text/plain`` (or
+                             ``?format=prometheus``) switches to
+                             Prometheus text exposition
+    GET    /slo              declarative SLOs with fast/slow-window burn
+                             rates and the derived health state
 
 A submission is parsed once, by :meth:`SubmitEnvelope.from_request`,
 and refused with:
@@ -48,15 +41,14 @@ and refused with:
 * 400 — a body that is not a JSON object, a missing ``scenario``, an
   unknown ``kind`` or ``quality``, a ``priority`` or ``seed`` that does
   not convert to an integer, a ``timeout`` that is not a finite number
-  of seconds > 0 (never a boolean), or an ``X-Deadline-Ms`` header that
-  is not a finite number of milliseconds > 0,
+  of seconds > 0 (never a boolean), an ``X-Deadline-Ms`` header that is
+  not a finite number of milliseconds > 0, or a scenario directory that
+  cannot be read or parsed,
 * 404 — an unknown scenario reference,
 * 503 + ``Retry-After`` and a body ``retry_after`` — backpressure
-  (:class:`~repro.service.jobs.OverloadedError`: a full queue, or a
-  degraded fleet shedding low-priority work),
-* 503 (+ ``Retry-After`` when the server has a hint) — unavailable: an
-  open circuit breaker, a closed scheduler, a fleet without a live
-  worker, or a failing journal append.
+  (:class:`~repro.service.jobs.QueueFullError`),
+* 503 + ``Retry-After`` — an open circuit breaker,
+* 503 — a closed scheduler, or a failing journal append.
 
 An unknown path or job id is a 404 on every method, and an injected
 ``http.handler`` fault a 500.  Scenario references are either shipped
@@ -80,7 +72,7 @@ from ..scenarios import (
     UnknownScenarioError,
 )
 from .client import SubmitEnvelope
-from .jobs import JobState, OverloadedError, SchedulerClosedError
+from .jobs import JobState, QueueFullError, SchedulerClosedError
 from .scheduler import JobScheduler
 
 #: Default bind address of ``efes serve``.
@@ -88,71 +80,26 @@ DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8765
 
 
-class FrontEnd(ThreadingHTTPServer):
-    """A threading HTTP server whose :class:`ServiceHandler` answers
-    from the views a subclass supplies.
+class ServiceServer(ThreadingHTTPServer):
+    """The HTTP front end of one :class:`JobScheduler` (``efes serve``).
 
-    A view that takes a job id returns ``None`` for an unknown id, which
-    the handler answers with 404.  ``submit`` signals a refusal by
-    raising one of the exceptions in this module's refusal table.
+    Its methods are the views :class:`ServiceHandler` answers from; one
+    that takes a job id returns ``None`` for an unknown id, which the
+    handler answers with 404.
     """
 
     daemon_threads = True
     server_version = "repro-service/1.0"
 
-    def __init__(self, address) -> None:
+    def __init__(self, address, scheduler: JobScheduler) -> None:
         super().__init__(address, ServiceHandler)
         self.scenarios = ScenarioCache()
+        self.scheduler = scheduler
 
     @property
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
-
-    def submit(
-        self, envelope: SubmitEnvelope, scenario: IntegrationScenario
-    ) -> dict:
-        """Admit one parsed submission; the new job's status document."""
-        raise NotImplementedError
-
-    def job(self, job_id: str) -> dict | None:
-        """One job's status document."""
-        raise NotImplementedError
-
-    def result(self, job_id: str) -> tuple[int, dict] | None:
-        """``(http_status, body)`` for ``GET /jobs/<id>/result``."""
-        raise NotImplementedError
-
-    def cancel(self, job_id: str) -> dict | None:
-        """Cancel a job; its status document afterwards."""
-        raise NotImplementedError
-
-    def health(self) -> dict:
-        """The ``GET /healthz`` document."""
-        raise NotImplementedError
-
-    def metrics(self) -> tuple[MetricsSnapshot, dict[str, float], dict]:
-        """``(snapshot, gauges, extra)`` for ``GET /metrics``.
-
-        Prometheus text renders the metrics snapshot plus ``gauges``;
-        JSON is the snapshot's dictionary plus ``extra``.
-        """
-        raise NotImplementedError
-
-    def resource(
-        self, segments: list[str], query: dict[str, str]
-    ) -> tuple[int, dict] | None:
-        """``(http_status, body)`` for a GET of a server-specific path,
-        or ``None`` when the server has no such resource."""
-        return None
-
-
-class ServiceServer(FrontEnd):
-    """The front end of one :class:`JobScheduler` (``efes serve``)."""
-
-    def __init__(self, address, scheduler: JobScheduler) -> None:
-        super().__init__(address)
-        self.scheduler = scheduler
 
     def submit(
         self, envelope: SubmitEnvelope, scenario: IntegrationScenario
@@ -233,23 +180,13 @@ class ServiceServer(FrontEnd):
         snapshot = self.scheduler.metrics.snapshot()
         return snapshot, gauges, {"scheduler": stats, "store": store}
 
-    def resource(
-        self, segments: list[str], query: dict[str, str]
-    ) -> tuple[int, dict] | None:
-        match segments:
-            case ["jobs"]:
-                jobs = self.scheduler.jobs()
-                state = query.get("state")
-                if state is not None:
-                    jobs = [job for job in jobs if job.state.value == state]
-                return 200, {"jobs": [job.snapshot() for job in jobs]}
-            case ["slo"]:
-                return 200, self.scheduler.slo_snapshot()
-            case ["trace", job_id]:
-                return self._trace(job_id)
-        return None
+    def jobs(self, state: str | None) -> dict:
+        jobs = self.scheduler.jobs()
+        if state is not None:
+            jobs = [job for job in jobs if job.state.value == state]
+        return {"jobs": [job.snapshot() for job in jobs]}
 
-    def _trace(self, job_id: str) -> tuple[int, dict]:
+    def trace(self, job_id: str) -> tuple[int, dict]:
         job = self.scheduler.job(job_id)
         if job is None:
             return 404, {"error": f"unknown job {job_id!r}"}
@@ -266,12 +203,12 @@ class ServiceServer(FrontEnd):
 
 
 class ServiceHandler(BaseHTTPRequestHandler):
-    """The one request handler of every front end (:class:`FrontEnd`).
+    """The request handler of :class:`ServiceServer`.
 
-    It holds what the front ends share: routing, reading and parsing a
-    submission, JSON or Prometheus negotiation on ``/metrics``, the
-    ``http.handler`` fault site and the refusal → status table.  What a
-    resource says comes from the server's views.
+    It holds routing, reading and parsing a submission, JSON or
+    Prometheus negotiation on ``/metrics``, the ``http.handler`` fault
+    site and the refusal → status table.  What a resource says comes
+    from the server's views.
     """
 
     protocol_version = "HTTP/1.1"
@@ -360,11 +297,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 self._send_json(200, server.health())
             case "GET", ["metrics"]:
                 self._send_metrics(query)
-            case "GET", _:
-                self._send_answer(
-                    server.resource(segments, query),
-                    f"no such resource: {self.path}",
-                )
+            case "GET", ["jobs"]:
+                self._send_json(200, server.jobs(query.get("state")))
+            case "GET", ["slo"]:
+                self._send_json(200, server.scheduler.slo_snapshot())
+            case "GET", ["trace", job_id]:
+                self._send_json(*server.trace(job_id))
             case _:
                 self._send_json(
                     404, {"error": f"no such resource: {self.path}"}
@@ -394,13 +332,20 @@ class ServiceHandler(BaseHTTPRequestHandler):
             envelope = SubmitEnvelope.from_request(
                 self._read_body(), self.headers
             )
-            scenario = self.server.scenarios.resolve(
-                envelope.scenario, envelope.seed
-            )
+            try:
+                scenario = self.server.scenarios.resolve(
+                    envelope.scenario, envelope.seed
+                )
+            except OSError as exc:
+                # An unreadable scenario directory is the request's
+                # fault, not the journal's: 400, so clients do not retry.
+                raise ValueError(
+                    f"cannot read scenario {envelope.scenario!r}: {exc}"
+                ) from exc
             job = self.server.submit(envelope, scenario)
         except UnknownScenarioError as exc:
             self._send_json(404, {"error": str(exc)})
-        except OverloadedError as exc:
+        except QueueFullError as exc:
             self._send_json(
                 503,
                 {"error": str(exc), "retry_after": exc.retry_after},
@@ -417,7 +362,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 _retry_after(exc),
             )
         except SchedulerClosedError as exc:
-            self._send_json(503, {"error": str(exc)}, _retry_after(exc))
+            self._send_json(503, {"error": str(exc)})
         except OSError as exc:
             # A failing journal append refuses the ack (write-ahead
             # contract): the client retries — with its idempotency key —
@@ -429,10 +374,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._send_json(202, {"job": job})
 
 
-def _retry_after(exc) -> dict:
-    """The ``Retry-After`` header for a refusal's hint, if it has one."""
-    if exc.retry_after is None:
-        return {}
+def _retry_after(exc: QueueFullError | CircuitOpenError) -> dict:
+    """The ``Retry-After`` header for a refusal's hint."""
     return {"Retry-After": f"{exc.retry_after:g}"}
 
 

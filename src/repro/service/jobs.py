@@ -47,43 +47,27 @@ class JobState(enum.Enum):
 
 
 class SchedulerClosedError(RuntimeError):
-    """No submission can be admitted: the scheduler is shut down, or a
-    fleet has no live worker.
+    """No submission can be admitted: the scheduler is shut down.
 
-    The HTTP API answers 503, with a ``Retry-After`` header when
-    ``retry_after`` (seconds) is set.
+    The HTTP API answers 503 without a ``Retry-After`` header.
     """
 
-    retry_after: float | None = None
 
-
-class OverloadedError(RuntimeError):
-    """Backpressure: a submission refused for load, to retry after
-    ``retry_after`` seconds.
-
-    The HTTP API answers 503 with the hint both as a ``Retry-After``
-    header and as the body's ``retry_after``, which is how clients tell
-    backpressure from an outage.
-    """
-
-    def __init__(self, message: str, retry_after: float) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
-class QueueFullError(OverloadedError):
+class QueueFullError(RuntimeError):
     """Backpressure: the bounded job queue is at capacity.
 
-    The ``retry_after`` hint derives from the queue depth and observed
-    job durations.
+    The ``retry_after`` hint (seconds) derives from the queue depth and
+    observed job durations.  The HTTP API answers 503 with the hint both
+    as a ``Retry-After`` header and as the body's ``retry_after``, which
+    is how clients tell backpressure from an outage.
     """
 
     def __init__(self, depth: int, retry_after: float) -> None:
         super().__init__(
-            f"job queue is full ({depth} queued); retry in ~{retry_after:g}s",
-            retry_after,
+            f"job queue is full ({depth} queued); retry in ~{retry_after:g}s"
         )
         self.depth = depth
+        self.retry_after = retry_after
 
 
 def check_kind(kind: object) -> str:

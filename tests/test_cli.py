@@ -1,6 +1,5 @@
 """Tests for the ``efes`` command-line interface."""
 
-import json
 import os
 import socket
 import subprocess
@@ -50,6 +49,17 @@ class TestParser:
     def test_removed_workers_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exited:
             main(["--workers", "2", "list"])
+        assert exited.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fleet", "serve"], ["fleet", "status"], ["recover", "--fleet", "d"]],
+        ids=["serve", "status", "recover"],
+    )
+    def test_removed_commands_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
         assert exited.value.code == 2
         assert capsys.readouterr().out == ""
 
@@ -199,6 +209,54 @@ class TestSigterm:
         assert not thread.is_alive()
 
 
+class TestRecoverCommand:
+    @pytest.fixture
+    def journal_dir(self, tmp_path, small_example):
+        """A journal in which a scheduler settled one job."""
+        from repro.durability import JobJournal
+        from repro.service import JobScheduler
+
+        directory = tmp_path / "journal"
+        scheduler = JobScheduler(workers=1, journal=JobJournal(directory))
+        try:
+            job = scheduler.submit(small_example, kind="assess")
+            assert scheduler.wait(job.id, timeout=60).result is not None
+        finally:
+            scheduler.close(wait=True, timeout=5.0)
+        return directory
+
+    @staticmethod
+    def _summary(out):
+        return dict(line.split() for line in out.splitlines()[1:])
+
+    def test_dry_run_reports_the_settled_job_and_writes_nothing(
+        self, journal_dir, capsys
+    ):
+        def segments():
+            return {p.name: p.read_bytes() for p in journal_dir.iterdir()}
+
+        before = segments()
+        assert main(["recover", str(journal_dir), "--dry-run"]) == 0
+        summary = self._summary(capsys.readouterr().out)
+        assert summary["jobs_seen"] == "1"
+        assert summary["settled"] == "1"
+        assert segments() == before
+
+    def test_compaction_leaves_one_record(self, journal_dir, capsys):
+        assert main(["recover", str(journal_dir)]) == 0
+        summary = self._summary(capsys.readouterr().out)
+        assert summary["compacted_segments"] == "1"
+        assert main(["recover", str(journal_dir), "--dry-run"]) == 0
+        assert self._summary(capsys.readouterr().out)["records"] == "1"
+
+    def test_missing_directory_exits_2_with_one_line(self, tmp_path, capsys):
+        assert main(["recover", str(tmp_path / "absent")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "does not exist" in captured.err
+
+
 class TestMainModule:
     def test_python_dash_m_repro(self):
         repo_root = Path(__file__).resolve().parent.parent
@@ -214,140 +272,3 @@ class TestMainModule:
         )
         assert completed.returncode == 0
         assert "example" in completed.stdout
-
-
-class TestFleetCommands:
-    def test_fleet_serve_parser_defaults(self):
-        args = build_parser().parse_args(["fleet", "serve"])
-        assert args.fleet_command == "serve"
-        assert args.fleet_workers == 2
-        assert args.fleet_dir == "fleet"
-        assert args.heartbeat_interval == 0.5
-
-    def test_fleet_status_against_live_fleet(self, tmp_path, capsys):
-        import time
-
-        from repro.fleet import FleetSupervisor, make_fleet_server
-
-        from .sim.fleet_harness import SimWorkerBackend
-
-        backend = SimWorkerBackend(tmp_path / "fleet")
-        supervisor = FleetSupervisor(
-            tmp_path / "fleet",
-            workers=2,
-            backend=backend,
-            heartbeat_interval=0.04,
-            liveness_deadline=0.5,
-            startup_grace=5.0,
-            restart_dead=False,
-        )
-        supervisor.start()
-        deadline = time.monotonic() + 10.0
-        while supervisor.status()["live"] < 2:
-            assert time.monotonic() < deadline, supervisor.status()
-            time.sleep(0.01)
-        server = make_fleet_server(supervisor)
-        thread = threading.Thread(
-            target=lambda: server.serve_forever(poll_interval=0.02),
-            daemon=True,
-        )
-        thread.start()
-        try:
-            assert main(["fleet", "status", "--url", server.url]) == 0
-            out = capsys.readouterr().out
-            assert "2/2 live" in out
-            assert "w0" in out and "w1" in out
-            assert "health: healthy" in out
-
-            assert (
-                main(["fleet", "status", "--url", server.url, "--json"]) == 0
-            )
-            doc = json.loads(capsys.readouterr().out)
-            assert doc["size"] == 2 and doc["live"] == 2
-
-            # Degraded fleet: same table, exit 3 (the slo convention).
-            backend.current["w0"].kill9()
-            supervisor.failover("w0", reason="test")
-            assert main(["fleet", "status", "--url", server.url]) == 3
-            out = capsys.readouterr().out
-            assert "1/2 live" in out
-        finally:
-            server.shutdown()
-            server.server_close()
-            supervisor.close()
-            backend.close_all()
-            thread.join(timeout=5.0)
-
-    def test_fleet_status_unreachable_fails_cleanly(self, capsys):
-        assert (
-            main(["fleet", "status", "--url", "http://127.0.0.1:1"]) == 1
-        )
-        err = capsys.readouterr().err
-        assert "cannot fetch fleet status" in err
-        assert "Traceback" not in err
-
-    def test_recover_fleet_combined_unsettled_table(self, tmp_path, capsys):
-        from repro.durability import JobJournal
-        from repro.service import ReportStore
-
-        fleet_dir = tmp_path / "fleet"
-        store = ReportStore(directory=fleet_dir / "spool")
-        store.put("warm-key", {"kind": "estimate"})
-
-        # w0: a live journal with one settled and one dispatched job.
-        w0 = JobJournal(fleet_dir / "workers" / "w0" / "journal")
-        w0.append(
-            {
-                "type": "submitted",
-                "job_id": "j-done",
-                "scenario": "example",
-                "kind": "estimate",
-                "idempotency_key": "k-done",
-            }
-        )
-        w0.append({"type": "settled", "job_id": "j-done", "state": "done"})
-        w0.append(
-            {
-                "type": "submitted",
-                "job_id": "j-open",
-                "scenario": "s1-s2",
-                "kind": "estimate",
-                "idempotency_key": "k-open",
-                "store_key": "warm-key",
-            }
-        )
-        w0.append({"type": "dispatched", "job_id": "j-open"})
-        w0.close()
-        # w1: a fenced journal (the crashed epoch) with a queued job.
-        w1 = JobJournal(fleet_dir / "workers" / "w1" / "journal-fenced-1")
-        w1.append(
-            {
-                "type": "submitted",
-                "job_id": "j-lost",
-                "scenario": "d1-d2",
-                "kind": "assess",
-                "idempotency_key": "k-lost",
-                "store_key": "cold-key",
-            }
-        )
-        w1.close()
-
-        assert main(["recover", "--fleet", str(fleet_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "j-open" in out and "j-lost" in out
-        assert "j-done" not in out  # settled jobs are not listed
-        assert "journal-fenced-1" in out
-        assert "dispatched" in out and "queued" in out
-        # Store evidence: j-open's result is already spooled, j-lost's
-        # is not.
-        open_line = next(line for line in out.splitlines() if "j-open" in line)
-        lost_line = next(line for line in out.splitlines() if "j-lost" in line)
-        assert "yes" in open_line
-        assert "no" in lost_line
-        # Read-only: no checkpoint segments were written anywhere.
-        assert (fleet_dir / "workers" / "w1" / "journal-fenced-1").is_dir()
-
-    def test_recover_fleet_rejects_non_fleet_dir(self, tmp_path, capsys):
-        assert main(["recover", "--fleet", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "not a fleet directory" in err

@@ -289,8 +289,6 @@ class TestClientDeadline:
     def test_envelope_carries_deadline_header(self):
         envelope = SubmitEnvelope(scenario="s4-s4", deadline=2.5)
         assert envelope.headers()["X-Deadline-Ms"] == "2500"
-        restored = SubmitEnvelope.from_dict(envelope.to_dict())
-        assert restored.deadline == 2.5
 
     def test_no_deadline_no_header(self):
         assert "X-Deadline-Ms" not in SubmitEnvelope(

@@ -1,15 +1,13 @@
-"""One HTTP contract, checked on both front ends.
+"""The HTTP contract of ``efes serve``.
 
-``efes serve`` (a :class:`~repro.service.JobScheduler` behind
-``make_server``) and ``efes fleet serve`` (a sim-worker fleet behind
-``make_fleet_server``) answer through one request handler, so every row
-here must hold on both.  A refused submission must leave nothing behind:
-no job on the service, and on the fleet no route and no job on any
-worker, because the front end refuses before it contacts one.
+A :class:`~repro.service.JobScheduler` behind ``make_server`` answers
+every row here.  A refused submission must leave nothing behind: no job
+on the scheduler.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 import time
@@ -18,71 +16,57 @@ import urllib.request
 
 import pytest
 
-from repro.fleet import FleetSupervisor, make_fleet_server
+from repro.durability import JobJournal
 from repro.resilience import FaultPlan, FaultPoint, injected_faults
+from repro.scenarios import scenario_s4_s4
+from repro.scenarios.io import save_scenario
 from repro.service import JobScheduler, SubmitEnvelope, make_server
 
-from .sim.fleet_harness import SimWorkerBackend
+#: Stands for the directory of :func:`unreadable_scenario` in a row.
+UNREADABLE = "<unreadable scenario directory>"
 
 
-@pytest.fixture(params=["service", "fleet"])
-def front_end(request, tmp_path):
-    """``(url, admitted)``: a live front end, and a function listing
-    every job it or any scheduler behind it accepted."""
-    if request.param == "service":
-        scheduler = JobScheduler(workers=1, max_queue=8)
-        server = make_server(scheduler, port=0)
-
-        def admitted():
-            return scheduler.jobs()
-
-        def close():
-            scheduler.close(wait=True, timeout=5.0)
-
-    else:
-        backend = SimWorkerBackend(tmp_path / "fleet")
-        supervisor = FleetSupervisor(
-            tmp_path / "fleet",
-            workers=1,
-            backend=backend,
-            heartbeat_interval=0.04,
-            liveness_deadline=0.5,
-            startup_grace=5.0,
-        )
-        supervisor.start()
-        deadline = time.monotonic() + 10.0
-        while supervisor.status()["live"] < 1:
-            assert time.monotonic() < deadline, supervisor.status()
-            time.sleep(0.01)
-        server = make_fleet_server(supervisor)
-
-        def admitted():
-            return supervisor.routes() + [
-                job
-                for worker in backend.current.values()
-                for job in worker.scheduler.jobs()
-            ]
-
-        def close():
-            supervisor.close()
-            backend.close_all()
-
+@contextlib.contextmanager
+def serving(scheduler):
+    """Serve ``scheduler`` on an ephemeral port; yields the URL."""
+    server = make_server(scheduler, port=0)
     thread = threading.Thread(
         target=lambda: server.serve_forever(poll_interval=0.02), daemon=True
     )
     thread.start()
     try:
-        yield server.url, admitted
+        yield server.url
     finally:
         server.shutdown()
         server.server_close()
-        close()
+        scheduler.close(wait=True, timeout=5.0)
         thread.join(timeout=5.0)
     assert not thread.is_alive()
 
 
-def call(url, method, path, body=None, headers=None):
-    """One exchange: ``(status, document)``; ``body`` may be raw bytes."""
+# The one param keeps every row's id in the ``[service-...]`` form.
+@pytest.fixture(params=["service"])
+def front_end(request):
+    """``(url, admitted)``: a live server, and a function listing every
+    job its scheduler accepted."""
+    scheduler = JobScheduler(workers=1, max_queue=8)
+    with serving(scheduler) as url:
+        yield url, scheduler.jobs
+
+
+@pytest.fixture
+def unreadable_scenario(tmp_path):
+    """A saved scenario directory whose relation file is a directory."""
+    directory = save_scenario(scenario_s4_s4(), tmp_path / "unreadable")
+    data = directory / "s4" / "publication.csv"
+    data.unlink()
+    data.mkdir()
+    return directory
+
+
+def exchange(url, method, path, body=None, headers=None):
+    """One exchange: ``(status, document, headers)``; ``body`` may be
+    raw bytes."""
     if body is not None and not isinstance(body, bytes):
         body = json.dumps(body).encode("utf-8")
     request = urllib.request.Request(
@@ -93,9 +77,15 @@ def call(url, method, path, body=None, headers=None):
     )
     try:
         with urllib.request.urlopen(request, timeout=30) as reply:
-            return reply.status, json.loads(reply.read() or b"{}")
+            doc = json.loads(reply.read() or b"{}")
+            return reply.status, doc, reply.headers
     except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read() or b"{}")
+        return exc.code, json.loads(exc.read() or b"{}"), exc.headers
+
+
+def call(url, method, path, body=None, headers=None):
+    """One exchange: ``(status, document)``."""
+    return exchange(url, method, path, body=body, headers=headers)[:2]
 
 
 @pytest.mark.parametrize(
@@ -147,6 +137,7 @@ def test_unknown_job_is_404(front_end, method, path):
         ({"scenario": "s4-s4"}, {"X-Deadline-Ms": "inf"}, "inf"),
         ({"scenario": "s4-s4"}, {"X-Deadline-Ms": "-5"}, "> 0"),
         ({"scenario": "s4-s4", "priority": float("inf")}, {}, "infinity"),
+        ({"scenario": UNREADABLE}, {}, "cannot read scenario"),
     ],
     ids=[
         "non-json",
@@ -163,12 +154,16 @@ def test_unknown_job_is_404(front_end, method, path):
         "deadline-inf",
         "deadline-negative",
         "priority-infinity",
+        "unreadable-directory",
     ],
 )
 def test_bad_submission_is_400_and_admits_nothing(
-    front_end, body, headers, message
+    front_end, body, headers, message, request
 ):
     url, admitted = front_end
+    if isinstance(body, dict) and body.get("scenario") == UNREADABLE:
+        directory = request.getfixturevalue("unreadable_scenario")
+        body = {**body, "scenario": str(directory)}
     status, doc = call(url, "POST", "/jobs", body=body, headers=headers)
     assert status == 400, doc
     assert message in doc["error"]
@@ -183,6 +178,32 @@ def test_handler_fault_is_500_then_heals(front_end):
         assert status == 500
         assert "internal fault" in doc["error"]
         assert call(url, "GET", "/healthz")[0] == 200
+
+
+def test_closed_scheduler_is_503_without_retry_after():
+    scheduler = JobScheduler(workers=1, max_queue=8)
+    with serving(scheduler) as url:
+        scheduler.close(wait=True, timeout=5.0)
+        body = {"scenario": "s4-s4", "kind": "assess"}
+        status, doc, headers = exchange(url, "POST", "/jobs", body=body)
+    assert status == 503
+    assert doc == {"error": "scheduler is shut down"}
+    assert "Retry-After" not in headers
+    assert scheduler.jobs() == []
+
+
+def test_journal_append_fault_is_503_and_admits_nothing(tmp_path):
+    scheduler = JobScheduler(
+        workers=1, max_queue=8, journal=JobJournal(tmp_path / "journal")
+    )
+    plan = FaultPlan([FaultPoint(site="journal.append", times=1)])
+    with serving(scheduler) as url, injected_faults(plan):
+        body = {"scenario": "s4-s4", "kind": "assess"}
+        status, doc = call(url, "POST", "/jobs", body=body)
+        assert status == 503, doc
+        assert doc["error"].startswith("journal unavailable: ")
+        assert "journal.append" in doc["error"]
+        assert scheduler.jobs() == []
 
 
 def test_good_submission_still_runs_after_refusals(front_end):
@@ -225,6 +246,13 @@ def test_good_submission_still_runs_after_refusals(front_end):
 def test_request_parse_inverts_body_and_headers(envelope):
     parsed = SubmitEnvelope.from_request(envelope.body(), envelope.headers())
     assert parsed == envelope
+
+
+def test_envelope_body_always_carries_priority():
+    bare = SubmitEnvelope(scenario="example")
+    assert bare.body()["priority"] == 0
+    eager = SubmitEnvelope(scenario="example", priority=7)
+    assert eager.body()["priority"] == 7
 
 
 def test_deadline_header_parses_as_the_timeout():

@@ -390,23 +390,7 @@ class TestHealthMonitor:
             "state": "draining",
             "reasons": [],
             "warnings": [],
-            "fleet_degraded": False,
         }
-
-    def test_fleet_degraded_sits_between_warning_and_degraded(self):
-        health = HealthMonitor()
-        health.set_fleet_degraded(True)
-        assert health.state is HealthState.FLEET_DEGRADED
-        assert health.snapshot()["fleet_degraded"] is True
-        # A hard reason outranks partial fleet loss ...
-        health.flag("circuit_open")
-        assert health.state is HealthState.DEGRADED
-        health.clear("circuit_open")
-        # ... while fleet loss outranks an SLO advisory.
-        health.set_warning("slo:availability", True)
-        assert health.state is HealthState.FLEET_DEGRADED
-        health.set_fleet_degraded(False)
-        assert health.state is HealthState.SLO_WARNING
 
     def test_warnings_are_advisory_and_outranked_by_reasons(self):
         health = HealthMonitor()
@@ -691,6 +675,53 @@ def flaky_server():
 
 
 class TestClientResilience:
+    def test_client_resubmit_replays_the_original_envelope(self):
+        """A resubmit after 503 must carry the original priority, not the
+        call-site defaults."""
+        captured: list[tuple[dict, str]] = []
+
+        class Capture(BaseHTTPRequestHandler):
+            def log_message(self, *args):
+                pass
+
+            def do_POST(self):  # noqa: N802 - stdlib naming
+                length = int(self.headers.get("Content-Length") or 0)
+                body = json.loads(self.rfile.read(length))
+                captured.append((body, self.headers.get("Idempotency-Key")))
+                payload = json.dumps(
+                    {"job": {"id": "j-1", "state": "queued"}}
+                ).encode()
+                self.send_response(202)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Capture)
+        thread = threading.Thread(
+            target=lambda: server.serve_forever(poll_interval=0.02),
+            daemon=True,
+        )
+        thread.start()
+        try:
+            client = ServiceClient(
+                f"http://127.0.0.1:{server.server_address[1]}"
+            )
+            client.submit(
+                "example", quality="high", priority=5, idempotency_key="k-prio"
+            )
+            client.resubmit("k-prio")
+            assert len(captured) == 2
+            assert captured[0][0] == captured[1][0], "resubmit body diverged"
+            assert captured[1][0]["priority"] == 5
+            assert captured[0][1] == captured[1][1] == "k-prio"
+            with pytest.raises(KeyError):
+                client.resubmit("never-seen")
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5.0)
+
     def test_dead_server_raises_service_unavailable(self):
         import socket
 
