@@ -206,8 +206,7 @@ class Efes:
         if reports is None:
             reports = self.assess(scenario, strict=strict_mode)
         tasks: list[Task] = []
-        with runtime.activated(), tracing.span("plan"), \
-                runtime.metrics.time_stage("plan"):
+        with runtime.activated(), runtime.metrics.stage("plan"):
             for module in self.modules:
                 report = (
                     reports[module.name]
@@ -285,7 +284,7 @@ class Efes:
             )
             for adjustment in adjustments:
                 tasks = adjustment(tasks)
-            with tracing.span("price"), runtime.metrics.time_stage("price"):
+            with runtime.metrics.stage("price"):
                 return price_tasks(
                     scenario.name, quality, tasks, self.settings
                 )

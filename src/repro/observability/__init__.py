@@ -10,8 +10,10 @@ the aggregate counters of :class:`repro.runtime.RuntimeMetrics`:
   Disabled by default; activating a
   :class:`Tracer` turns every instrumentation point on for that context.
 * **Histograms** (:mod:`~repro.observability.histograms`) — fixed
-  log-scale latency distributions with p50/p95/p99 summaries, recorded
-  per stage, per detector, and per service-job phase.
+  log-scale latency distributions with p50/p95/p99 summaries.  Each
+  pipeline layer is one ``stage_seconds{stage=<name>}`` series, fed by
+  :meth:`repro.runtime.RuntimeMetrics.stage` from the same block and
+  clock as the layer's span.
 * **Event logs** (:mod:`~repro.observability.events`) — structured JSONL
   lifecycle events with per-job correlation IDs bound to the calling
   context, plus a :mod:`logging` adapter.

@@ -171,9 +171,9 @@ def prometheus_text(
     """Render a :class:`~repro.runtime.metrics.MetricsSnapshot` (plus
     optional scalar gauges, e.g. queue depth) as Prometheus exposition.
 
-    Counters become ``<prefix>_<name>_total``; stage timings become a
-    ``_stage_seconds`` family with work/wall/max series; histograms are
-    emitted natively with cumulative buckets plus a companion
+    Counters become ``<prefix>_<name>_total``; histograms (stage timings
+    among them, as ``<prefix>_stage_seconds{stage=...}``) are emitted
+    natively with cumulative buckets plus a companion
     ``_quantile``-labelled gauge family for p50/p95/p99.
     """
     lines: list[str] = []
@@ -193,32 +193,6 @@ def prometheus_text(
             lines.append(
                 f"{metric}{format_labels(labels)} {_format_value(value)}"
             )
-
-    if snapshot.stages:
-        work = f"{prefix}_stage_work_seconds"
-        lines.append(f"# HELP {work} Summed per-call work time per stage.")
-        lines.append(f"# TYPE {work} counter")
-        for name in sorted(snapshot.stages):
-            timing = snapshot.stages[name]
-            labels = format_labels({"stage": name})
-            lines.append(f"{work}{labels} {_format_value(timing.seconds)}")
-        for suffix, help_text, getter in (
-            ("stage_wall_seconds", "Wall-clock latency per stage "
-             "(concurrent calls overlap).", lambda t: t.wall_seconds),
-            ("stage_max_seconds", "Longest single call per stage.",
-             lambda t: t.max_seconds),
-            ("stage_calls_total", "Calls per stage.", lambda t: t.calls),
-        ):
-            metric = f"{prefix}_{suffix}"
-            kind = "counter" if suffix.endswith("_total") else "gauge"
-            lines.append(f"# HELP {metric} {help_text}")
-            lines.append(f"# TYPE {metric} {kind}")
-            for name in sorted(snapshot.stages):
-                timing = snapshot.stages[name]
-                labels = format_labels({"stage": name})
-                lines.append(
-                    f"{metric}{labels} {_format_value(getter(timing))}"
-                )
 
     families: dict[str, list] = {}
     for histogram in getattr(snapshot, "histograms", ()):

@@ -90,7 +90,10 @@ def _cast_string(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, float)):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError as exc:  # an int past the int-to-text digit limit
+            raise TypeCastError(value, DataType.STRING) from exc
     raise TypeCastError(value, DataType.STRING)
 
 

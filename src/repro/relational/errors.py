@@ -40,11 +40,24 @@ class ConstraintError(RelationalError):
     """A constraint definition is malformed."""
 
 
+#: A cast error names a wider int by its width: the int's text can be
+#: thousands of digits long, and past the interpreter's int-to-text limit
+#: (4,300 digits by default) ``repr`` raises ``ValueError``.
+_QUOTED_INT_BITS = 256
+
+
+def _quote(value: object) -> str:
+    """``repr(value)``, or the width of an int too wide to quote."""
+    if isinstance(value, int) and value.bit_length() > _QUOTED_INT_BITS:
+        return f"an int of {value.bit_length()} bits"
+    return repr(value)
+
+
 class TypeCastError(RelationalError):
     """A value could not be cast to the requested datatype."""
 
     def __init__(self, value: object, datatype: object) -> None:
-        super().__init__(f"cannot cast {value!r} to {datatype}")
+        super().__init__(f"cannot cast {_quote(value)} to {datatype}")
         self.value = value
         self.datatype = datatype
 

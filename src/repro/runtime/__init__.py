@@ -28,7 +28,7 @@ from .engine import (
     get_runtime,
     set_default_runtime,
 )
-from .metrics import MetricsSnapshot, RuntimeMetrics, StageTiming
+from .metrics import MetricsSnapshot, RuntimeMetrics
 
 __all__ = [
     "CancelScope",
@@ -39,7 +39,6 @@ __all__ = [
     "ProfileCache",
     "Runtime",
     "RuntimeMetrics",
-    "StageTiming",
     "checkpoint",
     "current_scope",
     "default_runtime",

@@ -87,10 +87,9 @@ class Runtime:
         :class:`~repro.resilience.DegradedResult` in the report dict
         instead — the other modules' reports survive, the failure is
         counted on ``degraded_total``, and the detector's span carries an
-        ``error`` annotation.  Each detector runs under a
-        ``detector:<name>`` span and records its latency into the
-        ``detector_seconds`` histogram, so per-detector p50/p95/p99
-        survive aggregation.
+        ``error`` annotation.  Each detector runs as stage
+        ``detector:<name>`` (one span, one ``stage_seconds`` sample), so
+        per-detector p50/p95/p99 survive aggregation.
         """
         if on_error not in ("raise", "degrade"):
             raise ValueError(
@@ -100,7 +99,7 @@ class Runtime:
         self.metrics.increment("detector_runs", by=len(modules))
 
         def run_one(module):
-            with tracing.span(f"detector:{module.name}") as span:
+            with self.metrics.stage(f"detector:{module.name}") as stage:
                 started = time.perf_counter()
                 try:
                     checkpoint("detector", detector=module.name)
@@ -111,35 +110,31 @@ class Runtime:
                 except Exception as exc:  # noqa: BLE001 - degradation boundary
                     if on_error == "raise":
                         raise
-                    elapsed = time.perf_counter() - started
                     error = format_exception(exc)
-                    span.set_attribute("error", error)
+                    stage.set_attribute("error", error)
                     self.metrics.increment("degraded_total")
                     self.metrics.increment("detectors_degraded")
                     return DegradedResult(
                         module=module.name,
                         phase="assess",
                         error=error,
-                        elapsed_seconds=elapsed,
+                        elapsed_seconds=time.perf_counter() - started,
                         scenario=scenario.name,
                     )
-                finally:
-                    self.metrics.observe(
-                        "detector_seconds",
-                        time.perf_counter() - started,
-                        detector=module.name,
-                    )
 
-        with tracing.span("assess", scenario=scenario.name), \
-                self.metrics.time_stage("assess"):
+        with self.metrics.stage("assess", scenario=scenario.name):
             reports = {}
             with self.activated():
                 for module in modules:
-                    with self.metrics.time_stage("assess.detector"):
-                        reports[module.name] = run_one(module)
+                    reports[module.name] = run_one(module)
         return reports
 
     # -- cached profiling -------------------------------------------------
+    #
+    # Each cached entry point opens its stage marked ``cache_hit=True``;
+    # reaching the compute callback means the cache did not have the
+    # entry, so the callback flips the mark and the stage records a
+    # sample.  A hit records none.
 
     def profile_column(
         self, database, relation_name: str, attribute_name: str, datatype=None
@@ -152,28 +147,23 @@ class Runtime:
             else database.schema.attribute(relation_name, attribute_name).datatype
         )
         def compute():
+            stage.set_attribute("cache_hit", False)
             checkpoint(
                 "profile", relation=relation_name, attribute=attribute_name
             )
             fault_point(
                 "profile", relation=relation_name, attribute=attribute_name
             )
-            return self._timed(
-                "profile",
-                profiler.compute_column_profile,
-                database,
-                relation_name,
-                attribute_name,
-                resolved,
-                span=span,
+            return profiler.compute_column_profile(
+                database, relation_name, attribute_name, resolved
             )
 
-        with tracing.span(
+        with self.metrics.stage(
             "profile",
             relation=relation_name,
             attribute=attribute_name,
             cache_hit=True,
-        ) as span:
+        ) as stage:
             return self.cache.get_or_compute(
                 database,
                 ("profile_column", relation_name, attribute_name, str(resolved)),
@@ -192,6 +182,7 @@ class Runtime:
                     for attribute in relation.attributes
                 }
 
+        # A plain span: its per-column ``profile`` stages are the samples.
         with tracing.span(
             "profile", scope="database", database=database.name, cache_hit=True
         ) as span:
@@ -202,55 +193,42 @@ class Runtime:
     def discover_uccs(self, database, max_arity: int = 2):
         from ..profiling import dependencies
 
-        with tracing.span(
+        def compute():
+            stage.set_attribute("cache_hit", False)
+            return dependencies.compute_uccs(database, max_arity)
+
+        with self.metrics.stage(
             "ucc", database=database.name, cache_hit=True
-        ) as span:
+        ) as stage:
             return self.cache.get_or_compute(
-                database,
-                ("uccs", max_arity),
-                lambda: self._timed(
-                    "dependencies",
-                    dependencies.compute_uccs,
-                    database,
-                    max_arity,
-                    span=span,
-                ),
+                database, ("uccs", max_arity), compute
             )
 
     def discover_inds(self, database, min_values: int = 1):
         from ..profiling import dependencies
 
-        with tracing.span(
+        def compute():
+            stage.set_attribute("cache_hit", False)
+            return dependencies.compute_inds(database, min_values)
+
+        with self.metrics.stage(
             "ind", database=database.name, cache_hit=True
-        ) as span:
+        ) as stage:
             return self.cache.get_or_compute(
-                database,
-                ("inds", min_values),
-                lambda: self._timed(
-                    "dependencies",
-                    dependencies.compute_inds,
-                    database,
-                    min_values,
-                    span=span,
-                ),
+                database, ("inds", min_values), compute
             )
 
     def discover_fds(self, database):
         from ..profiling import dependencies
 
-        with tracing.span(
+        def compute():
+            stage.set_attribute("cache_hit", False)
+            return dependencies.compute_fds(database)
+
+        with self.metrics.stage(
             "fd", database=database.name, cache_hit=True
-        ) as span:
-            return self.cache.get_or_compute(
-                database,
-                ("fds",),
-                lambda: self._timed(
-                    "dependencies",
-                    dependencies.compute_fds,
-                    database,
-                    span=span,
-                ),
-            )
+        ) as stage:
+            return self.cache.get_or_compute(database, ("fds",), compute)
 
     # -- cached structure conflicts -----------------------------------------
 
@@ -264,22 +242,14 @@ class Runtime:
         source into its CSG instance and counts it, timed as stage ``csg``,
         so a re-quote of assessed content converts nothing.
         """
-        with tracing.span(
-            "csg", database=database.name, cache_hit=True
-        ) as span:
-            return self.cache.get_or_compute(
-                database,
-                operation_key,
-                lambda: self._timed("csg", compute, span=span),
-            )
+        def miss():
+            stage.set_attribute("cache_hit", False)
+            return compute()
 
-    def _timed(self, stage: str, function: Callable, *args, span=None):
-        # Reaching the compute callback means the cache did not have the
-        # entry; flip the span's optimistic cache_hit annotation.
-        if span is not None:
-            span.set_attribute("cache_hit", False)
-        with self.metrics.time_stage(stage):
-            return function(*args)
+        with self.metrics.stage(
+            "csg", database=database.name, cache_hit=True
+        ) as stage:
+            return self.cache.get_or_compute(database, operation_key, miss)
 
     def __repr__(self) -> str:
         return (

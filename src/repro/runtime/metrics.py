@@ -3,18 +3,16 @@
 The assessment runtime (ROADMAP: "as fast as the hardware allows") needs
 to be observable before it can be tuned: every :class:`RuntimeMetrics`
 instance collects named counters (cache hits/misses, detector runs, task
-counts), per-stage timings, and labelled log-scale **histograms**
+counts), gauges, and labelled log-scale **histograms**
 (:mod:`repro.observability.histograms`) so latency distributions —
-p50/p95/p99 per stage, per detector, per service-job phase — survive
-aggregation.  All operations are thread-safe because the service's
-worker slots update one runtime's metrics from several threads.
+p50/p95/p99 per stage — survive aggregation.  All operations are
+thread-safe because the service's worker slots update one runtime's
+metrics from several threads.
 
-Stage timings distinguish three numbers that diverge under concurrency:
-
-* ``seconds`` — summed per-call *work* time (can exceed elapsed time),
-* ``wall_seconds`` — elapsed *latency* from the first concurrent entry
-  to the last exit of the stage,
-* ``max_seconds`` — the longest single call.
+Each pipeline layer is timed at one point, :meth:`RuntimeMetrics.stage`:
+it opens the layer's span and records the block's duration once, as the
+span's ``duration_seconds`` and as one ``stage_seconds{stage=<name>}``
+sample, so a trace and the histograms read the same clock.
 """
 
 from __future__ import annotations
@@ -22,30 +20,9 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from collections.abc import Iterator
-from contextlib import contextmanager
 
+from ..observability import tracing
 from ..observability.histograms import Histogram, HistogramSnapshot
-
-
-@dataclasses.dataclass
-class StageTiming:
-    """Accumulated timing of one named pipeline stage.
-
-    For stages executed concurrently ``seconds`` sums the per-task times
-    and so can exceed elapsed time — it measures *work*.  The latency
-    view is ``wall_seconds`` (time from first entry to last exit across
-    overlapping calls) and ``max_seconds`` (worst single call).
-    """
-
-    calls: int = 0
-    seconds: float = 0.0
-    max_seconds: float = 0.0
-    wall_seconds: float = 0.0
-
-    @property
-    def mean_seconds(self) -> float:
-        return self.seconds / self.calls if self.calls else 0.0
 
 
 #: Canonical key shape for one labelled metric series.
@@ -67,7 +44,6 @@ class MetricsSnapshot:
     """
 
     counters: dict[str, int]
-    stages: dict[str, StageTiming]
     histograms: tuple[HistogramSnapshot, ...] = ()
     timestamp: float = 0.0
     gauges: tuple[tuple[str, LabelSet, float], ...] = ()
@@ -99,32 +75,63 @@ class MetricsSnapshot:
                 {"name": name, "labels": dict(labels), "value": value}
                 for name, labels, value in self.gauges
             ],
-            "stages": {
-                name: {
-                    "calls": timing.calls,
-                    "seconds": timing.seconds,
-                    "mean_seconds": timing.mean_seconds,
-                    "max_seconds": timing.max_seconds,
-                    "wall_seconds": timing.wall_seconds,
-                }
-                for name, timing in self.stages.items()
-            },
             "histograms": [
                 histogram.to_dict() for histogram in self.histograms
             ],
         }
 
 
+class _Stage:
+    """The context :meth:`RuntimeMetrics.stage` returns.
+
+    It stands in for the span it opens: ``set_attribute`` reaches the
+    span, and ``cache_hit`` is also read here because the shared no-op
+    span of the untraced path keeps no attributes.
+    """
+
+    __slots__ = (
+        "_metrics", "_name", "_handle", "_span", "_started", "_cache_hit"
+    )
+
+    def __init__(
+        self, metrics: "RuntimeMetrics", name: str, attributes: dict
+    ) -> None:
+        self._metrics = metrics
+        self._name = name
+        self._cache_hit = attributes.get("cache_hit", False)
+        self._handle = tracing.span(name, **attributes)
+
+    def __enter__(self) -> "_Stage":
+        self._span = self._handle.__enter__()
+        self._started = time.perf_counter()
+        return self
+
+    def set_attribute(self, name: str, value) -> None:
+        if name == "cache_hit":
+            self._cache_hit = value
+        self._span.set_attribute(name, value)
+
+    def __exit__(self, *exc_info) -> bool:
+        ended = time.perf_counter()
+        self._handle.__exit__(*exc_info)
+        if not self._cache_hit:
+            span = self._span
+            seconds = (
+                span.duration_seconds
+                if span.is_recording
+                else ended - self._started
+            )
+            self._metrics.observe("stage_seconds", seconds, stage=self._name)
+        return False
+
+
 class RuntimeMetrics:
-    """Thread-safe counters, stage timings, and histograms."""
+    """Thread-safe counters, gauges, and histograms."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
         self._gauges: dict[tuple[str, LabelSet], float] = {}
-        self._stages: dict[str, StageTiming] = {}
-        #: Wall-clock bookkeeping per stage: [active_calls, entered_perf].
-        self._stage_active: dict[str, list] = {}
         self._histograms: dict[tuple, Histogram] = {}
 
     # -- counters --------------------------------------------------------
@@ -171,7 +178,7 @@ class RuntimeMetrics:
         """Record one observation into the named histogram series.
 
         Labels distinguish series within a family, Prometheus-style:
-        ``observe("detector_seconds", 0.2, detector="mapping")``.
+        ``observe("stage_seconds", 0.2, stage="service.queue")``.
         """
         key = (name, tuple(sorted(labels.items())))
         with self._lock:
@@ -188,64 +195,32 @@ class RuntimeMetrics:
             histogram = self._histograms.get(key)
         return histogram.snapshot() if histogram is not None else None
 
-    # -- stage timings ----------------------------------------------------
+    # -- stages -----------------------------------------------------------
 
-    def record_stage(self, name: str, seconds: float) -> None:
-        with self._lock:
-            timing = self._stages.get(name)
-            if timing is None:
-                timing = self._stages[name] = StageTiming()
-            timing.calls += 1
-            timing.seconds += seconds
-            if seconds > timing.max_seconds:
-                timing.max_seconds = seconds
-        self.observe("stage_seconds", seconds, stage=name)
+    def stage(self, name: str, **attributes) -> _Stage:
+        """Time one layer: ``with metrics.stage("csg", database=...) as st:``.
 
-    @contextmanager
-    def time_stage(self, name: str) -> Iterator[None]:
-        started = time.perf_counter()
-        with self._lock:
-            active = self._stage_active.get(name)
-            if active is None or active[0] == 0:
-                self._stage_active[name] = [1, started]
-            else:
-                active[0] += 1
-        try:
-            yield
-        finally:
-            ended = time.perf_counter()
-            self.record_stage(name, ended - started)
-            with self._lock:
-                active = self._stage_active[name]
-                active[0] -= 1
-                if active[0] == 0:
-                    timing = self._stages[name]
-                    timing.wall_seconds += ended - active[1]
-
-    def stage(self, name: str) -> StageTiming:
-        with self._lock:
-            timing = self._stages.get(name, StageTiming())
-            return dataclasses.replace(timing)
+        Opens ``tracing.span(name, **attributes)`` (the shared no-op span
+        when tracing is off) and on exit records the block's duration
+        once: as the span's ``duration_seconds`` and as one
+        ``stage_seconds{stage=name}`` sample.  A block that ends marked
+        ``cache_hit=True`` (opened so, and never flipped by
+        ``st.set_attribute("cache_hit", False)``) keeps its span and
+        records no sample.
+        """
+        return _Stage(self, name, attributes)
 
     # -- inspection -------------------------------------------------------
 
     def is_empty(self) -> bool:
         with self._lock:
-            return (
-                not self._counters
-                and not self._stages
-                and not self._histograms
-            )
+            return not self._counters and not self._histograms
 
     def snapshot(self) -> MetricsSnapshot:
         with self._lock:
             histograms = list(self._histograms.values())
             return MetricsSnapshot(
                 counters=dict(self._counters),
-                stages={
-                    name: dataclasses.replace(timing)
-                    for name, timing in self._stages.items()
-                },
                 histograms=tuple(
                     histogram.snapshot() for histogram in histograms
                 ),
@@ -260,8 +235,6 @@ class RuntimeMetrics:
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
-            self._stages.clear()
-            self._stage_active.clear()
             self._histograms.clear()
 
     def render(self) -> str:
@@ -278,25 +251,14 @@ class RuntimeMetrics:
                 lines.append(
                     f"    {'cache_hit_rate':24s} {hits / (hits + misses):.1%}"
                 )
-        if snapshot.stages:
-            lines.append("  stages (work | wall latency | worst call):")
-            for name in sorted(snapshot.stages):
-                timing = snapshot.stages[name]
-                lines.append(
-                    f"    {name:24s} {timing.seconds:8.3f}s | "
-                    f"{timing.wall_seconds:8.3f}s | "
-                    f"{timing.max_seconds:8.3f}s over {timing.calls} call(s)"
-                )
-        latency_histograms = [
-            h for h in snapshot.histograms if h.count and h.name != "stage_seconds"
-        ]
+        latency_histograms = [h for h in snapshot.histograms if h.count]
         if latency_histograms:
             lines.append("  latency distributions (p50 / p95 / p99):")
             for histogram in latency_histograms:
                 label = ",".join(f"{k}={v}" for k, v in histogram.labels)
                 name = f"{histogram.name}{{{label}}}" if label else histogram.name
                 lines.append(
-                    f"    {name:36s} {histogram.p50:8.4f}s / "
+                    f"    {name:40s} {histogram.p50:8.4f}s / "
                     f"{histogram.p95:8.4f}s / {histogram.p99:8.4f}s "
                     f"(n={histogram.count})"
                 )
@@ -308,6 +270,5 @@ class RuntimeMetrics:
         snapshot = self.snapshot()
         return (
             f"RuntimeMetrics({len(snapshot.counters)} counters, "
-            f"{len(snapshot.stages)} stages, "
             f"{len(snapshot.histograms)} histogram series)"
         )

@@ -27,8 +27,9 @@ Resources::
     DELETE /jobs/<id>        cancel; returns the job status
     GET    /trace/<id>       the job's span tree (service.job:<id> root)
     GET    /healthz          liveness and health
-    GET    /metrics          counters, stage timings and histograms plus
-                             scheduler and store statistics;
+    GET    /metrics          counters, gauges and histograms (stage
+                             timings are ``stage_seconds{stage=...}``)
+                             plus scheduler and store statistics;
                              ``Accept: text/plain`` (or
                              ``?format=prometheus``) switches to
                              Prometheus text exposition

@@ -76,7 +76,6 @@ import threading
 import time
 from collections import OrderedDict
 from collections.abc import Callable
-from contextlib import contextmanager
 
 from ..core import default_efes
 from ..core.framework import Efes
@@ -491,7 +490,7 @@ class JobScheduler:
                 reports = self.efes.assess(scenario, strict=self.strict)
                 self._cancel_guard(job)
                 clean, degraded = split_degraded(reports)
-                with self._serialize_phase():
+                with self.metrics.stage("serialize"):
                     doc = {
                         "kind": "assess",
                         "scenario": scenario.name,
@@ -517,7 +516,7 @@ class JobScheduler:
                 degradations=degradations,
             )
             self._cancel_guard(job)
-            with self._serialize_phase():
+            with self.metrics.stage("serialize"):
                 doc = {
                     "kind": "estimate",
                     "scenario": scenario.name,
@@ -532,18 +531,6 @@ class JobScheduler:
                 return doc
 
         return estimate_payload
-
-    @contextmanager
-    def _serialize_phase(self):
-        """Span + histogram around result-document serialisation."""
-        started = time.perf_counter()
-        with tracing.span("serialize"), self.metrics.time_stage("serialize"):
-            yield
-        self.metrics.observe(
-            "job_phase_seconds",
-            time.perf_counter() - started,
-            phase="serialize",
-        )
 
     def _enqueue(self, job: Job, *, journal_record: dict | None = None) -> None:
         with self._lock:
@@ -1000,7 +987,7 @@ class JobScheduler:
             )
             if job.queued_seconds is not None:
                 self.metrics.observe(
-                    "job_phase_seconds", job.queued_seconds, phase="queued"
+                    "stage_seconds", job.queued_seconds, stage="service.queue"
                 )
             started = time.perf_counter()
             # The scope every checkpoint below observes: the job's
@@ -1044,9 +1031,9 @@ class JobScheduler:
             except Exception as exc:  # noqa: BLE001 - job isolation boundary
                 error = f"{type(exc).__name__}: {exc}"
             self.metrics.observe(
-                "job_phase_seconds",
+                "stage_seconds",
                 time.perf_counter() - started,
-                phase="running",
+                stage="service.job",
             )
             if tracer is not None and tracer.root is not None:
                 job.trace = span_to_dict(tracer.root)
@@ -1130,23 +1117,18 @@ class JobScheduler:
 
     def _store_result_locked(self, job: Job, result: dict) -> None:
         """Spool the result; a failing spool never fails a DONE job."""
-        store_started = time.perf_counter()
-        try:
-            self.store.put(job.store_key, result)
-        except OSError as exc:
-            # The in-memory result stands; persistence is best-effort.
-            self.metrics.increment("store_put_failures")
-            self.events.emit(
-                "store.write_failed",
-                correlation_id=job.correlation_id,
-                job_id=job.id,
-                error=format_exception(exc),
-            )
-        self.metrics.observe(
-            "job_phase_seconds",
-            time.perf_counter() - store_started,
-            phase="store",
-        )
+        with self.metrics.stage("store.put"):
+            try:
+                self.store.put(job.store_key, result)
+            except OSError as exc:
+                # The in-memory result stands; persistence is best-effort.
+                self.metrics.increment("store_put_failures")
+                self.events.emit(
+                    "store.write_failed",
+                    correlation_id=job.correlation_id,
+                    job_id=job.id,
+                    error=format_exception(exc),
+                )
 
     def _release_slot_locked(self, job: Job) -> None:
         if not job.slot_released:
@@ -1209,14 +1191,16 @@ class JobScheduler:
                 self.breaker.record_failure()
             self.health.set_reason("stuck_workers", any_stuck)
 
-    def _apply_slo_health(self, statuses) -> None:
-        """Fold SLO burn-rate states into the health state machine.
+    def _evaluate_slos(self) -> list:
+        """Evaluate the SLOs and publish what follows from them.
 
-        A critical burn flags a hard ``slo:<name>`` degradation reason;
-        a warning burn flags the advisory warning of the same name, so
-        the replica reports ``slo-warning`` without being pulled from
-        rotation.
+        Each SLO's state folds into the health state machine: a critical
+        burn flags a hard ``slo:<name>`` degradation reason, a warning
+        burn the advisory warning of the same name, so the replica
+        reports ``slo-warning`` without being pulled from rotation.  Its
+        burn rates become the ``slo_burn_rate{slo,window}`` gauges.
         """
+        statuses = self.slo.evaluate()
         for status in statuses:
             self.health.set_reason(
                 f"slo:{status.name}", status.state == "critical"
@@ -1224,6 +1208,14 @@ class JobScheduler:
             self.health.set_warning(
                 f"slo:{status.name}", status.state == "warning"
             )
+            for window in ("fast", "slow"):
+                self.metrics.set_gauge(
+                    "slo_burn_rate",
+                    getattr(status, window)["burn_rate"],
+                    slo=status.name,
+                    window=window,
+                )
+        return statuses
 
     def _deadline_stats_locked(self) -> dict:
         """Point-in-time deadline posture of the running set."""
@@ -1259,16 +1251,7 @@ class JobScheduler:
 
     def slo_snapshot(self) -> dict:
         """The ``GET /slo`` document: burn rates + derived health."""
-        statuses = self.slo.evaluate()
-        self._apply_slo_health(statuses)
-        for status in statuses:
-            for window in ("fast", "slow"):
-                self.metrics.set_gauge(
-                    "slo_burn_rate",
-                    getattr(status, window)["burn_rate"],
-                    slo=status.name,
-                    window=window,
-                )
+        self._evaluate_slos()
         doc = self.slo.to_dict()
         doc["state"] = self.slo.worst_state()
         doc["health"] = self.health.snapshot()
@@ -1304,24 +1287,14 @@ class JobScheduler:
         self.metrics.set_gauge(
             "cache_hit_rate", hits / lookups if lookups else 0.0
         )
-        statuses = self.slo.evaluate()
-        self._apply_slo_health(statuses)
-        for status in statuses:
-            for window in ("fast", "slow"):
-                self.metrics.set_gauge(
-                    "slo_burn_rate",
-                    getattr(status, window)["burn_rate"],
-                    slo=status.name,
-                    window=window,
-                )
+        self._evaluate_slos()
 
     def health_snapshot(self) -> dict:
         """Health + breaker + SLO + resources, as ``/healthz`` reports it."""
         self.health.set_reason(
             "store_quarantine", self.store.quarantined_count() > 0
         )
-        statuses = self.slo.evaluate()
-        self._apply_slo_health(statuses)
+        statuses = self._evaluate_slos()
         doc = self.health.snapshot()
         doc["breaker"] = self.breaker.snapshot()
         doc["slo"] = {

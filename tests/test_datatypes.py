@@ -98,6 +98,40 @@ class TestCastString:
         assert cast(False, DataType.STRING) == "false"
 
 
+#: Past the interpreter's default int-to-text limit of 4,300 digits.
+HUGE_INT = 10**5000
+
+
+class TestIntBeyondDigitLimit:
+    @pytest.mark.parametrize(
+        "datatype",
+        [DataType.FLOAT, DataType.STRING, DataType.BOOLEAN, DataType.DATE],
+        ids=str,
+    )
+    def test_refused_with_a_short_message(self, datatype):
+        assert not can_cast(HUGE_INT, datatype)
+        with pytest.raises(TypeCastError) as excinfo:
+            cast(HUGE_INT, datatype)
+        assert str(excinfo.value) == (
+            f"cannot cast an int of 16610 bits to {datatype}"
+        )
+
+    def test_integer_keeps_it(self):
+        assert can_cast(HUGE_INT, DataType.INTEGER)
+        assert cast(HUGE_INT, DataType.INTEGER) is HUGE_INT
+
+    def test_float_column_nulls_it(self):
+        assert try_cast_column([1, HUGE_INT], DataType.FLOAT) == [1.0, None]
+
+    def test_only_ints_too_wide_to_quote_are_named_by_width(self):
+        assert str(TypeCastError(2**256 - 1, DataType.DATE)) == (
+            f"cannot cast {2**256 - 1} to date"
+        )
+        assert str(TypeCastError(2**256, DataType.DATE)) == (
+            "cannot cast an int of 257 bits to date"
+        )
+
+
 class TestCastBoolean:
     @pytest.mark.parametrize("literal", ["true", "T", "yes", "1", "Y"])
     def test_truthy_literals(self, literal):

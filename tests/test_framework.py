@@ -123,13 +123,13 @@ class TestQualityBoundary:
         efes = default_efes(runtime=Runtime("serial"))
         with pytest.raises(TypeError, match="ResultQuality"):
             self.ENTRY_POINTS[entry](efes, small_example, quality)
-        assert efes.metrics.stage("profile").calls == 0
+        assert efes.metrics.histogram("stage_seconds", stage="profile") is None
 
     def test_valid_quality_profiles(self, small_example):
         efes = default_efes(runtime=Runtime("serial"))
         outcome = efes.run(small_example, ResultQuality.HIGH_QUALITY)
         assert not outcome.degradations
-        assert efes.metrics.stage("profile").calls > 0
+        assert efes.metrics.histogram("stage_seconds", stage="profile").count
 
 
 class TestTaskAdjustments:

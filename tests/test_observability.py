@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -32,7 +33,9 @@ from repro.observability import (
     span,
 )
 from repro.observability.slo import RollingCounter
+from repro.resilience import FaultPlan, FaultPoint, injected_faults
 from repro.runtime import Runtime, RuntimeMetrics
+from repro.scenarios import scenario_s1_s2
 
 
 # ----------------------------------------------------------------------
@@ -230,16 +233,64 @@ class TestHistograms:
 
 
 # ----------------------------------------------------------------------
-# Stage timings: work vs wall vs max
+# Stages: one span and one stage_seconds sample per timed block
 # ----------------------------------------------------------------------
 
 
+def stage_spans(root, name):
+    """The spans ``stage(name)`` opened under ``root`` that recorded a
+    sample: not a cache hit, and not the database-scope ``profile``
+    container, which is a plain span."""
+    return [
+        node
+        for node in root.find(name)
+        if node.attributes.get("cache_hit") is not True
+        and node.attributes.get("scope") != "database"
+    ]
+
+
 class TestStageTimings:
-    def test_wall_clock_below_summed_work_under_concurrency(self):
+    def test_traced_stage_sample_is_the_span_duration(self):
+        metrics = RuntimeMetrics()
+        tracer = Tracer()
+        with tracer.activated(), metrics.stage("csg", database="d"):
+            time.sleep(0.002)
+        root = tracer.root
+        assert root.name == "csg"
+        assert root.attributes == {"database": "d"}
+        histogram = metrics.histogram("stage_seconds", stage="csg")
+        assert histogram.count == 1
+        assert histogram.sum == root.duration_seconds
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_cache_hit_keeps_its_span_and_records_no_sample(self, traced):
+        metrics = RuntimeMetrics()
+        tracer = Tracer(enabled=traced)
+        with tracer.activated():
+            with metrics.stage("profile", cache_hit=True):
+                pass
+            with metrics.stage("profile", cache_hit=True) as stage:
+                stage.set_attribute("cache_hit", False)
+        histogram = metrics.histogram("stage_seconds", stage="profile")
+        assert histogram.count == 1
+        if traced:
+            hit, miss = tracer.roots
+            assert hit.attributes["cache_hit"] is True
+            assert miss.attributes["cache_hit"] is False
+            assert histogram.sum == miss.duration_seconds
+
+    def test_failing_block_records_and_raises(self):
+        metrics = RuntimeMetrics()
+        with pytest.raises(ValueError):
+            with metrics.stage("plan"):
+                raise ValueError("planner exploded")
+        assert metrics.histogram("stage_seconds", stage="plan").count == 1
+
+    def test_concurrent_stages_each_record_one_sample(self):
         metrics = RuntimeMetrics()
 
         def busy():
-            with metrics.time_stage("overlap"):
+            with metrics.stage("overlap"):
                 time.sleep(0.05)
 
         threads = [threading.Thread(target=busy) for _ in range(4)]
@@ -247,29 +298,86 @@ class TestStageTimings:
             thread.start()
         for thread in threads:
             thread.join()
-        timing = metrics.stage("overlap")
-        assert timing.calls == 4
-        assert timing.seconds >= 0.9 * 4 * 0.05  # summed work
-        assert timing.wall_seconds < timing.seconds  # overlapped latency
-        assert timing.max_seconds <= timing.seconds
-        assert timing.mean_seconds == pytest.approx(
-            timing.seconds / 4
+        histogram = metrics.histogram("stage_seconds", stage="overlap")
+        assert histogram.count == 4
+        assert histogram.sum >= 0.9 * 4 * 0.05
+        assert histogram.max <= histogram.sum
+
+    def test_spans_and_histograms_read_one_clock(self):
+        runtime = Runtime()
+        efes = default_efes(runtime=runtime)
+        scenario = scenario_s1_s2(seed=1)
+        cold = efes.run(scenario, ResultQuality.HIGH_QUALITY, trace=True)
+        # The warm re-quote's profile and csg spans are cache hits: they
+        # stay in its trace and add no sample.
+        warm = efes.run(scenario, ResultQuality.HIGH_QUALITY, trace=True)
+        assert all(
+            node.attributes["cache_hit"] is True
+            for name in ("profile", "csg")
+            for node in warm.trace.find(name)
         )
+        series = [
+            histogram
+            for histogram in runtime.metrics.snapshot().histograms
+            if histogram.name == "stage_seconds"
+        ]
+        assert {dict(h.labels)["stage"]: h.count for h in series} == {
+            "assess": 2,
+            "detector:mapping": 2,
+            "detector:structure": 2,
+            "detector:values": 2,
+            "csg": 1,
+            "profile": 10,
+            "plan": 2,
+            "price": 2,
+        }
+        for histogram in series:
+            name = dict(histogram.labels)["stage"]
+            spans = stage_spans(cold.trace, name) + stage_spans(
+                warm.trace, name
+            )
+            assert histogram.count == len(spans)
+            assert math.isclose(
+                histogram.sum,
+                sum(node.duration_seconds for node in spans),
+                rel_tol=1e-9,
+            )
+
+    def test_a_failed_profile_miss_is_no_cache_hit(self):
+        # A miss stopped by a fault (or a deadline) before profiling is
+        # still a miss: its span must not read as a cache hit.
+        runtime = Runtime()
+        plan = FaultPlan([FaultPoint(site="profile", times=1)])
+        with injected_faults(plan):
+            outcome = default_efes(runtime=runtime).run(
+                scenario_s1_s2(seed=1),
+                ResultQuality.HIGH_QUALITY,
+                trace=True,
+                strict=False,
+            )
+        assert [d.module for d in outcome.degradations] == ["values"]
+        (failed,) = [
+            node
+            for node in outcome.trace.find("profile")
+            if "error" in node.attributes
+        ]
+        assert failed.attributes["cache_hit"] is False
+        histogram = runtime.metrics.histogram("stage_seconds", stage="profile")
+        assert histogram.count == len(stage_spans(outcome.trace, "profile"))
 
     def test_snapshot_to_dict_includes_mean_and_timestamp(self):
         metrics = RuntimeMetrics()
-        metrics.record_stage("assess", 2.0)
-        metrics.record_stage("assess", 4.0)
+        metrics.observe("stage_seconds", 2.0, stage="assess")
+        metrics.observe("stage_seconds", 4.0, stage="assess")
         before = time.time()
         doc = metrics.snapshot().to_dict()
-        assert doc["stages"]["assess"]["mean_seconds"] == pytest.approx(3.0)
-        assert doc["stages"]["assess"]["max_seconds"] == pytest.approx(4.0)
+        assert set(doc) == {"timestamp", "counters", "gauges", "histograms"}
+        (assess,) = doc["histograms"]
+        assert assess["labels"] == {"stage": "assess"}
+        assert assess["count"] == 2
+        assert assess["mean"] == pytest.approx(3.0)
+        assert assess["max"] == pytest.approx(4.0)
         assert before - 1.0 <= doc["timestamp"] <= time.time() + 1.0
-        # record_stage feeds the stage_seconds histogram family too.
-        assert any(
-            h["name"] == "stage_seconds" and h["count"] == 2
-            for h in doc["histograms"]
-        )
 
 
 # ----------------------------------------------------------------------
@@ -308,13 +416,16 @@ class TestPrometheusText:
     def test_counters_stages_and_extra_gauges(self):
         metrics = RuntimeMetrics()
         metrics.increment("cache_hits", 3)
-        metrics.record_stage("assess", 1.5)
+        metrics.observe("stage_seconds", 1.5, stage="assess")
         text = prometheus_text(
             metrics.snapshot(), extra_gauges={"queue_depth": 2.0}
         )
         assert "repro_cache_hits_total 3" in text
-        assert 'repro_stage_work_seconds{stage="assess"} 1.5' in text
-        assert 'repro_stage_calls_total{stage="assess"} 1' in text
+        assert 'repro_stage_seconds_sum{stage="assess"} 1.5' in text
+        assert 'repro_stage_seconds_count{stage="assess"} 1' in text
+        # Stages are one histogram family, with no separate series.
+        assert "repro_stage_work_seconds" not in text
+        assert "repro_stage_calls_total" not in text
         assert "repro_queue_depth 2.0" in text
 
 
@@ -463,15 +574,18 @@ class TestServiceObservability:
         job = client.submit("s4-s4", kind="assess", seed=3)
         client.result(job["id"], deadline=120)
         text = client.metrics_text()
-        assert "# TYPE repro_job_phase_seconds histogram" in text
-        assert 'phase="running"' in text
+        assert "# TYPE repro_stage_seconds histogram" in text
+        assert 'repro_stage_seconds_count{stage="service.job"}' in text
         assert "repro_queue_depth" in text
         assert "repro_workers_total 2.0" in text
         # The default JSON face carries the same snapshot.
         doc = client.metrics()
         assert doc["counters"]["jobs_completed"] >= 1
+        assert "stages" not in doc
         assert any(
-            h["name"] == "job_phase_seconds" for h in doc["histograms"]
+            h["name"] == "stage_seconds"
+            and h["labels"] == {"stage": "service.job"}
+            for h in doc["histograms"]
         )
 
 

@@ -72,7 +72,8 @@ def run(scenario, runtime):
 
 
 def conversions(runtime) -> int:
-    return runtime.metrics.stage("csg").calls
+    histogram = runtime.metrics.histogram("stage_seconds", stage="csg")
+    return histogram.count if histogram is not None else 0
 
 
 def structure_keys(runtime, database) -> list[tuple]:

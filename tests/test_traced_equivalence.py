@@ -3,8 +3,9 @@
 One scenario per family (running example, bibliographic case study,
 music case study) runs through ``Efes.run`` twice on fresh runtimes,
 once untraced and once traced.  The serialized reports, estimate and
-task catalogue must be byte-identical, and the ProfileCache must end up
-holding exactly the same content keys.
+task catalogue must be byte-identical, the ProfileCache must end up
+holding exactly the same content keys, and the runtime must record the
+same ``stage_seconds`` series with the same sample counts.
 """
 
 import json
@@ -59,6 +60,11 @@ def run_pipeline(build_scenario, trace: bool):
         "estimate": dumps(estimate_to_dict(outcome.estimate)),
         "tasks": json.dumps(tasks_to_dicts(tasks), sort_keys=True),
         "cache_keys": runtime.cache.keys(),
+        "stage_counts": {
+            histogram.labels: histogram.count
+            for histogram in runtime.metrics.snapshot().histograms
+            if histogram.name == "stage_seconds"
+        },
     }
 
 
