@@ -307,6 +307,10 @@ def span_from_dict(doc: Mapping) -> Span:
 # The checksum covers exactly the JSON body.  A line is *complete* only
 # when its trailing newline is present — a checksum that happens to
 # survive truncation cannot make a partial record look whole.
+#
+# The report store (repro.service.store) writes each spool entry as one
+# such record, ``{"key": <key>, "document": <doc>}``, so one codec and
+# one decoder cover everything the service puts on disk.
 
 #: Record types the job journal knows how to replay.
 JOURNAL_RECORD_TYPES = ("submitted", "dispatched", "settled")
@@ -390,7 +394,7 @@ def decode_journal_text(text: str) -> tuple[list[dict], int]:
 
 
 def dumps(doc: dict) -> str:
-    """Canonical JSON used by the report store (stable key order)."""
+    """Canonical, indented JSON of a document (stable key order)."""
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
 
 

@@ -17,7 +17,7 @@ its journal to a :class:`RecoveryManager`, which
    content-addressed, so a duplicate execution converges on the same
    store entry),
 4. **re-detects lost results**: a ``settled done`` record whose store
-   entry has vanished (evicted, quarantined, deleted) is re-enqueued
+   entry has vanished (quarantined, deleted) is re-enqueued
    when its submission record still allows a rebuild,
 5. **checkpoints and compacts**: live jobs are re-stated into the fresh
    active segment, a bounded window of settled jobs is re-stated so the
@@ -35,6 +35,13 @@ from __future__ import annotations
 import dataclasses
 
 from .journal import JobJournal, settled_record
+
+#: How many idempotency keys the scheduler remembers, and so how many
+#: settled jobs recovery re-states at compaction: a key the scheduler
+#: would still dedup must survive a restart (``GET /jobs/<id>`` keeps
+#: answering for it too).  Older settlements fall back to the
+#: content-addressed store, which still makes their re-execution free.
+IDEMPOTENCY_WINDOW = 256
 
 
 @dataclasses.dataclass
@@ -84,20 +91,9 @@ class JournalReplay:
 class RecoveryManager:
     """Replays a :class:`JobJournal` and re-enacts its live jobs."""
 
-    def __init__(
-        self,
-        journal: JobJournal,
-        store=None,
-        *,
-        settled_window: int = 256,
-    ) -> None:
+    def __init__(self, journal: JobJournal, store=None) -> None:
         self.journal = journal
         self.store = store
-        #: How many settled jobs are re-stated at compaction so the
-        #: idempotency dedup window (and ``GET /jobs/<id>``) survive a
-        #: restart.  Older settlements fall back to the content-addressed
-        #: store, which still makes their re-execution free.
-        self.settled_window = settled_window
         self.last_summary: dict | None = None
 
     # -- replay ------------------------------------------------------------
@@ -167,9 +163,7 @@ class RecoveryManager:
             else:
                 resubmit.append(state)
         # Only the most recent settlements are re-stated at compaction.
-        checkpoint = terminal[-self.settled_window:] if (
-            self.settled_window > 0
-        ) else []
+        checkpoint = terminal[-IDEMPOTENCY_WINDOW:]
         return {
             "resubmit": resubmit,
             "complete_from_store": complete_from_store,

@@ -37,6 +37,7 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 
+from ..relational.columnar import is_wide_int
 from ..relational.datatypes import DataType, cast, is_native, try_cast_column
 from ..relational.errors import TypeCastError
 from .patterns import extract_patterns, generalize_pattern
@@ -673,6 +674,12 @@ class ValueRange(Statistic):
 # ----------------------------------------------------------------------
 
 
+def _tie_text(value: object) -> str:
+    """The text that orders equally frequent top-k values: ``str``, or
+    hex for an int too wide for decimal text."""
+    return format(value, "x") if is_wide_int(value) else str(value)
+
+
 @dataclasses.dataclass(frozen=True)
 class TopKValues(Statistic):
     """The k most frequent values with their relative frequencies."""
@@ -696,7 +703,7 @@ class TopKValues(Statistic):
         entries = tuple(
             sorted(
                 ((value, count / total) for value, count in top),
-                key=lambda item: (-item[1], str(item[0])),
+                key=lambda item: (-item[1], _tie_text(item[0])),
             )
         )
         return cls(

@@ -28,7 +28,8 @@ Encoding kinds (chosen per column, most specific first):
 ``text``     every non-null is a ``str`` → UTF-8 blob + ``array('q')``
              end-offsets
 ``object``   anything else (mixed types, oversized ints) → per-value
-             tag + length-prefixed payload
+             tag + length-prefixed payload; an int too wide for decimal
+             text (:func:`is_wide_int`) is tagged ``x`` and written in hex
 ===========  ==========================================================
 
 All multi-byte integers are little-endian regardless of host byte order,
@@ -66,11 +67,16 @@ __all__ = [
     "block_to_doc",
     "decode_column",
     "encode_column",
+    "is_wide_int",
 ]
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 _NONE_TYPE = type(None)
+
+#: The smallest magnitude of more than 4,300 decimal digits, the
+#: interpreter's default int-to-text limit.
+_WIDE_INT = 10**4300
 
 #: Physical encodings a block may use.
 KINDS = ("empty", "int64", "float64", "bool", "text", "object")
@@ -193,13 +199,26 @@ def _classify(types: set[type], present: Sequence[object]) -> str:
     return kind
 
 
+def is_wide_int(value: object) -> bool:
+    """Whether ``value`` is an int too wide for decimal text.
+
+    The bound is fixed rather than read from the interpreter (or found
+    by catching ``str``'s ``ValueError``), so neither an encoding nor a
+    sort order depends on ``sys.set_int_max_str_digits``.
+    """
+    return type(value) is int and abs(value) >= _WIDE_INT
+
+
 def _encode_object(value: object) -> bytes:
     """Tag + length-prefixed payload for one heterogeneous value."""
     if type(value) is bool:
         return b"b" + (b"\x01" if value else b"\x00")
     if type(value) is int:
-        text = str(value).encode("ascii")
-        return b"i" + struct.pack("<q", len(text)) + text
+        if is_wide_int(value):
+            tag, text = b"x", format(value, "x").encode("ascii")
+        else:
+            tag, text = b"i", str(value).encode("ascii")
+        return tag + struct.pack("<q", len(text)) + text
     if type(value) is float:
         return b"f" + struct.pack("<d", value)
     if type(value) is str:
@@ -276,16 +295,17 @@ def _decode_object(payload: bytes, count: int) -> list[object]:
             (value,) = struct.unpack_from("<d", payload, position)
             position += 8
             values.append(value)
-        elif tag in (b"i", b"s"):
+        elif tag in (b"i", b"x", b"s"):
             (length,) = struct.unpack_from("<q", payload, position)
             position += 8
             blob = bytes(view[position:position + length])
             if len(blob) != length:
                 raise ColumnCodecError("object payload truncated")
             position += length
-            values.append(
-                int(blob) if tag == b"i" else blob.decode("utf-8")
-            )
+            if tag == b"s":
+                values.append(blob.decode("utf-8"))
+            else:
+                values.append(int(blob, 16 if tag == b"x" else 10))
         else:
             raise ColumnCodecError(f"unknown object tag: {tag!r}")
     if position != len(payload):

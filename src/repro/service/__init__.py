@@ -13,8 +13,9 @@ estimates retrievable without recomputation.  This subsystem provides it:
 * :class:`ReportStore` — content-addressed persistence of serialised
   results (``repro.core.serialize``), keyed by the same content
   fingerprints the profile cache uses, with an on-disk spool that
-  survives restarts — checksummed, quarantining damaged entries on a
-  startup recovery scan instead of serving them,
+  survives restarts — one CRC32-checked journal record per entry,
+  quarantining damaged entries on a startup recovery scan instead of
+  serving them,
 * :mod:`~repro.service.http_api` — a stdlib ``ThreadingHTTPServer``
   exposing submit/status/result/cancel plus ``/healthz`` and
   ``/metrics``, with :class:`ServiceClient` as the Python counterpart
@@ -62,12 +63,7 @@ from .jobs import (
     SchedulerClosedError,
 )
 from .scheduler import DRAINING_ERROR, JobScheduler
-from .store import (
-    ReportStore,
-    StoreCorruptionError,
-    document_checksum,
-    job_key,
-)
+from .store import ReportStore, job_key
 
 __all__ = [
     "BackpressureError",
@@ -87,9 +83,7 @@ __all__ = [
     "ServiceError",
     "ServiceServer",
     "ServiceUnavailableError",
-    "StoreCorruptionError",
     "SubmitEnvelope",
-    "document_checksum",
     "job_key",
     "make_server",
 ]

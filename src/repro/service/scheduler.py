@@ -108,6 +108,7 @@ from ..durability import (
     settled_record,
     submitted_record,
 )
+from ..durability.recovery import IDEMPOTENCY_WINDOW
 from ..runtime import (
     CancelScope,
     Deadline,
@@ -154,7 +155,6 @@ class JobScheduler:
         journal: JobJournal | None = None,
         payload_resolver: Callable[[str, "Job"], Callable | None] | None = None,
         scenario_resolver: Callable[[str, int | None], object] | None = None,
-        idempotency_window: int = 256,
         slo: SLOMonitor | None = None,
         deadline_grace: float = DEFAULT_GRACE,
     ) -> None:
@@ -170,10 +170,6 @@ class JobScheduler:
         if stuck_after is not None and stuck_after <= 0:
             raise ValueError(
                 f"stuck_after must be positive, got {stuck_after}"
-            )
-        if idempotency_window < 0:
-            raise ValueError(
-                f"idempotency_window must be >= 0, got {idempotency_window}"
             )
         if runtime is None:
             runtime = efes.runtime if efes and efes.runtime else Runtime()
@@ -232,7 +228,6 @@ class JobScheduler:
         #: Rebuilds scenarios at recovery: called with ``(scenario_ref,
         #: seed)``; defaults to :func:`repro.scenarios.resolve_scenario`.
         self.scenario_resolver = scenario_resolver
-        self.idempotency_window = idempotency_window
         #: Recovery summary of the journal replay run at construction
         #: (``None`` without a journal); surfaced by ``/healthz``.
         self.recovery_summary: dict | None = None
@@ -244,20 +239,14 @@ class JobScheduler:
         self._sequence = itertools.count()
         self._jobs: dict[str, Job] = {}
         self._running: dict[str, Job] = {}
-        #: Idempotency-key dedup window: key -> job id, LRU-bounded.
+        #: Idempotency-key dedup window: key -> job id, the last
+        #: ``IDEMPOTENCY_WINDOW`` keys (recovery re-states as many).
         self._idempotency: OrderedDict[str, str] = OrderedDict()
         self._free_slots = workers
         self._open = True
         self._completed_jobs = 0
         self._completed_seconds = 0.0
         self._watchdog_stop = threading.Event()
-        # Evicting a result a journalled-but-unsettled job still needs
-        # would break recovery's complete-from-store path; register the
-        # live keys as protected before any sweep can run.
-        if getattr(self.store, "protected_keys", None) is None and hasattr(
-            self.store, "protected_keys"
-        ):
-            self.store.protected_keys = self._unsettled_store_keys
         # Recovery runs before the dispatcher exists: replayed jobs are
         # re-stated and re-enqueued into a quiescent scheduler, then the
         # dispatcher starts and drains them like any other submission.
@@ -463,11 +452,11 @@ class JobScheduler:
         return job
 
     def _remember_idempotency_locked(self, job: Job) -> None:
-        if not job.idempotency_key or self.idempotency_window == 0:
+        if not job.idempotency_key:
             return
         self._idempotency[job.idempotency_key] = job.id
         self._idempotency.move_to_end(job.idempotency_key)
-        while len(self._idempotency) > self.idempotency_window:
+        while len(self._idempotency) > IDEMPOTENCY_WINDOW:
             self._idempotency.popitem(last=False)
 
     def _cancel_guard(self, job: Job) -> None:
@@ -631,17 +620,6 @@ class JobScheduler:
     # ------------------------------------------------------------------
     # Crash recovery enactment (called by RecoveryManager at startup)
     # ------------------------------------------------------------------
-
-    def _unsettled_store_keys(self) -> set[str]:
-        """Store keys eviction must keep: journalled, not yet settled."""
-        with self._lock:
-            return {
-                job.store_key
-                for job in self._jobs.values()
-                if job.journalled
-                and job.store_key is not None
-                and not job.state.is_terminal
-            }
 
     def _register_replayed_terminal(self, state) -> None:
         """Re-admit a settled job from the journal's checkpoint window.

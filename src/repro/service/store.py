@@ -8,11 +8,15 @@ names, a job submitted twice for identical scenario content is served
 from the store the second time, across processes if a spool directory is
 configured.
 
-Layout of the spool directory: one ``<key>.json`` file per entry,
-written atomically (temp file + fsync + rename) so a crashed writer
-never leaves a torn document behind.  Every spooled envelope carries a
-SHA-256 checksum of its document; an entry that fails to parse or whose
-checksum does not verify is **quarantined** — moved into
+Layout of the spool directory: one ``<key>.rec`` file per entry holding
+one record of the job journal's line codec
+(:func:`~repro.core.serialize.journal_record_to_line`), the CRC32-checked
+line ``{"key": <key>, "document": <doc>}``, written atomically (temp
+file + fsync + rename) so a crashed writer never leaves a torn document
+behind.  An entry is served only if it decodes
+(:func:`~repro.core.serialize.decode_journal_text`) to exactly one
+complete record whose ``key`` is the file's key and whose ``document``
+is an object.  Anything else is **quarantined** — moved into
 ``<spool>/quarantine/`` rather than deleted, so operators can inspect
 what went wrong — and treated as a miss.  A recovery scan runs on
 startup (and on demand via :meth:`recover`), sweeping damaged entries
@@ -24,41 +28,26 @@ Writes retry under a small :class:`~repro.resilience.RetryPolicy`
 through :func:`~repro.resilience.corrupt_text` so chaos tests can
 manufacture exactly the torn files the quarantine machinery exists for.
 
-The spool no longer grows without bound: optional **LRU eviction caps**
-(``max_entries`` for the in-memory map, ``max_spool_bytes`` for the
-on-disk spool) trigger a sweep after every put.  The sweep never evicts
-an entry whose key is *protected* — the attached scheduler registers its
-unsettled journal-referenced store keys via :attr:`protected_keys`, so a
-result a recovering job still needs cannot be evicted out from under it.
-Evictions are counted on ``store_evictions``.
-
 Hits/misses/puts/quarantines are counted on the attached
 :class:`~repro.runtime.metrics.RuntimeMetrics` (``store_hits``,
 ``store_misses``, ``store_puts``, ``store_quarantined``,
-``store_write_retries``, ``store_evictions``), which is how the
-service's ``/metrics`` endpoint exposes store effectiveness and damage.
+``store_write_retries``), which is how the service's ``/metrics``
+endpoint exposes store effectiveness and damage.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
-from collections import OrderedDict
-from collections.abc import Callable
 from pathlib import Path
 
+from ..core.serialize import decode_journal_text, journal_record_to_line
 from ..resilience import RetryPolicy, call_with_retry, corrupt_text, fault_point
 from ..runtime import RuntimeMetrics, fingerprint_scenario
 
-#: Store format marker embedded in every spooled document.
-STORE_VERSION = 2
-
-#: Spool versions this reader accepts.  Version-1 envelopes predate the
-#: checksum field and are readable (trusted as-written); version-2
-#: envelopes must verify.
-READABLE_VERSIONS = (1, STORE_VERSION)
+#: File suffix of a spooled entry (one journal-codec record per file).
+SPOOL_SUFFIX = ".rec"
 
 #: Subdirectory of the spool where damaged entries are set aside.
 QUARANTINE_DIRNAME = "quarantine"
@@ -85,14 +74,15 @@ def job_key(scenario, kind: str, quality: str | None = None) -> str:
     return digest.hexdigest()
 
 
-def document_checksum(doc: dict) -> str:
-    """Canonical SHA-256 of a result document (sorted-key JSON)."""
-    canonical = json.dumps(doc, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-class StoreCorruptionError(ValueError):
-    """A spooled envelope failed validation (parse or checksum)."""
+def _decode_entry(key: str, text: str) -> dict | None:
+    """The document of a spooled entry, or ``None`` if it is damaged."""
+    records, torn = decode_journal_text(text)
+    if torn or len(records) != 1:
+        return None
+    document = records[0].get("document")
+    if records[0].get("key") != key or not isinstance(document, dict):
+        return None
+    return document
 
 
 class ReportStore:
@@ -108,37 +98,15 @@ class ReportStore:
         self,
         directory: str | Path | None = None,
         metrics: RuntimeMetrics | None = None,
-        *,
-        recover_on_start: bool = True,
-        max_entries: int | None = None,
-        max_spool_bytes: int | None = None,
     ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be positive, got {max_entries}")
-        if max_spool_bytes is not None and max_spool_bytes < 0:
-            raise ValueError(
-                f"max_spool_bytes must be >= 0, got {max_spool_bytes}"
-            )
         self.directory = Path(directory) if directory is not None else None
         self.metrics = metrics if metrics is not None else RuntimeMetrics()
-        #: LRU cap on the in-memory map (``None`` = unbounded).  Evicted
-        #: entries still live in the spool and re-enter on the next get.
-        self.max_entries = max_entries
-        #: Byte cap on the on-disk spool (``None`` = unbounded); sweeps
-        #: delete the least-recently-written unprotected entries.
-        self.max_spool_bytes = max_spool_bytes
-        #: Optional callable returning the set of store keys eviction
-        #: must never touch — the scheduler points this at its unsettled
-        #: journal-referenced keys so crash recovery keeps its promises.
-        self.protected_keys: Callable[[], set[str]] | None = None
         self._lock = threading.Lock()
-        self._entries: OrderedDict[str, dict] = OrderedDict()
-        self._quarantined_total = 0
+        self._entries: dict[str, dict] = {}
         self.last_recovery: dict | None = None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-            if recover_on_start:
-                self.recover()
+            self.recover()
 
     # -- core protocol ----------------------------------------------------
 
@@ -146,14 +114,11 @@ class ReportStore:
         """The stored document, or ``None``; counts a hit or a miss."""
         with self._lock:
             doc = self._entries.get(key)
-            if doc is not None:
-                self._entries.move_to_end(key)
         if doc is None and self.directory is not None:
             doc = self._read_spool(key)
             if doc is not None:
                 with self._lock:
                     self._entries[key] = doc
-                    self._entries.move_to_end(key)
         if doc is None:
             self.metrics.increment("store_misses")
             return None
@@ -172,20 +137,18 @@ class ReportStore:
     def put(self, key: str, doc: dict) -> None:
         with self._lock:
             self._entries[key] = doc
-            self._entries.move_to_end(key)
         self.metrics.increment("store_puts")
         if self.directory is not None:
+            line = journal_record_to_line({"key": key, "document": doc})
             call_with_retry(
                 self._write_spool,
                 key,
-                doc,
+                line,
                 policy=SPOOL_RETRY_POLICY,
                 on_retry=lambda attempt, delay, exc: self.metrics.increment(
                     "store_write_retries"
                 ),
             )
-        if self.max_entries is not None or self.max_spool_bytes is not None:
-            self.sweep()
 
     # -- spool ------------------------------------------------------------
 
@@ -196,59 +159,23 @@ class ReportStore:
         return self.directory / QUARANTINE_DIRNAME
 
     def _spool_path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    def _decode_envelope(self, text: str) -> dict | None:
-        """The document inside a spooled envelope, validated.
-
-        Returns ``None`` for foreign versions (not readable, not an
-        error), raises :class:`StoreCorruptionError` for anything torn:
-        bad JSON, missing document, or a checksum mismatch.
-        """
-        try:
-            envelope = json.loads(text)
-        except ValueError as exc:
-            raise StoreCorruptionError(f"not valid JSON: {exc}") from exc
-        if not isinstance(envelope, dict):
-            raise StoreCorruptionError("envelope is not an object")
-        version = envelope.get("version")
-        if version not in READABLE_VERSIONS:
-            return None
-        document = envelope.get("document")
-        if not isinstance(document, dict):
-            raise StoreCorruptionError("envelope has no document")
-        if version >= 2:
-            expected = envelope.get("checksum")
-            actual = document_checksum(document)
-            if expected != actual:
-                raise StoreCorruptionError(
-                    f"checksum mismatch: envelope says {expected!r}, "
-                    f"document hashes to {actual!r}"
-                )
-        return document
+        return self.directory / f"{key}{SPOOL_SUFFIX}"
 
     def _read_spool(self, key: str) -> dict | None:
         path = self._spool_path(key)
         try:
             fault_point("store.read", key=key)
-            text = path.read_text(encoding="utf-8")
+            # Undecodable bytes become U+FFFD, which the checksum rejects.
+            text = path.read_text(encoding="utf-8", errors="replace")
         except OSError:
             return None  # missing entry (or injected read fault): a miss
-        try:
-            return self._decode_envelope(text)
-        except StoreCorruptionError:
+        document = _decode_entry(key, text)
+        if document is None:
             self._quarantine(path)
-            return None
+        return document
 
-    def _write_spool(self, key: str, doc: dict) -> None:
-        envelope = {
-            "version": STORE_VERSION,
-            "key": key,
-            "checksum": document_checksum(doc),
-            "document": doc,
-        }
-        text = json.dumps(envelope, sort_keys=True, ensure_ascii=False)
-        text = corrupt_text("store.write", text, key=key)
+    def _write_spool(self, key: str, line: str) -> None:
+        text = corrupt_text("store.write", line, key=key)
         path = self._spool_path(key)
         temporary = path.with_suffix(
             f".tmp.{os.getpid()}.{threading.get_ident()}"
@@ -272,7 +199,6 @@ class ReportStore:
                 path.unlink()
             except OSError:
                 return
-        self._quarantined_total += 1
         self.metrics.increment("store_quarantined")
 
     # -- recovery ---------------------------------------------------------
@@ -289,16 +215,15 @@ class ReportStore:
         if self.directory is None:
             self.last_recovery = summary
             return summary
-        for path in sorted(self.directory.glob("*.json")):
+        for path in sorted(self.directory.glob(f"*{SPOOL_SUFFIX}")):
             summary["scanned"] += 1
             try:
-                text = path.read_text(encoding="utf-8")
-                self._decode_envelope(text)
-            except StoreCorruptionError:
-                self._quarantine(path)
-                summary["quarantined"] += 1
+                text = path.read_text(encoding="utf-8", errors="replace")
             except OSError:  # pragma: no cover - concurrent removal
                 continue
+            if _decode_entry(path.stem, text) is None:
+                self._quarantine(path)
+                summary["quarantined"] += 1
             else:
                 summary["valid"] += 1
         # Stale temp files from a crashed writer are garbage, not data:
@@ -311,95 +236,19 @@ class ReportStore:
         self.last_recovery = summary
         return summary
 
-    # -- maintenance ------------------------------------------------------
-
-    def sweep(self) -> int:
-        """LRU eviction down to the configured caps; returns evictions.
-
-        Two caps, swept independently: ``max_entries`` trims the
-        in-memory map (spool files stay, so trimmed entries are demoted
-        to disk, not lost), ``max_spool_bytes`` deletes the oldest spool
-        files until the directory fits.  A key reported by
-        :attr:`protected_keys` — a result an unsettled journalled job
-        still references — is never evicted by either sweep.
-        """
-        protected: set[str] = set()
-        if self.protected_keys is not None:
-            try:
-                protected = set(self.protected_keys())
-            except Exception:  # noqa: BLE001 - protection must not break puts
-                protected = set()
-        evicted = self._sweep_memory(protected) + self._sweep_spool(protected)
-        if evicted:
-            self.metrics.increment("store_evictions", evicted)
-        return evicted
-
-    def _sweep_memory(self, protected: set[str]) -> int:
-        evicted = 0
-        if self.max_entries is None:
-            return evicted
-        with self._lock:
-            while len(self._entries) > self.max_entries:
-                victim = next(
-                    (k for k in self._entries if k not in protected), None
-                )
-                if victim is None:
-                    break  # everything left is protected: over-cap is fine
-                del self._entries[victim]
-                evicted += 1
-        return evicted
-
-    def _sweep_spool(self, protected: set[str]) -> int:
-        evicted = 0
-        if self.max_spool_bytes is None or self.directory is None:
-            return evicted
-        files: list[tuple[float, int, Path]] = []
-        total = 0
-        for path in self.directory.glob("*.json"):
-            try:
-                stat = path.stat()
-            except OSError:  # pragma: no cover - concurrent removal
-                continue
-            files.append((stat.st_mtime, stat.st_size, path))
-            total += stat.st_size
-        files.sort()
-        for _, size, path in files:
-            if total <= self.max_spool_bytes:
-                break
-            if path.stem in protected:
-                continue
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - concurrent removal
-                continue
-            total -= size
-            evicted += 1
-            with self._lock:
-                self._entries.pop(path.stem, None)
-        return evicted
-
-    def clear(self, *, spool: bool = False) -> None:
-        """Drop the in-memory entries (and, optionally, the spool files)."""
-        with self._lock:
-            self._entries.clear()
-        if spool and self.directory is not None:
-            for path in self.directory.glob("*.json"):
-                try:
-                    path.unlink()
-                except OSError:  # pragma: no cover - concurrent cleanup
-                    pass
+    # -- introspection ----------------------------------------------------
 
     def spooled_count(self) -> int:
         if self.directory is None:
             return 0
-        return sum(1 for _ in self.directory.glob("*.json"))
+        return sum(1 for _ in self.directory.glob(f"*{SPOOL_SUFFIX}"))
 
     def quarantined_count(self) -> int:
         """Damaged entries currently set aside in the quarantine dir."""
         quarantine = self.quarantine_directory
         if quarantine is None or not quarantine.is_dir():
             return 0
-        return sum(1 for _ in quarantine.glob("*.json"))
+        return sum(1 for _ in quarantine.glob(f"*{SPOOL_SUFFIX}"))
 
     def stats(self) -> dict:
         return {

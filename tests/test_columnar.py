@@ -122,6 +122,24 @@ class TestCodecKinds:
         blocks = [encode_column(v).canonical_bytes() for v in variants]
         assert len(set(blocks)) == len(variants)
 
+    def test_int_past_the_text_digit_limit_encodes_the_same_at_any_limit(
+        self,
+    ):
+        """An int of more than 4,300 digits encodes under its own tag,
+        independently of the interpreter's int-to-text limit."""
+        wide = 10**5000
+        default = encode_column([1, wide]).canonical_bytes()
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            unlimited = encode_column([1, wide]).canonical_bytes()
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert unlimited == default
+        assert default != encode_column([1, wide + 1]).canonical_bytes()
+        decoded = decode_column(encode_column([1, wide, -wide, None]))
+        assert decoded == [1, wide, -wide, None]
+
     def test_unencodable_type_raises(self):
         with pytest.raises(ColumnCodecError):
             encode_column([object()])

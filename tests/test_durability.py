@@ -3,14 +3,11 @@
 The adversarial end of this feature lives in ``tests/sim/`` (seeded
 crash matrix, real-process ``kill -9``); this module pins the
 component-level contracts: journal segments and rotation, flush
-policies, replay/plan categories, the restart-surviving idempotency
-window, and the report store's protected LRU eviction.
+policies, replay/plan categories and the restart-surviving idempotency
+window.
 """
 
 from __future__ import annotations
-
-import threading
-import time
 
 import pytest
 
@@ -24,7 +21,7 @@ from repro.durability import (
     settled_record,
     submitted_record,
 )
-from repro.runtime import RuntimeMetrics
+from repro.durability.recovery import IDEMPOTENCY_WINDOW
 from repro.service.jobs import Job, JobState
 from repro.service.scheduler import JobScheduler
 from repro.service.store import ReportStore
@@ -231,13 +228,15 @@ class TestRecoveryPlan:
 
     def test_settled_window_bounds_checkpoints(self, tmp_path):
         with JobJournal(tmp_path) as journal:
-            for index in range(10):
-                journal.append(_submitted(f"job-{index}"))
-                journal.append(settled_record(f"job-{index}", "done"))
-        manager = RecoveryManager(JobJournal(tmp_path), settled_window=3)
+            for index in range(IDEMPOTENCY_WINDOW + 3):
+                journal.append(_submitted(f"job-{index}"), durable=False)
+                journal.append(
+                    settled_record(f"job-{index}", "done"), durable=False
+                )
+        manager = RecoveryManager(JobJournal(tmp_path))
         summary = manager.inspect()
-        assert summary["settled"] == 10
-        assert summary["checkpointed"] == 3
+        assert summary["settled"] == IDEMPOTENCY_WINDOW + 3
+        assert summary["checkpointed"] == IDEMPOTENCY_WINDOW
 
     def test_compact_offline_restates_live_jobs(self, tmp_path):
         with JobJournal(tmp_path) as journal:
@@ -454,107 +453,3 @@ class TestSchedulerRecovery:
             assert "journal" in health and "recovery" in health
         finally:
             scheduler.close()
-
-
-class TestStoreEviction:
-    def test_memory_cap_demotes_least_recent(self, tmp_path):
-        metrics = RuntimeMetrics()
-        store = ReportStore(tmp_path, metrics, max_entries=2)
-        store.put("a", {"n": 1})
-        store.put("b", {"n": 2})
-        store.get("a")  # refresh a: b becomes least-recent
-        store.put("c", {"n": 3})
-        assert len(store) == 2
-        # Demoted, not lost: the spool still serves it.
-        assert store.get("b") == {"n": 2}
-        assert metrics.snapshot().counters["store_evictions"] >= 1
-
-    def test_memory_cap_without_spool_drops_entry(self):
-        store = ReportStore(max_entries=1)
-        store.put("a", {"n": 1})
-        store.put("b", {"n": 2})
-        assert store.get("a") is None
-        assert store.get("b") == {"n": 2}
-
-    def test_spool_byte_cap_deletes_oldest_files(self, tmp_path):
-        store = ReportStore(tmp_path, max_spool_bytes=400)
-        store.put("old", {"n": 0, "pad": "x" * 100})
-        time.sleep(0.02)  # distinct mtimes order the eviction
-        store.put("mid", {"n": 1, "pad": "x" * 100})
-        time.sleep(0.02)
-        store.put("new", {"n": 2, "pad": "x" * 100})
-        names = {path.stem for path in tmp_path.glob("*.json")}
-        assert "new" in names
-        assert "old" not in names
-
-    def test_protected_keys_are_never_evicted(self, tmp_path):
-        store = ReportStore(tmp_path, max_entries=1, max_spool_bytes=1)
-        store.protected_keys = lambda: {"precious"}
-        store.put("precious", {"keep": True})
-        store.put("expendable", {"keep": False})
-        store.sweep()
-        assert store.get("precious") == {"keep": True}
-        names = {path.stem for path in tmp_path.glob("*.json")}
-        assert "precious" in names
-
-    def test_protection_callback_failure_does_not_break_puts(self, tmp_path):
-        store = ReportStore(tmp_path, max_entries=1)
-
-        def broken():
-            raise RuntimeError("boom")
-
-        store.protected_keys = broken
-        store.put("a", {"n": 1})
-        store.put("b", {"n": 2})  # sweep must survive the broken callback
-        assert len(store) == 1
-
-    def test_scheduler_protects_unsettled_store_keys(self, tmp_path):
-        release = threading.Event()
-        scheduler = JobScheduler(
-            workers=1,
-            store=ReportStore(max_entries=1),
-            journal=JobJournal(tmp_path),
-        )
-        try:
-            assert scheduler.store.protected_keys is not None
-            job = scheduler.submit_callable(
-                lambda j: release.wait(5) and {} or {},
-                payload_ref="ref-slow",
-            )
-            job.store_key = "held-by-job"
-            assert "held-by-job" in scheduler._unsettled_store_keys()
-            release.set()
-            scheduler.wait(job.id, timeout=10)
-            assert "held-by-job" not in scheduler._unsettled_store_keys()
-        finally:
-            release.set()
-            scheduler.close()
-
-    def test_spool_eviction_tracks_protection_churn(self, tmp_path):
-        """Protection is consulted per sweep, not latched at put time:
-        a key pinned through many sweeps becomes evictable the moment
-        the protection set stops naming it."""
-        metrics = RuntimeMetrics()
-        protected: set[str] = {"pinned"}
-        store = ReportStore(tmp_path, metrics, max_spool_bytes=300)
-        store.protected_keys = lambda: set(protected)
-        store.put("pinned", {"pad": "x" * 100})
-        time.sleep(0.02)
-        # Churn the spool hard: "pinned" is always the oldest file and
-        # would be the first eviction candidate, but stays immune.
-        for index in range(4):
-            store.put(f"churn-{index}", {"pad": "x" * 100})
-            time.sleep(0.02)
-            assert (tmp_path / "pinned.json").exists(), index
-        protected.clear()
-        store.put("after", {"pad": "x" * 100})
-        names = {path.stem for path in tmp_path.glob("*.json")}
-        assert "pinned" not in names, "released key survived the sweep"
-        assert "after" in names
-        assert metrics.snapshot().counters["store_evictions"] >= 1
-
-    def test_cap_validation(self):
-        with pytest.raises(ValueError):
-            ReportStore(max_entries=0)
-        with pytest.raises(ValueError):
-            ReportStore(max_spool_bytes=-1)

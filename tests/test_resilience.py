@@ -421,7 +421,7 @@ class TestStoreSelfHealing:
         with injected_faults(plan):
             store.put("k", {"a": 1})
         assert store.get("k") == {"a": 1}  # in-memory copy unharmed
-        assert CORRUPTION_MARKER in (tmp_path / "k.json").read_text()
+        assert CORRUPTION_MARKER in (tmp_path / "k.rec").read_text()
 
         restarted = ReportStore(tmp_path)  # simulated restart
         assert restarted.last_recovery == {
@@ -431,7 +431,7 @@ class TestStoreSelfHealing:
         }
         assert restarted.get("k") is None
         assert restarted.quarantined_count() == 1
-        assert (restarted.quarantine_directory / "k.json").exists()
+        assert (restarted.quarantine_directory / "k.rec").exists()
         # The healed store accepts a fresh write for the same key.
         restarted.put("k", {"a": 2})
         assert ReportStore(tmp_path).get("k") == {"a": 2}
@@ -439,13 +439,34 @@ class TestStoreSelfHealing:
     def test_checksum_mismatch_is_never_served(self, tmp_path):
         store = ReportStore(tmp_path)
         store.put("k", {"a": 1})
-        path = tmp_path / "k.json"
-        envelope = json.loads(path.read_text(encoding="utf-8"))
-        envelope["document"]["a"] = 42  # bit rot, checksum now stale
-        path.write_text(json.dumps(envelope), encoding="utf-8")
+        path = tmp_path / "k.rec"
+        line = path.read_text(encoding="utf-8")
+        assert '"a":1' in line
+        # Bit rot in the record body: the checksum prefix is now stale.
+        path.write_text(line.replace('"a":1', '"a":42'), encoding="utf-8")
         fresh = ReportStore(tmp_path)
         assert fresh.get("k") is None
         assert fresh.quarantined_count() == 1
+
+    def test_every_damaged_entry_is_quarantined(self, tmp_path):
+        """Every proper prefix of a spooled entry and every byte of it
+        flipped (XOR 0xFF, which leaves invalid UTF-8, and XOR 0x01)
+        is quarantined by a fresh store: never served, never raised."""
+        ReportStore(tmp_path).put("k", {"estimate": {"total_minutes": 3.0}})
+        path = tmp_path / "k.rec"
+        entry = path.read_bytes()
+        variants = [entry[:end] for end in range(len(entry))]
+        for mask in (0xFF, 0x01):
+            for index in range(len(entry)):
+                damaged = bytearray(entry)
+                damaged[index] ^= mask
+                variants.append(bytes(damaged))
+        for damaged in variants:
+            path.write_bytes(damaged)
+            store = ReportStore(tmp_path)
+            assert store.get("k") is None, damaged
+            assert not path.exists(), damaged
+            assert (store.quarantine_directory / "k.rec").exists()
 
     def test_transient_write_faults_are_retried(self, tmp_path):
         store = ReportStore(tmp_path)

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import json
+import shutil
 import threading
 
 import pytest
 
 from repro.core import ResultQuality
-from repro.core.serialize import estimate_from_dict, reports_from_dict
+from repro.core.serialize import (
+    estimate_from_dict,
+    journal_record_from_line,
+    journal_record_to_line,
+    reports_from_dict,
+)
 from repro.service import (
     BackpressureError,
     JobFailedError,
@@ -92,17 +99,45 @@ class TestReportStore:
         assert second.metrics.snapshot().counters["store_hits"] == 1
 
     def test_torn_spool_entry_is_a_miss(self, tmp_path):
-        (tmp_path / "badkey.json").write_text("{torn", encoding="utf-8")
+        ReportStore(tmp_path).put("k", {"a": 1})
+        path = tmp_path / "k.rec"
+        path.write_bytes(path.read_bytes()[:-5])  # crash mid-write
         store = ReportStore(tmp_path)
-        assert store.get("badkey") is None
+        assert store.get("k") is None
+        assert store.quarantined_count() == 1
 
-    def test_clear_with_spool(self, tmp_path):
+    def test_spool_entry_is_one_journal_record(self, tmp_path, monkeypatch):
+        dumps = json.dumps
+        calls = []
+
+        def counting_dumps(*args, **kwargs):
+            calls.append(args)
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting_dumps)
+        doc = {"estimate": {"total_minutes": 3.0}, "note": "é"}
+        ReportStore(tmp_path).put("deadbeef", doc)
+        assert len(calls) == 1  # a put serialises the document once
+        text = (tmp_path / "deadbeef.rec").read_text(encoding="utf-8")
+        record = {"key": "deadbeef", "document": doc}
+        assert text == journal_record_to_line(record)
+        assert journal_record_from_line(text) == record
+
+    def test_entry_under_another_keys_name_is_quarantined(self, tmp_path):
         store = ReportStore(tmp_path)
-        store.put("k", {"a": 1})
-        store.clear(spool=True)
-        assert len(store) == 0
-        assert store.spooled_count() == 0
-        assert ReportStore(tmp_path).get("k") is None
+        store.put("first", {"a": 1})
+        shutil.copy(tmp_path / "first.rec", tmp_path / "second.rec")
+        assert store.get("second") is None
+        assert (store.quarantine_directory / "second.rec").exists()
+        shutil.copy(tmp_path / "first.rec", tmp_path / "second.rec")
+        restarted = ReportStore(tmp_path)
+        assert restarted.last_recovery == {
+            "scanned": 2,
+            "valid": 1,
+            "quarantined": 1,
+        }
+        assert restarted.get("second") is None
+        assert restarted.get("first") == {"a": 1}
 
 
 class TestScheduler:
