@@ -418,6 +418,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
 
     from .durability import JobJournal, RecoveryManager
     from .service import ReportStore
+    from .service.store import SpoolReader
 
     directory = pathlib.Path(args.journal_dir)
     if not directory.is_dir():
@@ -427,7 +428,10 @@ def cmd_recover(args: argparse.Namespace) -> int:
         )
         return 2
     journal = JobJournal(directory)
-    store = ReportStore(directory=args.spool) if args.spool else None
+    store = None
+    if args.spool:
+        # A store's startup scan writes to the spool; a dry run only reads.
+        store = (SpoolReader if args.dry_run else ReportStore)(args.spool)
     manager = RecoveryManager(journal, store)
     summary = manager.inspect() if args.dry_run else manager.compact_offline()
     journal.close()

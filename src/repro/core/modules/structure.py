@@ -32,7 +32,7 @@ from ...csg.paths import (
 )
 from ...matching.correspondence import CorrespondenceSet
 from ...relational.database import Database
-from ...runtime import fingerprint_database, get_runtime
+from ...runtime import ContentKey, get_runtime
 from ...scenarios.scenario import IntegrationScenario
 from ..framework import EstimationModule
 from ..quality import ResultQuality
@@ -98,15 +98,17 @@ class StructureConflictDetector:
         content on the active runtime.
 
         They are a pure function of both contents, the correspondences and
-        this detector's options, which make up the cache key.  Only the
-        source's name is applied after the lookup, so a content-identical
-        source under another name reports its own.
+        this detector's options, which make up the cache key.  Both
+        contents enter it as content keys (:class:`~repro.runtime.ContentKey`),
+        so a cold lookup fingerprints neither database.  Only the source's
+        name is applied after the lookup, so a content-identical source
+        under another name reports its own.
         """
         violations = get_runtime().structure_violations(
             source,
             (
                 "structure",
-                fingerprint_database(target),
+                ContentKey(target),
                 tuple(correspondences),
                 self.max_path_length,
                 self.use_conciseness,

@@ -35,7 +35,7 @@ import dataclasses
 import functools
 import math
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from ..relational.columnar import is_wide_int
 from ..relational.datatypes import DataType, cast, is_native, try_cast_column
@@ -84,6 +84,19 @@ def _to_float(value: object) -> float | None:
         return None
 
 
+def _tie_text(value: object) -> str:
+    """The text of a value in a column that holds an int too wide for
+    decimal text, and the text that orders equally frequent top-k
+    values: ``str``, or hex for such an int."""
+    return format(value, "x") if is_wide_int(value) else str(value)
+
+
+#: Every int of at most 640 decimal digits has decimal text at any
+#: ``sys.set_int_max_str_digits`` setting (640 is the least it accepts),
+#: so it casts to STRING.
+_ALWAYS_DECIMAL = 10**640
+
+
 def _mean_and_std(numbers: Sequence[float]) -> tuple[float, float]:
     """Mean and standard deviation of a non-empty column of numbers.
 
@@ -122,8 +135,10 @@ class ColumnSummary:
     that cannot change a value: an all-``str`` column's texts are its
     counts, an all-``int`` column's floats come from one ``map(float)``,
     and a column whose values already have a datatype's native type casts
-    to it without a caster call.  Float sums stay in row order.  Each
-    part is computed on first use.
+    to it without a caster call, as does an all-``int`` column within
+    ±10**640 to STRING.  An int too wide for decimal text takes its hex
+    text, as in top-k ties.  Float sums stay in row order.  Each part is
+    computed on first use.
     """
 
     def __init__(self, values: Sequence[object]) -> None:
@@ -155,11 +170,32 @@ class ColumnSummary:
         return Counter(self.non_null)
 
     @functools.cached_property
+    def int_bounds(self) -> tuple[int, int] | None:
+        """The least and the greatest ``int`` value (``bool`` aside), or
+        ``None`` when there is none."""
+        if int not in self.types:
+            return None
+        ints = self.non_null
+        if self.types != {int}:
+            ints = [value for value in ints if type(value) is int]
+        return min(ints), max(ints)
+
+    @functools.cached_property
+    def text_of(self) -> Callable[[object], str]:
+        """The text of a value: ``str``, or :func:`_tie_text` in a column
+        that holds an int too wide for decimal text, decided once from
+        :attr:`int_bounds`."""
+        bounds = self.int_bounds
+        if bounds is not None and any(map(is_wide_int, bounds)):
+            return _tie_text
+        return str
+
+    @functools.cached_property
     def texts(self) -> Counter[str]:
-        """Count of each ``str()`` of a non-null value."""
+        """Count of each text (:attr:`text_of`) of a non-null value."""
         if self.types <= {str}:
             return self.counts  # str() of a str is the value itself
-        return Counter(map(str, self.non_null))
+        return Counter(map(self.text_of, self.non_null))
 
     @functools.cached_property
     def exact(self) -> bool:
@@ -228,7 +264,12 @@ class FillStatus(Statistic):
     ) -> "FillStatus":
         summary = ColumnSummary.of(values)
         # A non-null value casts to None only when it cannot be cast.
-        if is_native(summary.types, datatype):
+        if is_native(summary.types, datatype) or (
+            datatype is DataType.STRING
+            and summary.types == {int}
+            and -_ALWAYS_DECIMAL < summary.int_bounds[0]
+            and summary.int_bounds[1] < _ALWAYS_DECIMAL
+        ):
             uncastable = 0
         elif summary.exact:
             counts = summary.counts
@@ -483,7 +524,7 @@ class StringLengthStatistic(Statistic):
         summary = ColumnSummary.of(values)
         texts = summary.non_null
         if not summary.types <= {str}:
-            texts = map(str, texts)
+            texts = map(summary.text_of, texts)
         lengths = list(map(len, texts))
         if not lengths:
             return cls(mean=0.0, std=0.0, count=0)
@@ -672,12 +713,6 @@ class ValueRange(Statistic):
 # ----------------------------------------------------------------------
 # Top-k values
 # ----------------------------------------------------------------------
-
-
-def _tie_text(value: object) -> str:
-    """The text that orders equally frequent top-k values: ``str``, or
-    hex for an int too wide for decimal text."""
-    return format(value, "x") if is_wide_int(value) else str(value)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -7,7 +7,7 @@ typed arrays — an :mod:`array` payload plus a null bitmask — and back,
 losslessly.  Three consumers share the encoding:
 
 * **Content fingerprints** (:mod:`repro.runtime.cache`) hash
-  :meth:`ColumnBlock.canonical_bytes`, so cache keys depend only on the
+  :meth:`ColumnBlock.canonical_bytes`, so digests depend only on the
   typed values themselves — never on ``repr`` formatting, row order of
   dict iteration, or which process produced them.
 * **Scenario documents** (:func:`repro.scenarios.io.scenario_to_dict`)
@@ -36,14 +36,15 @@ All multi-byte integers are little-endian regardless of host byte order,
 so canonical bytes (and with them every fingerprint) are stable across
 machines.
 
-:func:`encode_column` works a column at a time, since every cold
-assessment fingerprints every column before its first cache lookup.  The
-kind comes from the set of the values' exact types (plus one ``min`` and
-``max`` for the int64 range); a column without nulls gets an all-ones
-mask, and a nullable one packs its 0/1 presence bytes through one
-base-2 ``int``; payloads are one ``array`` (or ``bytes``) call over the
-column, and text is ``map(str.encode)`` with offsets from
-``itertools.accumulate``.
+:func:`encode_column` works a column at a time, since the service
+fingerprints every column of a never-seen scenario to key its job (an
+assessment fingerprints a database only to tell it from another whose
+content hashes alike).  The kind comes from the set of the values'
+exact types (plus one ``min`` and ``max`` for the int64 range); a
+column without nulls gets an all-ones mask, and a nullable one packs
+its 0/1 presence bytes through one base-2 ``int``; payloads are one
+``array`` (or ``bytes``) call over the column, and text is
+``map(str.encode)`` with offsets from ``itertools.accumulate``.
 Only ``object`` columns, and the null fills of nullable typed ones, take
 one Python step per value.  The bytes are those of the per-value encoder
 this replaced (``tests/test_columnar.py`` keeps it as the reference).

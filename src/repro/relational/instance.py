@@ -10,8 +10,8 @@ demand and memoised per mutation version.
 
 The canonical byte form of a column is produced by
 :mod:`repro.relational.columnar` (typed arrays + null bitmask);
-:meth:`RelationInstance.encoded_columns` builds it for the
-content-fingerprint cache keys and the scenario documents.
+:meth:`RelationInstance.encoded_columns` builds it for content
+fingerprints and scenario documents.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ class RelationInstance:
         ]
         self._count = 0
         self._version = 0
-        #: Per-version memo of the row view.
+        #: Per-version memos of the row view and of the content hash.
         self._row_memo: tuple[int, tuple[Row, ...]] | None = None
+        self._hash_memo: tuple[int, int] | None = None
         self.insert_all(rows)
 
     # ------------------------------------------------------------------
@@ -273,13 +274,42 @@ class RelationInstance:
 
         This is the content form shared by fingerprinting
         (:mod:`repro.runtime.cache`) and scenario documents
-        (:func:`repro.scenarios.io.database_to_dict`).  It is not
-        memoised: fingerprints memoise their digest, so nothing encodes a
-        version twice, and a kept encoding would stay alive next to the
-        structure detector's CSG instance, which is built after the
-        source is fingerprinted.
+        (:func:`repro.scenarios.io.database_to_dict`).  An assessment
+        encodes nothing: its cache keys hash :meth:`content_hash`, and a
+        database is fingerprinted only to tell it from another of equal
+        hash, or by the service to key a job.  It is not memoised:
+        fingerprints memoise their digest, so nothing encodes a version
+        twice, and a kept encoding would only hold memory.
         """
         return tuple(encode_column(column) for column in self._columns)
+
+    def content_hash(self) -> int:
+        """A Python ``hash`` of the relation's name, attributes, row count
+        and values, memoised per mutation version.
+
+        Equal content hashes equal within one process.  Unequal content
+        may hash equal too (``1``, ``1.0`` and ``True`` share a hash, as
+        do ``0.0`` and ``-0.0``), so a match only names the fingerprints
+        that :class:`~repro.runtime.cache.ContentKey` must compare.  Each
+        column is hashed as one tuple.
+        """
+        memo = self._hash_memo
+        if memo is not None and memo[0] == self._version:
+            return memo[1]
+        relation = self.relation
+        result = hash(
+            (
+                relation.name,
+                tuple(
+                    (attribute.name, attribute.datatype)
+                    for attribute in relation.attributes
+                ),
+                self._count,
+                tuple(map(hash, map(tuple, self._columns))),
+            )
+        )
+        self._hash_memo = (self._version, result)
+        return result
 
     def __len__(self) -> int:
         return self._count

@@ -13,7 +13,12 @@ Public surface:
   cancellation (:mod:`repro.runtime.deadline`).
 """
 
-from .cache import ProfileCache, fingerprint_database, fingerprint_scenario
+from .cache import (
+    ContentKey,
+    ProfileCache,
+    fingerprint_database,
+    fingerprint_scenario,
+)
 from .deadline import (
     CancelScope,
     Deadline,
@@ -32,6 +37,7 @@ from .metrics import MetricsSnapshot, RuntimeMetrics
 
 __all__ = [
     "CancelScope",
+    "ContentKey",
     "Deadline",
     "DeadlineExceededError",
     "MetricsSnapshot",

@@ -4,24 +4,33 @@ Profiles, discovered dependencies and the structure detector's
 violations are pure functions of immutable database instances, yet the
 benchmark scripts, the cross-validation folds of :mod:`repro.experiments`
 and every re-quote assess the same content over and over.
-:class:`ProfileCache` keys every entry on a **content fingerprint** of
-the database, so
+:class:`ProfileCache` keys every entry on a :class:`ContentKey` of the
+database, so
 
 * repeated profiling of unchanged data is a cache hit,
 * any mutation (insert/update/delete/map_column) bumps the instance's
-  version counter, which invalidates the memoised fingerprint and makes
-  every derived entry unreachable — no stale reads, ever,
-* two databases with byte-identical content share entries (common when
+  version counter, so a new key no longer equals the old one and every
+  derived entry is unreachable — no stale reads, ever,
+* two live databases with equal content share entries (common when
   scenarios are rebuilt from the same seed).
 
-Fingerprints hash the **canonical columnar encoding** of every relation
+A content key is cheap to hash: Python's ``hash`` over each relation's
+name, attributes, row count and column values
+(:meth:`~repro.relational.instance.RelationInstance.content_hash`,
+memoised per instance + version).  Two keys are equal when they hold the
+same database at the same version; otherwise only when their databases'
+**content fingerprints** are, computed on the first comparison.  A cold
+assessment on a fresh runtime compares no keys, so it fingerprints
+nothing.
+
+Fingerprints (:func:`fingerprint_database`) hash the **canonical
+columnar encoding** of every relation
 (:meth:`~repro.relational.instance.RelationInstance.encoded_columns` —
-typed arrays + null bitmasks, every section length-prefixed), so keys
+typed arrays + null bitmasks, every section length-prefixed), so they
 depend only on the typed values themselves: not on ``repr`` formatting,
 not on constraint declaration order, and not on which process computed
-the entry.  Hashing is O(bytes) — far cheaper than the profiling it
-saves — and digests are memoised per instance + version, so the
-steady-state key cost is a dict lookup.
+them.  Digests are memoised per instance + version; the report store and
+the service's job keys address results by them.
 """
 
 from __future__ import annotations
@@ -45,6 +54,9 @@ _relation_digests: "weakref.WeakKeyDictionary[RelationInstance, tuple[int, str]]
     weakref.WeakKeyDictionary()
 )
 _database_digests: "weakref.WeakKeyDictionary[Database, tuple[tuple, str]]" = (
+    weakref.WeakKeyDictionary()
+)
+_content_keys: "weakref.WeakKeyDictionary[Database, ContentKey]" = (
     weakref.WeakKeyDictionary()
 )
 _digest_lock = threading.Lock()
@@ -130,16 +142,95 @@ def fingerprint_scenario(scenario) -> str:
     return digest.hexdigest()
 
 
+class ContentKey:
+    """A database's content at one version, as a cache key.
+
+    It hashes :meth:`~repro.relational.instance.RelationInstance.content_hash`
+    of every relation and holds its database weakly.  There is one key
+    per database and version: ``ContentKey(database)`` returns the same
+    object until the database changes, so a re-quote's lookups hit by
+    identity.  Keys of two databases are equal only when their
+    fingerprints (:func:`fingerprint_database`) are, so equality never
+    rests on the Python hash alone.  A key starts resolved when the
+    digest memo already holds its version (the service fingerprints
+    every scenario to key its job) and resolves itself on the first
+    comparison that needs it.  Once its database has changed or been
+    collected, an unresolved key equals no other key: that costs a miss,
+    never a wrong hit.
+    """
+
+    __slots__ = ("_database", "_version", "_hash", "_digest")
+
+    def __new__(cls, database: Database) -> "ContentKey":
+        version = database.version
+        with _digest_lock:
+            key = _content_keys.get(database)
+        if key is not None and key._version == version:
+            return key
+        key = super().__new__(cls)
+        key._database = weakref.ref(database)
+        key._version = version
+        key._hash = hash(
+            tuple(
+                database.table(relation.name).content_hash()
+                for relation in sorted(
+                    database.schema.relations, key=lambda r: r.name
+                )
+            )
+        )
+        with _digest_lock:
+            memo = _database_digests.get(database)
+            key._digest = (
+                memo[1] if memo is not None and memo[0] == version else None
+            )
+            _content_keys[database] = key
+        return key
+
+    def digest(self) -> str | None:
+        """The database's fingerprint at this key's version, or ``None``
+        when it was never taken and the database has since changed or
+        been collected."""
+        if self._digest is None:
+            database = self._database()
+            if database is not None and database.version == self._version:
+                digest = fingerprint_database(database)
+                if database.version == self._version:
+                    self._digest = digest
+        return self._digest
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, ContentKey):
+            return NotImplemented
+        if self._hash != other._hash:
+            return False
+        digest = self.digest()
+        return digest is not None and digest == other.digest()
+
+
+def _resolved(key: tuple) -> tuple:
+    """``key`` with each content key replaced by its digest."""
+    return tuple(
+        part.digest() if isinstance(part, ContentKey) else part for part in key
+    )
+
+
 class ProfileCache:
     """An LRU cache of profiling results keyed by database content.
 
-    Keys are ``(fingerprint, *operation_key)`` where the operation key
-    names the computation and its parameters, e.g.
+    Keys are ``(ContentKey(database), *operation_key)`` where the
+    operation key names the computation and its parameters, e.g.
     ``("profile_column", "songs", "length", "integer")``, ``("uccs", 2)``
-    or ``("structure", target fingerprint, correspondences, ...)``.  Hits
+    or ``("structure", ContentKey(target), correspondences, ...)``.  Hits
     and misses are counted on the attached
     :class:`~repro.runtime.metrics.RuntimeMetrics`, structure lookups
-    included.
+    included.  A lookup may fingerprint inside the cache's lock, when a
+    stored key hashes like the new one; fingerprints take only their own
+    digest lock.
     """
 
     def __init__(
@@ -160,7 +251,7 @@ class ProfileCache:
         operation_key: tuple[Hashable, ...],
         compute: Callable[[], object],
     ) -> object:
-        key = (fingerprint_database(database), *operation_key)
+        key = (ContentKey(database), *operation_key)
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
@@ -186,26 +277,28 @@ class ProfileCache:
             return list(self._entries.items())
 
     def keys(self) -> list[tuple]:
-        """A snapshot of the resolved cache keys, sorted.
+        """A snapshot of the cache keys, each content key resolved to its
+        database's digest (``None`` once it can no longer be taken), sorted.
 
         Tests compare these across runs: the same scenario must populate
         the same content keys whether or not the run was traced.
         """
         with self._lock:
-            return sorted(self._entries, key=repr)
+            keys = list(self._entries)
+        return sorted(map(_resolved, keys), key=repr)
 
     # -- maintenance ------------------------------------------------------
 
     def invalidate(self, database: Database) -> int:
         """Drop every entry derived from ``database``'s current content.
 
-        Mutations invalidate implicitly (the fingerprint changes); this
+        Mutations invalidate implicitly (the content key changes); this
         explicit hook exists for callers that want to reclaim memory or
-        force recomputation.
+        force recomputation.  Entries of an equal-content twin go too.
         """
-        prefix = fingerprint_database(database)
+        content = ContentKey(database)
         with self._lock:
-            stale = [key for key in self._entries if key[0] == prefix]
+            stale = [key for key in self._entries if key[0] == content]
             for key in stale:
                 del self._entries[key]
         return len(stale)

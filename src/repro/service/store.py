@@ -85,6 +85,27 @@ def _decode_entry(key: str, text: str) -> dict | None:
     return document
 
 
+class SpoolReader:
+    """Read-only membership of a spool directory.
+
+    ``efes recover --dry-run`` plans against it: an entry counts only if
+    it decodes as :meth:`ReportStore.get` would serve it.  Unlike a
+    :class:`ReportStore`, it creates no directory, runs no startup scan
+    and quarantines nothing.
+    """
+
+    def __init__(self, directory: str | Path) -> None:
+        self.directory = Path(directory)
+
+    def contains(self, key: str) -> bool:
+        path = self.directory / f"{key}{SPOOL_SUFFIX}"
+        try:
+            text = path.read_text(encoding="utf-8", errors="replace")
+        except OSError:
+            return False
+        return _decode_entry(key, text) is not None
+
+
 class ReportStore:
     """An in-memory + optional on-disk map of content key -> result doc.
 
@@ -189,12 +210,21 @@ class ReportStore:
         temporary.replace(path)
 
     def _quarantine(self, path: Path) -> None:
-        """Set a damaged spool file aside (never served, never deleted)."""
+        """Set a damaged spool file aside (never served, never deleted)
+        under a name no earlier quarantine holds: ``<key>.rec``, then
+        ``<key>.1.rec``, ``<key>.2.rec`` and so on."""
         quarantine = self.quarantine_directory
         try:
             quarantine.mkdir(parents=True, exist_ok=True)
-            path.replace(quarantine / path.name)
-        except OSError:  # pragma: no cover - racing cleanup/permissions
+            with self._lock:
+                target, index = quarantine / path.name, 0
+                while target.exists():
+                    index += 1
+                    target = quarantine / f"{path.stem}.{index}{SPOOL_SUFFIX}"
+                path.replace(target)
+        except FileNotFoundError:
+            return  # another reader set it aside first
+        except OSError:  # pragma: no cover - permissions
             try:
                 path.unlink()
             except OSError:

@@ -242,6 +242,76 @@ class TestRecoverCommand:
         assert summary["settled"] == "1"
         assert segments() == before
 
+    @pytest.fixture
+    def spooled_journal(self, tmp_path, small_example):
+        """A journal whose one settled job's result is spooled, and the
+        spool, which also holds a garbage entry and a stale temp file."""
+        from repro.durability import JobJournal
+        from repro.service import JobScheduler, ReportStore
+
+        directory, spool = tmp_path / "journal", tmp_path / "spool"
+        scheduler = JobScheduler(
+            workers=1,
+            store=ReportStore(spool),
+            journal=JobJournal(directory),
+        )
+        try:
+            job = scheduler.submit(small_example, kind="assess")
+            assert scheduler.wait(job.id, timeout=60).result is not None
+        finally:
+            scheduler.close(wait=True, timeout=5.0)
+        (spool / "abc.rec").write_text("garbage")
+        (spool / "k.tmp.1.2").write_text("never renamed")
+        return directory, spool
+
+    @staticmethod
+    def _files(directory):
+        return {
+            path.relative_to(directory): path.read_bytes()
+            for path in directory.rglob("*")
+            if path.is_file()
+        }
+
+    def test_dry_run_leaves_the_spool_as_it_was(self, spooled_journal, capsys):
+        journal_dir, spool = spooled_journal
+        before = self._files(spool)
+        assert len(before) == 3
+        assert main(
+            ["recover", str(journal_dir), "--dry-run", "--spool", str(spool)]
+        ) == 0
+        summary = self._summary(capsys.readouterr().out)
+        assert summary["results_lost"] == "0"
+        assert self._files(spool) == before
+
+    def test_dry_run_creates_no_missing_spool(self, journal_dir, tmp_path, capsys):
+        missing = tmp_path / "no-spool"
+        assert main(
+            ["recover", str(journal_dir), "--dry-run", "--spool", str(missing)]
+        ) == 0
+        assert self._summary(capsys.readouterr().out)["results_lost"] == "1"
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("entry", ["kept", "damaged", "removed"])
+    def test_dry_run_plans_what_recover_does(self, spooled_journal, entry, capsys):
+        """The dry run counts an entry only if it decodes, as the store
+        a real ``recover`` opens would serve it."""
+        journal_dir, spool = spooled_journal
+        (result,) = [
+            path for path in spool.glob("*.rec") if path.name != "abc.rec"
+        ]
+        if entry == "damaged":
+            result.write_bytes(result.read_bytes()[:-5])
+        elif entry == "removed":
+            result.unlink()
+        args = ["recover", str(journal_dir), "--spool", str(spool)]
+        assert main([*args, "--dry-run"]) == 0
+        planned = self._summary(capsys.readouterr().out)
+        assert main(args) == 0
+        done = self._summary(capsys.readouterr().out)
+        assert planned["results_lost"] == ("0" if entry == "kept" else "1")
+        del planned["compacted_segments"], done["compacted_segments"]
+        assert planned == done
+
     def test_compaction_leaves_one_record(self, journal_dir, capsys):
         assert main(["recover", str(journal_dir)]) == 0
         summary = self._summary(capsys.readouterr().out)

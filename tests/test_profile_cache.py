@@ -13,7 +13,12 @@ from repro.profiling import (
     compute_uccs,
 )
 from repro.relational import Database, DataType, Schema, relation
-from repro.runtime import ProfileCache, Runtime, fingerprint_database
+from repro.runtime import (
+    ContentKey,
+    ProfileCache,
+    Runtime,
+    fingerprint_database,
+)
 
 
 def build_database():
@@ -263,3 +268,79 @@ class TestCachedEqualsUncached:
         # And the second (cached) round still matches.
         assert runtime.discover_uccs(db) == compute_uccs(db)
         assert runtime.metrics.cache_hits >= 1
+
+
+def one_column(datatype, values):
+    """A one-relation, one-column database holding exactly ``values``."""
+    db = Database(Schema("db", relations=[relation("r", [("x", datatype)])]))
+    db.table("r").load_typed_columns([values])
+    return db
+
+
+def updated_length(db):
+    db.table("songs").update_where(
+        lambda row: row["title"] == "s1", {"length": 101}
+    )
+    return db
+
+
+class TestContentKeys:
+    """Cache keys hash content cheaply and fingerprint only to tell apart
+    two databases whose hashes match."""
+
+    def test_cold_run_encodes_and_fingerprints_nothing(self, monkeypatch):
+        from repro.core import ResultQuality, default_efes
+        from repro.relational import instance as instance_module
+        from repro.runtime import cache as cache_module
+        from repro.scenarios.catalogue import SCENARIO_BUILDERS
+
+        calls = []
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(instance_module, "encode_column")
+        counted(cache_module, "fingerprint_database")
+        counted(cache_module, "_relation_digest")
+        for seed in (1, 2):
+            for build in SCENARIO_BUILDERS.values():
+                for quality in ResultQuality:
+                    scenario = build(seed)
+                    default_efes(runtime=Runtime()).run(scenario, quality)
+                    assert calls == []
+
+    @pytest.mark.parametrize(
+        "build_first, build_second, same_hash",
+        [
+            (build_database, lambda: updated_length(build_database()), False),
+            (
+                lambda: one_column(DataType.INTEGER, [1, 2, None]),
+                lambda: one_column(DataType.INTEGER, [True, 2, None]),
+                True,
+            ),
+            (
+                lambda: one_column(DataType.FLOAT, [0.0, 1.5, 0.0]),
+                lambda: one_column(DataType.FLOAT, [-0.0, 1.5, 0.0]),
+                True,
+            ),
+        ],
+        ids=["updated-value", "1-True", "0.0-minus-0.0"],
+    )
+    def test_one_changed_value_shares_no_entry(
+        self, build_first, build_second, same_hash
+    ):
+        first, second = build_first(), build_second()
+        # 1/True and 0.0/-0.0 hash alike: only fingerprints tell them apart.
+        assert (hash(ContentKey(first)) == hash(ContentKey(second))) is same_hash
+        runtime = Runtime()
+        own = runtime.profile_database(first)
+        profiles = runtime.profile_database(second)
+        assert runtime.metrics.cache_hits == 0
+        assert repr(profiles) == repr(Runtime().profile_database(second))
+        assert repr(profiles) != repr(own)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import sys
 import threading
 
 import pytest
@@ -138,6 +139,54 @@ class TestReportStore:
         }
         assert restarted.get("second") is None
         assert restarted.get("first") == {"a": 1}
+
+    def test_each_damaged_entry_keeps_its_own_quarantined_file(self, tmp_path):
+        """Three damaged entries for one key, quarantined one after the
+        other, leave three files: none overwrites an earlier one."""
+        for damage in (b"garbage", b"", b"0000 {}"):
+            (tmp_path / "k.rec").write_bytes(damage)
+            assert ReportStore(tmp_path).get("k") is None
+        store = ReportStore(tmp_path)
+        assert store.quarantined_count() == 3
+        quarantined = sorted(store.quarantine_directory.iterdir())
+        assert [path.name for path in quarantined] == [
+            "k.1.rec",
+            "k.2.rec",
+            "k.rec",
+        ]
+        assert sorted(path.read_bytes() for path in quarantined) == [
+            b"",
+            b"0000 {}",
+            b"garbage",
+        ]
+
+    def test_concurrent_quarantines_keep_every_file(self, tmp_path):
+        """Threads that damage and read one key at once: every quarantine
+        the store counts leaves a file of its own."""
+        store = ReportStore(tmp_path)
+        path = tmp_path / "k.rec"
+
+        def damage_and_read(index):
+            for round_index in range(25):
+                path.write_text(f"garbage {index} {round_index}")
+                store.get("k")
+
+        threads = [
+            threading.Thread(target=damage_and_read, args=(index,))
+            for index in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        counted = store.metrics.snapshot().counters["store_quarantined"]
+        assert counted == store.quarantined_count() > 0
 
 
 class TestScheduler:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -85,6 +86,27 @@ class TestFillStatus:
     def test_non_finite_float_is_uncastable(self, value):
         stat = FillStatus.compute([1.5, value, None], DataType.FLOAT)
         assert (stat.nulls, stat.uncastable) == (1, 1)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="the interpreter has no int-to-text digit limit",
+    )
+    @pytest.mark.parametrize("limit, uncastable", [(640, 1), (None, 0)])
+    def test_int_column_to_string_follows_the_digit_limit(
+        self, limit, uncastable
+    ):
+        """An int of 701 digits has text under the default limit of 4,300
+        digits but not under the least one, 640: the count equals casting
+        each value either way."""
+        values = [1, 10**700]
+        default = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit or default)
+        try:
+            stat = FillStatus.compute(values, DataType.STRING)
+            assert stat == reference_fill_status(values, DataType.STRING)
+        finally:
+            sys.set_int_max_str_digits(default)
+        assert stat.uncastable == uncastable
 
 
 class TestConstancy:
@@ -750,6 +772,43 @@ def test_native_columns_load_and_profile_without_casts(
     profile = compute_column_profile(database, "r", "x", datatype)
     assert not caster_calls
     assert repr(profile) == repr(reference_profile(database, "r", "x", datatype))
+
+
+def test_profiling_casts_no_int_to_string(caster_calls, monkeypatch):
+    """Every int below 10**640 has decimal text, so profiling the seed-5
+    catalogue (both qualities, a fresh runtime each) casts no int to
+    STRING; its other casts still run."""
+    from repro import Runtime, default_efes
+    from repro.core import ResultQuality
+    from repro.relational import datatypes
+    from repro.scenarios.catalogue import SCENARIO_BUILDERS
+
+    counted = datatypes._CASTERS[DataType.STRING]
+    ints = []
+
+    def spy(value):
+        if type(value) is int:
+            ints.append(value)
+        return counted(value)
+
+    monkeypatch.setitem(datatypes._CASTERS, DataType.STRING, spy)
+    for build in SCENARIO_BUILDERS.values():
+        for quality in ResultQuality:
+            default_efes(runtime=Runtime()).run(build(5), quality)
+    assert ints == []
+    assert caster_calls[DataType.FLOAT] and caster_calls[DataType.INTEGER]
+
+
+def test_wide_int_takes_its_hex_text_in_every_text_statistic():
+    """A column holding an int too wide for decimal text gives it the text
+    top-k ties on, hex; its other values keep ``str``."""
+    wide = 10**5000
+    values = [wide, 12, None, 12]
+    summary = ColumnSummary(values)
+    assert summary.texts == Counter({format(wide, "x"): 1, "12": 2})
+    length = StringLengthStatistic.compute(values)
+    assert length == reference_string_length([format(wide, "x"), 12, 12])
+    assert ColumnSummary([10**400, 12]).text_of is str
 
 
 def test_constancy_adds_entropy_terms_in_value_order():

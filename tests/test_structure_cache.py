@@ -1,13 +1,14 @@
 """The structure detector's violations, cached per source content.
 
 The detector keeps its result in the runtime's ``ProfileCache`` under the
-source's content fingerprint.  These tests pin what that cache may and
+source's content key.  These tests pin what that cache may and
 may not change: a re-quote on a warm runtime converts no CSG yet
 serializes the same bytes as a fresh run, a mutation recounts, the source
 name stays out of the entry, and invalidation drops it.
 """
 
 import dataclasses
+import gc
 import json
 
 import pytest
@@ -20,7 +21,7 @@ from repro.core.serialize import (
     tasks_to_dicts,
 )
 from repro.relational import Database, Schema
-from repro.runtime import Runtime, fingerprint_database
+from repro.runtime import Runtime, fingerprint_database, fingerprint_scenario
 from repro.scenarios import (
     IntegrationScenario,
     example_scenario,
@@ -167,3 +168,27 @@ class TestStructureCache:
         assert structure_keys(runtime, source) == []
         assert run(scenario, runtime) == first
         assert conversions(runtime) == 2
+
+
+@pytest.mark.parametrize(
+    "fingerprinted, hits, misses", [(True, 13, 0), (False, 2, 11)]
+)
+def test_twin_of_a_collected_scenario(fingerprinted, hits, misses):
+    """A rebuilt twin shares its collected predecessor's entries only if
+    the predecessor's keys were resolved: it was fingerprinted before its
+    run, as every service job is.  Otherwise the twin recomputes, and
+    still serializes the same bytes."""
+    runtime = Runtime()
+    scenario = scenario_s1_s2(seed=4)
+    if fingerprinted:
+        fingerprint_scenario(scenario)
+    first = run(scenario, runtime)
+    del scenario
+    gc.collect()
+    metrics = runtime.metrics
+    before = metrics.cache_hits, metrics.cache_misses
+    assert run(scenario_s1_s2(seed=4), runtime) == first
+    assert (
+        metrics.cache_hits - before[0],
+        metrics.cache_misses - before[1],
+    ) == (hits, misses)

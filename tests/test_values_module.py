@@ -301,3 +301,26 @@ class TestWideNumericColumn:
             assert outcome.degradations == []
             assert "values" in outcome.reports
             json.dumps(reports_to_dict(outcome.reports))
+
+    def test_values_module_survives_a_wide_int_profiled_as_text(self):
+        """m1-d2 profiles its int column ``rtracks.position`` against a
+        STRING target.  With position 1 at 10**5000, past the 4,300-digit
+        int-to-text limit, that int takes its hex text: the run is strict,
+        nothing degrades and the reports serialise."""
+        from repro import Runtime, default_efes
+        from repro.core.serialize import reports_to_dict
+        from repro.scenarios import scenario_m1_d2
+
+        scenario = scenario_m1_d2(3)
+        (source,) = [
+            s for s in scenario.sources if s.schema.has_relation("rtracks")
+        ]
+        tracks = source.table("rtracks")
+        assert tracks.update_where(
+            lambda row: row["position"] == 1, {"position": 10**5000}
+        )
+        efes = default_efes(runtime=Runtime("serial"))
+        outcome = efes.run(scenario, ResultQuality.HIGH_QUALITY, strict=True)
+        assert outcome.degradations == []
+        assert "values" in outcome.reports
+        json.dumps(reports_to_dict(outcome.reports))
