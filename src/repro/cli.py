@@ -14,8 +14,6 @@ of the shipped scenarios:
   (``--journal-dir`` makes every acknowledged job survive a crash;
   SIGTERM drains gracefully, flushes the journal, and exits 0),
 * ``efes submit <scenario>``   — submit a job to a running service,
-* ``efes slo``                 — show a running service's SLO burn rates
-  (exit 3 when any objective is burning critically),
 * ``efes recover <journal>``   — replay a job journal offline:
   ``--dry-run`` prints what recovery would do, without it the journal
   is checkpointed and compacted.
@@ -530,69 +528,10 @@ def cmd_submit(args: argparse.Namespace) -> int:
             "stages only (unrun stages are degraded tombstones)",
             file=sys.stderr,
         )
-    # Same convention as `efes slo`: exit 3 marks a
-    # degraded (partial) answer that scripts should treat differently
-    # from success or failure.
+    # Same convention as a degraded local run: exit 3 marks a partial
+    # answer that scripts should treat differently from success or
+    # failure.
     return EXIT_DEGRADED if degraded else 0
-
-
-def cmd_slo(args: argparse.Namespace) -> int:
-    import json
-
-    from .service import ServiceClient, ServiceError
-
-    url = args.url or os.environ.get(SERVICE_URL_ENV_VAR) or (
-        "http://127.0.0.1:8765"
-    )
-    client = ServiceClient(url)
-    try:
-        doc = client.slo()
-    except (ServiceError, OSError) as exc:
-        print(f"efes: cannot fetch SLOs from {url}: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        rows = []
-        for status in doc["slos"]:
-            fast = status["windows"]["fast"]
-            slow = status["windows"]["slow"]
-            rows.append(
-                (
-                    status["name"],
-                    f"{status['objective']:.2%}",
-                    status["state"],
-                    f"{fast['burn_rate']:.2f}",
-                    f"{slow['burn_rate']:.2f}",
-                    status["totals"]["events"],
-                    status["totals"]["bad"],
-                )
-            )
-        print(
-            render_table(
-                [
-                    "SLO",
-                    "Objective",
-                    "State",
-                    f"Burn {doc['fast_window_seconds']:g}s",
-                    f"Burn {doc['slow_window_seconds']:g}s",
-                    "Events",
-                    "Bad",
-                ],
-                rows,
-                title=f"Service SLOs at {url} "
-                f"(warn ≥ {doc['warn_burn_rate']:g}, "
-                f"critical ≥ {doc['critical_burn_rate']:g})",
-            )
-        )
-        health = doc.get("health", {})
-        print(
-            f"overall: {doc['state']} "
-            f"(health: {health.get('state', 'unknown')})"
-        )
-    # Critical burn is actionable from scripts: same exit convention as
-    # degraded pipeline runs.
-    return EXIT_DEGRADED if doc["state"] == "critical" else 0
 
 
 def _report_size(body: dict) -> int:
@@ -791,21 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the job id and return without waiting for the result",
     )
-
-    slo = subparsers.add_parser(
-        "slo", help="show a running service's SLO burn rates"
-    )
-    slo.add_argument(
-        "--url",
-        default=None,
-        help=f"service URL (default: ${SERVICE_URL_ENV_VAR} or "
-        "http://127.0.0.1:8765)",
-    )
-    slo.add_argument(
-        "--json",
-        action="store_true",
-        help="print the raw /slo document instead of a table",
-    )
     return parser
 
 
@@ -834,7 +758,6 @@ def main(argv: list[str] | None = None) -> int:
         "experiments": cmd_experiments,
         "serve": cmd_serve,
         "submit": cmd_submit,
-        "slo": cmd_slo,
         "recover": cmd_recover,
     }
     try:

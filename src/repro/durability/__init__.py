@@ -1,8 +1,8 @@
 """Durability: a write-ahead job journal and crash recovery.
 
-PR 4 made the assessment service resilient to *partial* failures —
-injected exceptions, torn store files, tripped breakers.  This package
-closes the remaining gap: **process death**.  A ``kill -9`` of ``efes
+The resilience layer (:mod:`repro.resilience`) covers *partial*
+failures — injected exceptions, torn store files, transient I/O.  This
+package closes the remaining gap: **process death**.  A ``kill -9`` of ``efes
 serve`` used to lose every queued and running job; with a journal
 directory configured, every acknowledged job survives a crash and is
 settled exactly once after restart.

@@ -1,6 +1,6 @@
 """Observability for the assessment pipeline and service.
 
-Three stdlib-only instruments, designed to compose with (not replace)
+Two stdlib-only instruments, designed to compose with (not replace)
 the aggregate counters of :class:`repro.runtime.RuntimeMetrics`:
 
 * **Tracing** (:mod:`~repro.observability.tracing`) — hierarchical span
@@ -14,21 +14,11 @@ the aggregate counters of :class:`repro.runtime.RuntimeMetrics`:
   pipeline layer is one ``stage_seconds{stage=<name>}`` series, fed by
   :meth:`repro.runtime.RuntimeMetrics.stage` from the same block and
   clock as the layer's span.
-* **Event logs** (:mod:`~repro.observability.events`) — structured JSONL
-  lifecycle events with per-job correlation IDs bound to the calling
-  context, plus a :mod:`logging` adapter.
 
 Exporters (:mod:`~repro.observability.export`) turn spans into JSON and
 aligned text trees, and metrics snapshots into Prometheus exposition.
 """
 
-from .events import (
-    EVENT_LOG_ENV_VAR,
-    EventLog,
-    EventLogHandler,
-    correlation_scope,
-    current_correlation_id,
-)
 from .export import (
     escape_label_value,
     prometheus_text,
@@ -42,14 +32,6 @@ from .histograms import (
     HistogramSnapshot,
 )
 from .resources import ResourceSampler, sample_resources
-from .slo import (
-    CRITICAL_BURN_RATE,
-    WARN_BURN_RATE,
-    SLOMonitor,
-    SLOSpec,
-    SLOStatus,
-    default_slos,
-)
 from .tracing import (
     NOOP_SPAN,
     Span,
@@ -61,26 +43,15 @@ from .tracing import (
 )
 
 __all__ = [
-    "CRITICAL_BURN_RATE",
     "DEFAULT_BOUNDS",
-    "EVENT_LOG_ENV_VAR",
-    "EventLog",
-    "EventLogHandler",
     "Histogram",
     "HistogramSnapshot",
     "NOOP_SPAN",
     "ResourceSampler",
-    "SLOMonitor",
-    "SLOSpec",
-    "SLOStatus",
     "Span",
     "Tracer",
-    "WARN_BURN_RATE",
     "active_tracer",
-    "correlation_scope",
-    "current_correlation_id",
     "current_span",
-    "default_slos",
     "escape_label_value",
     "is_tracing",
     "prometheus_text",

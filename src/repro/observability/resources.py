@@ -80,8 +80,8 @@ GAUGE_KEYS = (
 class ResourceSampler:
     """Samples the calling process into ``<prefix>_*`` gauges on demand.
 
-    The service calls :meth:`sample` from its ``/metrics``, ``/healthz``
-    and ``/slo`` handlers — scrape-driven sampling, no background thread
+    The service calls :meth:`sample` from its ``/metrics`` and
+    ``/healthz`` handlers — scrape-driven sampling, no background thread
     to leak.  Returns the raw document so handlers can embed a summary.
     """
 

@@ -17,15 +17,10 @@ rest of the stack uses to degrade instead of die:
   ``AssessmentOutcome.degradations``, in service result documents, in
   ``/metrics`` (``degraded_total``), and via a distinct CLI exit code,
 * :mod:`~repro.resilience.retry` — an exponential-backoff / full-jitter
-  / deadline-budget :func:`retry` combinator (stdlib only) adopted by
-  :class:`~repro.service.ServiceClient` and spool I/O,
-* :mod:`~repro.resilience.breaker` — a closed/open/half-open
-  :class:`CircuitBreaker` guarding service job execution,
-* :mod:`~repro.resilience.health` — the healthy/degraded/draining
-  :class:`HealthMonitor` reported by ``/healthz``.
+  / deadline-budget :func:`call_with_retry` combinator (stdlib only)
+  adopted by :class:`~repro.service.ServiceClient` and spool I/O.
 """
 
-from .breaker import CircuitBreaker, CircuitOpenError, CircuitState
 from .degradation import DegradedResult, format_exception, split_degraded
 from .faults import (
     CORRUPTION_MARKER,
@@ -42,22 +37,16 @@ from .faults import (
     install_fault_plan,
     reset_fault_plan,
 )
-from .health import HealthMonitor, HealthState
-from .retry import RetryPolicy, call_with_retry, retry
+from .retry import RetryPolicy, call_with_retry
 
 __all__ = [
     "CORRUPTION_MARKER",
-    "CircuitBreaker",
-    "CircuitOpenError",
-    "CircuitState",
     "DegradedResult",
     "FAULT_ACTIONS",
     "FAULT_PLAN_ENV_VAR",
     "FaultError",
     "FaultPlan",
     "FaultPoint",
-    "HealthMonitor",
-    "HealthState",
     "RetryPolicy",
     "active_fault_plan",
     "call_with_retry",
@@ -68,6 +57,5 @@ __all__ = [
     "injected_faults",
     "install_fault_plan",
     "reset_fault_plan",
-    "retry",
     "split_degraded",
 ]

@@ -15,7 +15,7 @@ e.g. ``{"name": "mapping"}``) and fires one of three actions:
 * ``raise``  — raise a :class:`FaultError` (an :class:`OSError` subclass,
   so store/client I/O sites fail exactly like a disk or socket would),
 * ``delay``  — sleep ``delay_seconds`` before continuing (latency
-  injection for timeout/watchdog testing),
+  injection for deadline testing),
 * ``corrupt`` — mangle the payload passing through a data site (store
   and journal writes), producing torn/garbage bytes for the recovery
   scan to find.

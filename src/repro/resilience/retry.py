@@ -15,9 +15,8 @@ implements the standard production recipe:
   ``retry_after`` hint (e.g. :class:`~repro.service.BackpressureError`),
   the wait is raised to at least that hint.
 
-Use as a combinator (:func:`call_with_retry`) or decorator
-(:func:`retry`).  ``sleep`` and ``clock`` are injectable so tests run in
-virtual time.
+Use it through :func:`call_with_retry`.  ``sleep`` and ``clock`` are
+injectable so tests run in virtual time.
 """
 
 from __future__ import annotations
@@ -105,36 +104,3 @@ def call_with_retry(
             if on_retry is not None:
                 on_retry(failures, delay, exc)
             sleep(delay)
-
-
-def retry(
-    policy: RetryPolicy | None = None,
-    *,
-    sleep: Callable[[float], None] = time.sleep,
-    clock: Callable[[], float] = time.monotonic,
-    on_retry: Callable[[int, float, BaseException], None] | None = None,
-):
-    """Decorator form of :func:`call_with_retry`::
-
-        @retry(RetryPolicy(max_attempts=3, retry_on=(OSError,)))
-        def flaky_write(path, data): ...
-    """
-
-    def decorate(function: Callable) -> Callable:
-        def wrapper(*args, **kwargs):
-            return call_with_retry(
-                function,
-                *args,
-                policy=policy,
-                sleep=sleep,
-                clock=clock,
-                on_retry=on_retry,
-                **kwargs,
-            )
-
-        wrapper.__name__ = getattr(function, "__name__", "wrapped")
-        wrapper.__doc__ = function.__doc__
-        wrapper.__wrapped__ = function
-        return wrapper
-
-    return decorate

@@ -38,9 +38,8 @@ class MetricsSnapshot:
     """An immutable copy of the metrics at one point in time.
 
     ``timestamp`` (unix seconds) lets two scrapes of the service's
-    ``/metrics`` endpoint be diffed into rates.  Labelled gauges (SLO
-    burn rates by ``slo`` and ``window``) live in ``gauges`` as
-    ``(name, labels, value)`` triples.
+    ``/metrics`` endpoint be diffed into rates.  Gauges live in
+    ``gauges`` as ``(name, labels, value)`` triples.
     """
 
     counters: dict[str, int]
@@ -147,8 +146,8 @@ class RuntimeMetrics:
     # -- gauges -----------------------------------------------------------
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
-        """Set a point-in-time gauge (process RSS, slot utilisation, SLO
-        burn rate); last write wins."""
+        """Set a point-in-time gauge (process RSS, slot utilisation);
+        last write wins."""
         with self._lock:
             self._gauges[(name, _label_key(labels))] = float(value)
 

@@ -22,11 +22,10 @@ estimates retrievable without recomputation.  This subsystem provides it:
   (retrying transient unavailability under a
   :class:`~repro.resilience.RetryPolicy`).
 
-The scheduler embeds the resilience layer: a
-:class:`~repro.resilience.CircuitBreaker` guards job admission, a
-:class:`~repro.resilience.HealthMonitor` drives ``/healthz``'s
-healthy/degraded/draining state, and :meth:`JobScheduler.close` drains
-gracefully — running jobs finish, queued jobs fail with a
+The scheduler embeds the resilience layer: every job settles exactly
+once, ``/healthz`` reports ``healthy``, ``degraded`` (the report store
+quarantined an entry) or ``draining``, and :meth:`JobScheduler.close`
+drains gracefully — running jobs finish, queued jobs fail with a
 ``retry_after`` hint.
 
 It also embeds the durability layer (:mod:`repro.durability`): pass a

@@ -8,7 +8,7 @@ resources one method each.  Error taxonomy:
   pass ``retry_backpressure=True`` to opt in),
 * :class:`ServiceUnavailableError` — the service is unreachable
   (connection refused/reset, timeout) or answered 503 for a non-queue
-  reason (draining, open circuit breaker).  Carries the last
+  reason (a closed scheduler, a failing journal).  Carries the last
   ``retry_after`` hint the service sent, and **is retried** under the
   client's :class:`~repro.resilience.RetryPolicy` (exponential backoff,
   full jitter, ``Retry-After`` honoured) before surfacing,
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 import urllib.error
 import urllib.request
@@ -66,10 +67,10 @@ class ServiceUnavailableError(ServiceError):
     """The service could not serve the request at all right now.
 
     Raised for transport failures (connection refused/reset, timeouts)
-    and for 503 responses that are not queue backpressure — a draining
-    scheduler or an open circuit breaker.  ``retry_after`` carries the
-    service's hint when one was sent (``None`` for transport failures),
-    and the retry combinator honours it as a minimum backoff.
+    and for 503 responses that are not queue backpressure — a closed
+    scheduler or a failing journal append.  ``retry_after`` carries the
+    service's hint when it sent a usable one (``None`` otherwise), and
+    the retry combinator honours it as a minimum backoff.
     """
 
     def __init__(
@@ -209,13 +210,17 @@ class SubmitEnvelope:
 
 
 def _retry_after_hint(payload: dict, headers) -> float | None:
+    """The server's retry hint in seconds, if it is a finite number
+    >= 0; anything else (``inf``, ``nan``, negative, not a number) is
+    no hint, so a bad header can never become the client's sleep."""
     value = payload.get("retry_after")
     if value is None and headers is not None:
         value = headers.get("Retry-After")
     try:
-        return float(value) if value is not None else None
+        hint = float(value)
     except (TypeError, ValueError):
         return None
+    return hint if math.isfinite(hint) and hint >= 0 else None
 
 
 class ServiceClient:
@@ -317,10 +322,8 @@ class ServiceClient:
                 payload = {}
             hint = _retry_after_hint(payload, exc.headers)
             if exc.code == 503:
-                if "retry_after" in payload:
-                    raise BackpressureError(
-                        exc.code, payload, float(payload["retry_after"])
-                    ) from None
+                if "retry_after" in payload and hint is not None:
+                    raise BackpressureError(exc.code, payload, hint) from None
                 raise ServiceUnavailableError(
                     payload.get("error") or "service unavailable",
                     status=exc.code,
@@ -495,11 +498,6 @@ class ServiceClient:
 
     def metrics(self) -> dict:
         _, doc = self._request("GET", "/metrics")
-        return doc
-
-    def slo(self) -> dict:
-        """Burn-rate SLO document (``GET /slo``)."""
-        _, doc = self._request("GET", "/slo")
         return doc
 
     def metrics_text(self) -> str:

@@ -33,8 +33,6 @@ Resources::
                              ``Accept: text/plain`` (or
                              ``?format=prometheus``) switches to
                              Prometheus text exposition
-    GET    /slo              declarative SLOs with fast/slow-window burn
-                             rates and the derived health state
 
 A submission is parsed once, by :meth:`SubmitEnvelope.from_request`,
 and refused with:
@@ -48,7 +46,6 @@ and refused with:
 * 404 — an unknown scenario reference,
 * 503 + ``Retry-After`` and a body ``retry_after`` — backpressure
   (:class:`~repro.service.jobs.QueueFullError`),
-* 503 + ``Retry-After`` — an open circuit breaker,
 * 503 — a closed scheduler, or a failing journal append.
 
 An unknown path or job id is a 404 on every method, and an injected
@@ -65,7 +62,7 @@ import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..observability import prometheus_text
-from ..resilience import CircuitOpenError, fault_point
+from ..resilience import fault_point
 from ..runtime import MetricsSnapshot
 from ..scenarios import (
     IntegrationScenario,
@@ -163,8 +160,8 @@ class ServiceServer(ThreadingHTTPServer):
         }
 
     def metrics(self) -> tuple[MetricsSnapshot, dict[str, float], dict]:
-        # Point-in-time gauges (resources, utilization, burn rates) are
-        # re-sampled per scrape, so Prometheus always sees fresh values.
+        # Point-in-time gauges (resources, utilization) are re-sampled
+        # per scrape, so Prometheus always sees fresh values.
         self.scheduler.refresh_observability()
         stats = self.scheduler.stats()
         store = self.scheduler.store.stats()
@@ -300,8 +297,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 self._send_metrics(query)
             case "GET", ["jobs"]:
                 self._send_json(200, server.jobs(query.get("state")))
-            case "GET", ["slo"]:
-                self._send_json(200, server.scheduler.slo_snapshot())
             case "GET", ["trace", job_id]:
                 self._send_json(*server.trace(job_id))
             case _:
@@ -350,17 +345,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._send_json(
                 503,
                 {"error": str(exc), "retry_after": exc.retry_after},
-                _retry_after(exc),
-            )
-        except CircuitOpenError as exc:
-            # The breaker is shedding load: explicit backoff, no body of
-            # doomed work.  Unlike queue backpressure, the payload has no
-            # ``retry_after`` key, so clients classify it as
-            # ServiceUnavailableError and apply their retry policy.
-            self._send_json(
-                503,
-                {"error": str(exc), "circuit": exc.name},
-                _retry_after(exc),
+                {"Retry-After": f"{exc.retry_after:g}"},
             )
         except SchedulerClosedError as exc:
             self._send_json(503, {"error": str(exc)})
@@ -373,11 +358,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": str(exc)})
         else:
             self._send_json(202, {"job": job})
-
-
-def _retry_after(exc: QueueFullError | CircuitOpenError) -> dict:
-    """The ``Retry-After`` header for a refusal's hint."""
-    return {"Retry-After": f"{exc.retry_after:g}"}
 
 
 def make_server(

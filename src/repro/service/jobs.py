@@ -116,9 +116,10 @@ class Job:
     #: Content-address in the report store (``None`` for callable jobs).
     store_key: str | None = None
     id: str = dataclasses.field(default_factory=lambda: uuid.uuid4().hex[:12])
-    #: Correlation ID stamped on every event-log record and span the job
-    #: produces; defaults to the job id, overridable at submission (the
-    #: HTTP API maps the ``X-Correlation-ID`` request header here).
+    #: Correlation ID carried by the job's snapshot, journal record and
+    #: ``service.job:<id>`` span; defaults to the job id, overridable at
+    #: submission (the HTTP API maps the ``X-Correlation-ID`` request
+    #: header here).
     correlation_id: str = ""
     #: Client-supplied dedup key (the HTTP ``Idempotency-Key`` header).
     #: While a key is inside the scheduler's dedup window, a repeated
@@ -172,9 +173,6 @@ class Job:
     #: worker slot exactly once even though the abandoned payload thread
     #: finishes later.
     slot_released: bool = dataclasses.field(default=False, repr=False)
-    #: Set by the watchdog when the job overran the stuck threshold while
-    #: still running; diagnostic only (the job may yet finish).
-    stuck: bool = dataclasses.field(default=False, repr=False)
     #: Retry hint (seconds) attached when the job failed for a transient
     #: reason — e.g. it was queued when a graceful drain began.
     retry_after: float | None = dataclasses.field(default=None, repr=False)
@@ -215,7 +213,6 @@ class Job:
             "error": self.error,
             "from_store": self.from_store,
             "deadline_fired": self.deadline_fired,
-            "stuck": self.stuck,
             "retry_after": self.retry_after,
             "correlation_id": self.correlation_id,
             "idempotency_key": self.idempotency_key,

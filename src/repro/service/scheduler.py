@@ -32,14 +32,7 @@ Resilience layer (see :mod:`repro.resilience`):
   settles exactly once; late settle attempts (an abandoned payload
   finishing after its timeout fired) are counted on
   ``jobs_double_settle_averted`` instead of clobbering the record,
-* a per-scheduler :class:`~repro.resilience.CircuitBreaker` trips after
-  consecutive job failures; while open, new submissions are rejected
-  with :class:`~repro.resilience.CircuitOpenError` (503 + Retry-After
-  over HTTP) — but results already in the report store are still served,
-* an optional **watchdog** (``stuck_after``) marks jobs that overrun the
-  threshold, records breaker failures for them, and flags the
-  ``stuck_workers`` health reason,
-* :meth:`close` is a **graceful drain**: the health state machine enters
+* :meth:`close` is a **graceful drain**: ``/healthz`` reports
   ``draining``, running jobs finish, queued jobs fail with an explicit
   ``retry_after`` hint instead of silently disappearing,
 * ``scheduler.dispatch`` is a named fault-injection site: an injected
@@ -71,7 +64,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -81,21 +73,9 @@ from ..core import default_efes
 from ..core.framework import Efes
 from ..core.quality import ResultQuality, parse_quality
 from ..core.serialize import estimate_to_dict, reports_to_dict
-from ..observability import (
-    EVENT_LOG_ENV_VAR,
-    EventLog,
-    ResourceSampler,
-    SLOMonitor,
-    Tracer,
-    correlation_scope,
-    span_to_dict,
-    tracing,
-)
+from ..observability import ResourceSampler, Tracer, span_to_dict, tracing
 from ..resilience import (
-    CircuitBreaker,
-    CircuitState,
     DegradedResult,
-    HealthMonitor,
     fault_point,
     format_exception,
     split_degraded,
@@ -148,14 +128,10 @@ class JobScheduler:
         max_queue: int = 64,
         default_timeout: float | None = None,
         trace: bool = True,
-        event_log: EventLog | None = None,
-        breaker: CircuitBreaker | None = None,
-        stuck_after: float | None = None,
         strict: bool = False,
         journal: JobJournal | None = None,
         payload_resolver: Callable[[str, "Job"], Callable | None] | None = None,
         scenario_resolver: Callable[[str, int | None], object] | None = None,
-        slo: SLOMonitor | None = None,
         deadline_grace: float = DEFAULT_GRACE,
     ) -> None:
         if workers < 1:
@@ -166,10 +142,6 @@ class JobScheduler:
         if deadline_grace < 0:
             raise ValueError(
                 f"deadline_grace must be >= 0, got {deadline_grace}"
-            )
-        if stuck_after is not None and stuck_after <= 0:
-            raise ValueError(
-                f"stuck_after must be positive, got {stuck_after}"
             )
         if runtime is None:
             runtime = efes.runtime if efes and efes.runtime else Runtime()
@@ -192,31 +164,9 @@ class JobScheduler:
         #: Per-job tracing: each executed job runs under its own tracer
         #: and keeps its serialised ``service.job:<id>`` span tree.
         self.trace = trace
-        #: Structured lifecycle events, correlated per job.  Default
-        #: logs honour ``$REPRO_EVENT_LOG`` as a JSONL sink, so chaos CI
-        #: runs capture the lifecycle stream as an artifact.
-        if event_log is not None:
-            self.events = event_log
-        else:
-            self.events = EventLog(
-                path=os.environ.get(EVENT_LOG_ENV_VAR) or None
-            )
-        #: Health state machine surfaced by ``/healthz``.
-        self.health = HealthMonitor()
-        #: Multi-window burn-rate SLOs over settled-job outcomes,
-        #: surfaced by ``GET /slo`` and folded into the health state.
-        self.slo = slo if slo is not None else SLOMonitor()
         #: Per-process resource telemetry (RSS, CPU, GC), published as
         #: ``process_*`` gauges on ``/metrics``.
         self.sampler = ResourceSampler(self.runtime.metrics)
-        #: Consecutive-failure breaker guarding job admission.
-        self.breaker = (
-            breaker
-            if breaker is not None
-            else CircuitBreaker(name="jobs")
-        )
-        self.breaker.add_listener(self._breaker_transition)
-        self.stuck_after = stuck_after
         #: Write-ahead job journal (``None`` = durability off).  When
         #: set, every acknowledged submission is journalled + fsynced
         #: before ``submit`` returns, and construction runs crash
@@ -246,7 +196,6 @@ class JobScheduler:
         self._open = True
         self._completed_jobs = 0
         self._completed_seconds = 0.0
-        self._watchdog_stop = threading.Event()
         # Recovery runs before the dispatcher exists: replayed jobs are
         # re-stated and re-enqueued into a quiescent scheduler, then the
         # dispatcher starts and drains them like any other submission.
@@ -258,14 +207,6 @@ class JobScheduler:
             target=self._dispatch_loop, name="repro-service-dispatch", daemon=True
         )
         self._dispatcher.start()
-        self._watchdog: threading.Thread | None = None
-        if stuck_after is not None:
-            self._watchdog = threading.Thread(
-                target=self._watchdog_loop,
-                name="repro-service-watchdog",
-                daemon=True,
-            )
-            self._watchdog.start()
 
     @property
     def metrics(self):
@@ -291,14 +232,13 @@ class JobScheduler:
 
         Raises :class:`QueueFullError` (with ``retry_after``) when the
         bounded queue is at capacity, :class:`SchedulerClosedError` after
-        shutdown, :class:`~repro.resilience.CircuitOpenError` while the
-        breaker is open, and ``ValueError`` or ``TypeError`` for an
-        unknown ``kind`` or ``quality`` or a ``timeout`` that
+        shutdown, and ``ValueError`` or ``TypeError`` for an unknown
+        ``kind`` or ``quality`` or a ``timeout`` that
         :func:`~repro.service.jobs.check_timeout` refuses.  Identical
         scenario content with a stored result completes immediately
-        (``from_store=True``) without queueing — even through an open
-        breaker, because serving the store costs no execution.  ``correlation_id`` stamps every event-log record and
-        span the job produces (default: the job id).
+        (``from_store=True``) without queueing.  ``correlation_id``
+        stamps the job, its journal record and its ``service.job:<id>``
+        span (default: the job id).
 
         ``idempotency_key`` dedups retried submissions: while the key is
         inside the scheduler's dedup window — which the journal carries
@@ -336,14 +276,6 @@ class JobScheduler:
             idempotency_key=idempotency_key,
         )
         self.metrics.increment("jobs_submitted")
-        self.events.emit(
-            "job.submitted",
-            correlation_id=job.correlation_id,
-            job_id=job.id,
-            kind=job.kind,
-            scenario=job.scenario_name,
-            priority=job.priority,
-        )
         stored = self.store.get(key)
         if stored is not None:
             job.state = JobState.DONE
@@ -372,18 +304,7 @@ class JobScheduler:
             with self._lock:
                 self._jobs[job.id] = job
                 self._remember_idempotency_locked(job)
-            self.events.emit(
-                "job.finished",
-                correlation_id=job.correlation_id,
-                job_id=job.id,
-                state=job.state.value,
-                from_store=True,
-            )
             return job
-        # Admission control happens after the store check on purpose:
-        # cached answers are free, so an open breaker only blocks work
-        # that would actually execute.
-        self.breaker.allow()
         job.payload = self._payload_for(job, scenario, resolved_quality)
         record = None
         if self.journal is not None:
@@ -417,7 +338,6 @@ class JobScheduler:
         existing = self._deduplicate(idempotency_key)
         if existing is not None:
             return existing
-        self.breaker.allow()
         job = Job(
             kind="callable",
             scenario_name=name,
@@ -443,12 +363,6 @@ class JobScheduler:
         if job is None:
             return None
         self.metrics.increment("jobs_deduplicated")
-        self.events.emit(
-            "job.deduplicated",
-            correlation_id=job.correlation_id,
-            job_id=job.id,
-            idempotency_key=idempotency_key,
-        )
         return job
 
     def _remember_idempotency_locked(self, job: Job) -> None:
@@ -589,7 +503,7 @@ class JobScheduler:
 
         Best-effort by design: losing a settled record merely means
         recovery re-executes the job idempotently, so an append failure
-        here is counted and evented, never raised into the settle path.
+        here is counted, never raised into the settle path.
         """
         if self.journal is None or not job.journalled:
             return
@@ -608,14 +522,8 @@ class JobScheduler:
     def _journal_append_advisory(self, record: dict) -> None:
         try:
             self.journal.append(record, durable=False)
-        except JournalError as exc:
+        except JournalError:
             self.metrics.increment("journal_append_failures")
-            self.events.emit(
-                "journal.append_failed",
-                record_type=record.get("type"),
-                job_id=record.get("job_id"),
-                error=str(exc),
-            )
 
     # ------------------------------------------------------------------
     # Crash recovery enactment (called by RecoveryManager at startup)
@@ -667,12 +575,6 @@ class JobScheduler:
             self._jobs.setdefault(job.id, job)
             self._remember_idempotency_locked(job)
         self.metrics.increment("jobs_recovered_from_store")
-        self.events.emit(
-            "job.recovered",
-            correlation_id=job.correlation_id,
-            job_id=job.id,
-            outcome="completed_from_store",
-        )
         self.journal.append(
             settled_record(
                 job.id,
@@ -716,13 +618,6 @@ class JobScheduler:
         self.metrics.increment("jobs_recovered")
         if job.interrupted:
             self.metrics.increment("jobs_interrupted_recovered")
-        self.events.emit(
-            "job.recovered",
-            correlation_id=job.correlation_id,
-            job_id=job.id,
-            outcome="requeued",
-            interrupted=job.interrupted,
-        )
         return True
 
     def _replayed_job_shell(self, state) -> Job:
@@ -795,12 +690,6 @@ class JobScheduler:
             self._jobs.setdefault(job.id, job)
             self._remember_idempotency_locked(job)
         self.metrics.increment("jobs_unrecoverable")
-        self.events.emit(
-            "job.recovered",
-            correlation_id=job.correlation_id,
-            job_id=job.id,
-            outcome="unrecoverable",
-        )
         self.journal.append(
             settled_record(
                 job.id,
@@ -843,14 +732,6 @@ class JobScheduler:
                             error=format_exception(exc),
                         ):
                             self.metrics.increment("jobs_failed")
-                            self.breaker.record_failure()
-                            self.slo.record_job(ok=False)
-                            self.events.emit(
-                                "job.dispatch_failed",
-                                correlation_id=job.correlation_id,
-                                job_id=job.id,
-                                error=job.error,
-                            )
                         continue
                     self._free_slots -= 1
                     job.state = JobState.RUNNING
@@ -917,13 +798,6 @@ class JobScheduler:
                 job.cancel_event.set()
                 self._release_slot_locked(job)
                 self.metrics.increment("jobs_deadline_exceeded")
-                self.events.emit(
-                    "job.deadline",
-                    correlation_id=job.correlation_id,
-                    job_id=job.id,
-                    timeout=job.timeout,
-                    grace=self.deadline_grace,
-                )
             if (
                 job.deadline_fired
                 and job.grace_deadline is not None
@@ -935,95 +809,69 @@ class JobScheduler:
                     error=f"timed out after {job.timeout:g}s",
                 ):
                     continue
-                self._note_timeout_locked(job)
+                self._note_timeout_locked()
 
-    def _note_timeout_locked(self, job: Job) -> None:
-        """Metrics/breaker/SLO/event bookkeeping of one timed-out job."""
+    def _note_timeout_locked(self) -> None:
+        """Counters of one timed-out job."""
         self.metrics.increment("jobs_timeout")
         self.metrics.increment("jobs_failed")
-        self.breaker.record_failure()
-        self.slo.record_job(ok=False)
-        self.events.emit(
-            "job.timeout",
-            correlation_id=job.correlation_id,
-            job_id=job.id,
-            timeout=job.timeout,
-        )
 
     def _run_job(self, job: Job) -> None:
         result: dict | None = None
         error: str | None = None
         cancelled = False
         tracer = Tracer() if self.trace else None
-        with correlation_scope(job.correlation_id):
-            self.events.emit(
-                "job.started",
-                job_id=job.id,
-                kind=job.kind,
-                scenario=job.scenario_name,
-                queued_seconds=job.queued_seconds,
+        if job.queued_seconds is not None:
+            self.metrics.observe(
+                "stage_seconds", job.queued_seconds, stage="service.queue"
             )
-            if job.queued_seconds is not None:
-                self.metrics.observe(
-                    "stage_seconds", job.queued_seconds, stage="service.queue"
-                )
-            started = time.perf_counter()
-            # The scope every checkpoint below observes: the job's
-            # deadline (already on the monotonic clock) plus its cancel
-            # event, so both the reaper and a user cancel stop the
-            # payload at the next checkpoint without any plumbing.
-            scope = CancelScope(
-                deadline=(
-                    Deadline(job.deadline)
-                    if job.deadline is not None
-                    else None
-                ),
-                cancel_event=job.cancel_event,
-                label=f"job:{job.id}",
-            )
-            try:
-                with self.runtime.activated(), scope.activated():
-                    if tracer is None:
+        started = time.perf_counter()
+        # The scope every checkpoint below observes: the job's deadline
+        # (already on the monotonic clock) plus its cancel event, so both
+        # the reaper and a user cancel stop the payload at the next
+        # checkpoint without any plumbing.
+        scope = CancelScope(
+            deadline=(
+                Deadline(job.deadline) if job.deadline is not None else None
+            ),
+            cancel_event=job.cancel_event,
+            label=f"job:{job.id}",
+        )
+        try:
+            with self.runtime.activated(), scope.activated():
+                if tracer is None:
+                    job.check_cancelled()
+                    result = job.payload(job)
+                else:
+                    with tracer.activated(), tracing.span(
+                        f"service.job:{job.id}",
+                        kind=job.kind,
+                        scenario=job.scenario_name,
+                        correlation_id=job.correlation_id,
+                    ):
                         job.check_cancelled()
                         result = job.payload(job)
-                    else:
-                        with tracer.activated(), tracing.span(
-                            f"service.job:{job.id}",
-                            kind=job.kind,
-                            scenario=job.scenario_name,
-                            correlation_id=job.correlation_id,
-                        ):
-                            job.check_cancelled()
-                            result = job.payload(job)
-            except JobCancelled:
+        except JobCancelled:
+            cancelled = True
+        except OperationCancelled as exc:
+            # A checkpoint stopped the payload.  Plain cancellation maps
+            # to the CANCELLED settle; a deadline abort leaves ``result``
+            # unset and lets the deadline branch of ``_finish`` settle
+            # the timeout.
+            if exc.reason == "cancelled":
                 cancelled = True
-            except OperationCancelled as exc:
-                # A checkpoint stopped the payload.  Plain cancellation
-                # maps to the CANCELLED settle; a deadline abort leaves
-                # ``result`` unset and lets the deadline branch of
-                # ``_finish`` settle the timeout.
-                if exc.reason == "cancelled":
-                    cancelled = True
-                else:
-                    error = f"{type(exc).__name__}: {exc}"
-            except Exception as exc:  # noqa: BLE001 - job isolation boundary
+            else:
                 error = f"{type(exc).__name__}: {exc}"
-            self.metrics.observe(
-                "stage_seconds",
-                time.perf_counter() - started,
-                stage="service.job",
-            )
-            if tracer is not None and tracer.root is not None:
-                job.trace = span_to_dict(tracer.root)
-            self._finish(job, result, error, cancelled)
-            self.events.emit(
-                "job.finished",
-                job_id=job.id,
-                state=job.state.value,
-                error=job.error,
-                duration_seconds=job.duration_seconds,
-                from_store=False,
-            )
+        except Exception as exc:  # noqa: BLE001 - job isolation boundary
+            error = f"{type(exc).__name__}: {exc}"
+        self.metrics.observe(
+            "stage_seconds",
+            time.perf_counter() - started,
+            stage="service.job",
+        )
+        if tracer is not None and tracer.root is not None:
+            job.trace = span_to_dict(tracer.root)
+        self._finish(job, result, error, cancelled)
 
     def _finish(
         self, job: Job, result: dict | None, error: str | None, cancelled: bool
@@ -1045,26 +893,19 @@ class JobScheduler:
                     ):
                         self.metrics.increment("jobs_completed")
                         self.metrics.increment("jobs_deadline_partial")
-                        self.breaker.record_success()
-                        self.slo.record_job(
-                            ok=True,
-                            duration_seconds=job.duration_seconds,
-                            degraded=True,
-                        )
+                        self.metrics.increment("jobs_degraded")
                 elif self._settle_locked(
                     job,
                     JobState.FAILED,
                     error=f"timed out after {job.timeout:g}s",
                 ):
-                    self._note_timeout_locked(job)
+                    self._note_timeout_locked()
             elif cancelled or job.cancel_event.is_set():
                 if self._settle_locked(job, JobState.CANCELLED):
                     self.metrics.increment("jobs_cancelled")
             elif error is not None:
                 if self._settle_locked(job, JobState.FAILED, error=error):
                     self.metrics.increment("jobs_failed")
-                    self.breaker.record_failure()
-                    self.slo.record_job(ok=False)
             else:
                 # Store BEFORE settling: the settled-done journal record
                 # must never precede its result document, so a crash
@@ -1078,15 +919,10 @@ class JobScheduler:
                     self._store_result_locked(job, result)
                 if self._settle_locked(job, JobState.DONE, result=result):
                     self.metrics.increment("jobs_completed")
-                    self.breaker.record_success()
-                    self.slo.record_job(
-                        ok=True,
-                        duration_seconds=job.duration_seconds,
-                        degraded=bool(
-                            isinstance(result, dict)
-                            and result.get("degradations")
-                        ),
-                    )
+                    if isinstance(result, dict) and result.get(
+                        "degradations"
+                    ):
+                        self.metrics.increment("jobs_degraded")
             # A late arrival (the job settled by timeout or cancel while
             # the payload drained) still releases its slot idempotently.
             self._release_slot_locked(job)
@@ -1098,15 +934,9 @@ class JobScheduler:
         with self.metrics.stage("store.put"):
             try:
                 self.store.put(job.store_key, result)
-            except OSError as exc:
+            except OSError:
                 # The in-memory result stands; persistence is best-effort.
                 self.metrics.increment("store_put_failures")
-                self.events.emit(
-                    "store.write_failed",
-                    correlation_id=job.correlation_id,
-                    job_id=job.id,
-                    error=format_exception(exc),
-                )
 
     def _release_slot_locked(self, job: Job) -> None:
         if not job.slot_released:
@@ -1121,79 +951,8 @@ class JobScheduler:
             self._completed_seconds += duration
 
     # ------------------------------------------------------------------
-    # Watchdog + breaker + health
+    # Health
     # ------------------------------------------------------------------
-
-    def _breaker_transition(
-        self, previous: CircuitState, state: CircuitState
-    ) -> None:
-        self.metrics.increment("breaker_transitions")
-        self.events.emit(
-            "breaker.state",
-            previous=previous.value,
-            state=state.value,
-        )
-        # Half-open still means "recovering": the replica stays flagged
-        # until a probe succeeds and the breaker closes.
-        self.health.set_reason(
-            "circuit_open", state is not CircuitState.CLOSED
-        )
-
-    def _watchdog_loop(self) -> None:
-        interval = max(0.02, min(self.stuck_after / 2.0, 1.0))
-        while not self._watchdog_stop.wait(interval):
-            now = time.time()
-            newly_stuck: list[Job] = []
-            any_stuck = False
-            with self._lock:
-                for job in self._running.values():
-                    if (
-                        job.started_at is not None
-                        and now - job.started_at >= self.stuck_after
-                    ):
-                        any_stuck = True
-                        if not job.stuck:
-                            job.stuck = True
-                            newly_stuck.append(job)
-            for job in newly_stuck:
-                self.metrics.increment("jobs_stuck")
-                self.events.emit(
-                    "job.stuck",
-                    correlation_id=job.correlation_id,
-                    job_id=job.id,
-                    running_seconds=now - (job.started_at or now),
-                    stuck_after=self.stuck_after,
-                )
-                # A wedged worker is a failure the breaker must see even
-                # though no exception ever surfaces.
-                self.breaker.record_failure()
-            self.health.set_reason("stuck_workers", any_stuck)
-
-    def _evaluate_slos(self) -> list:
-        """Evaluate the SLOs and publish what follows from them.
-
-        Each SLO's state folds into the health state machine: a critical
-        burn flags a hard ``slo:<name>`` degradation reason, a warning
-        burn the advisory warning of the same name, so the replica
-        reports ``slo-warning`` without being pulled from rotation.  Its
-        burn rates become the ``slo_burn_rate{slo,window}`` gauges.
-        """
-        statuses = self.slo.evaluate()
-        for status in statuses:
-            self.health.set_reason(
-                f"slo:{status.name}", status.state == "critical"
-            )
-            self.health.set_warning(
-                f"slo:{status.name}", status.state == "warning"
-            )
-            for window in ("fast", "slow"):
-                self.metrics.set_gauge(
-                    "slo_burn_rate",
-                    getattr(status, window)["burn_rate"],
-                    slo=status.name,
-                    window=window,
-                )
-        return statuses
 
     def _deadline_stats_locked(self) -> dict:
         """Point-in-time deadline posture of the running set."""
@@ -1227,20 +986,12 @@ class JobScheduler:
         with self._lock:
             return self._deadline_stats_locked()
 
-    def slo_snapshot(self) -> dict:
-        """The ``GET /slo`` document: burn rates + derived health."""
-        self._evaluate_slos()
-        doc = self.slo.to_dict()
-        doc["state"] = self.slo.worst_state()
-        doc["health"] = self.health.snapshot()
-        return doc
-
     def refresh_observability(self) -> None:
         """Re-sample point-in-time gauges before a ``/metrics`` scrape.
 
         Publishes the dispatcher process's resource sample
-        (``process_*`` gauges), job-slot utilization, the profile-cache
-        hit rate, and the current SLO burn-rate gauges.
+        (``process_*`` gauges), job-slot utilization and the
+        profile-cache hit rate.
         """
         self.sampler.sample()
         with self._lock:
@@ -1265,22 +1016,25 @@ class JobScheduler:
         self.metrics.set_gauge(
             "cache_hit_rate", hits / lookups if lookups else 0.0
         )
-        self._evaluate_slos()
 
     def health_snapshot(self) -> dict:
-        """Health + breaker + SLO + resources, as ``/healthz`` reports it."""
-        self.health.set_reason(
-            "store_quarantine", self.store.quarantined_count() > 0
-        )
-        statuses = self._evaluate_slos()
-        doc = self.health.snapshot()
-        doc["breaker"] = self.breaker.snapshot()
-        doc["slo"] = {
-            "state": self.slo.worst_state(),
-            "states": {status.name: status.state for status in statuses},
+        """Health state + resources + deadlines, as ``/healthz`` reports it.
+
+        The state is ``draining`` once :meth:`close` began, else
+        ``degraded`` while the report store holds quarantined entries
+        (reason ``store_quarantine``), else ``healthy``.
+        """
+        reasons = ["store_quarantine"] if self.store.quarantined_count() else []
+        if not self._open:
+            state = "draining"
+        else:
+            state = "degraded" if reasons else "healthy"
+        doc = {
+            "state": state,
+            "reasons": reasons,
+            "resources": self.sampler.summary(),
+            "deadlines": self.deadline_stats(),
         }
-        doc["resources"] = self.sampler.summary()
-        doc["deadlines"] = self.deadline_stats()
         if self.journal is not None:
             doc["journal"] = self.journal.stats()
             doc["recovery"] = self.recovery_summary
@@ -1306,11 +1060,6 @@ class JobScheduler:
                 job.cancel_event.set()
                 if self._settle_locked(job, JobState.CANCELLED):
                     self.metrics.increment("jobs_cancelled")
-                    self.events.emit(
-                        "job.cancelled",
-                        correlation_id=job.correlation_id,
-                        job_id=job.id,
-                    )
             return job
 
     def wait(self, job_id: str, timeout: float | None = None) -> Job:
@@ -1346,7 +1095,6 @@ class JobScheduler:
     def stats(self) -> dict:
         with self._lock:
             busy = self.workers - self._free_slots
-            stuck = sum(1 for job in self._running.values() if job.stuck)
             return {
                 "open": self._open,
                 "workers": self.workers,
@@ -1356,7 +1104,6 @@ class JobScheduler:
                 "max_queue": self.max_queue,
                 "queue_depth": self._queue_depth_locked(),
                 "running": len(self._running),
-                "stuck": stuck,
                 "jobs_total": len(self._jobs),
                 "completed_jobs": self._completed_jobs,
                 "average_job_seconds": (
@@ -1364,7 +1111,6 @@ class JobScheduler:
                     if self._completed_jobs
                     else None
                 ),
-                "breaker": self.breaker.snapshot(),
                 "deadlines": self._deadline_stats_locked(),
                 "idempotency_window": len(self._idempotency),
                 "journal": (
@@ -1376,7 +1122,7 @@ class JobScheduler:
     def close(self, *, wait: bool = True, timeout: float | None = 10.0) -> None:
         """Graceful drain: finish running jobs, fail queued ones.
 
-        The health state machine enters ``draining`` (terminal); queued
+        :meth:`health_snapshot` reads ``draining`` from here on; queued
         jobs settle ``FAILED`` with :data:`DRAINING_ERROR` and an
         explicit ``retry_after`` hint so clients know to resubmit, while
         running jobs get up to ``timeout`` seconds to complete.
@@ -1385,7 +1131,6 @@ class JobScheduler:
             if not self._open:
                 return
             self._open = False
-            self.health.start_draining()
             depth = self._queue_depth_locked()
             hint = self._retry_after_locked(depth) if depth else None
             for _, _, job in self._queue:
@@ -1398,12 +1143,6 @@ class JobScheduler:
                         retry_after=hint,
                     ):
                         self.metrics.increment("jobs_drained")
-                        self.events.emit(
-                            "job.drained",
-                            correlation_id=job.correlation_id,
-                            job_id=job.id,
-                            retry_after=hint,
-                        )
             self._queue.clear()
             self._wake.notify_all()
             self._finished.notify_all()
@@ -1419,9 +1158,6 @@ class JobScheduler:
                         if remaining <= 0:
                             break
                     self._finished.wait(timeout=remaining)
-        self._watchdog_stop.set()
-        if self._watchdog is not None:
-            self._watchdog.join(timeout=1.0)
         self._dispatcher.join(timeout=1.0)
         if self.journal is not None:
             # The drain above settled every queued job; flush those

@@ -54,8 +54,13 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "argv",
-        [["fleet", "serve"], ["fleet", "status"], ["recover", "--fleet", "d"]],
-        ids=["serve", "status", "recover"],
+        [
+            ["fleet", "serve"],
+            ["fleet", "status"],
+            ["recover", "--fleet", "d"],
+            ["slo"],
+        ],
+        ids=["serve", "status", "recover", "slo"],
     )
     def test_removed_commands_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exited:

@@ -169,6 +169,9 @@ class TestSchedulerDeadline:
             counters = sched.metrics.snapshot().counters
             assert counters["jobs_deadline_exceeded"] >= 1
             assert counters["jobs_deadline_partial"] >= 1
+            # A partial is one degraded job, although it also carries
+            # degradations.
+            assert counters["jobs_degraded"] == 1
         assert plan.trip_count("deadline.checkpoint") >= 1
 
     def test_grace_expiry_settles_failed(self):

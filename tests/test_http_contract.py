@@ -95,6 +95,7 @@ def call(url, method, path, body=None, headers=None):
         ("POST", "/elsewhere"),
         ("DELETE", "/jobs"),
         ("GET", "/jobs/some-id/extra"),
+        ("GET", "/slo"),
     ],
 )
 def test_unknown_path_is_404(front_end, method, path):

@@ -1,4 +1,4 @@
-"""Tracing, histograms, event logs, and their exporters."""
+"""Tracing, histograms, resource telemetry, and their exporters."""
 
 from __future__ import annotations
 
@@ -17,22 +17,15 @@ from repro.core.serialize import (
     span_to_dict,
 )
 from repro.observability import (
-    CRITICAL_BURN_RATE,
-    EventLog,
     Histogram,
     ResourceSampler,
-    SLOMonitor,
-    SLOSpec,
     Tracer,
-    correlation_scope,
-    current_correlation_id,
     escape_label_value,
     prometheus_text,
     render_span_tree,
     sample_resources,
     span,
 )
-from repro.observability.slo import RollingCounter
 from repro.resilience import FaultPlan, FaultPoint, injected_faults
 from repro.runtime import Runtime, RuntimeMetrics
 from repro.scenarios import scenario_s1_s2
@@ -430,59 +423,7 @@ class TestPrometheusText:
 
 
 # ----------------------------------------------------------------------
-# Event log + correlation IDs
-# ----------------------------------------------------------------------
-
-
-class TestEventLog:
-    def test_emit_binds_the_context_correlation_id(self):
-        log = EventLog()
-        assert current_correlation_id() is None
-        with correlation_scope("req-42"):
-            assert current_correlation_id() == "req-42"
-            log.emit("job.started", job_id="j1")
-        log.emit("job.started", job_id="j2")
-        records = log.records(correlation_id="req-42")
-        assert len(records) == 1
-        assert records[0]["job_id"] == "j1"
-        assert records[0]["seq"] == 1
-
-    def test_jsonl_file_sink(self, tmp_path):
-        path = tmp_path / "events" / "service.jsonl"
-        log = EventLog(path=path)
-        log.emit("a", n=1)
-        log.emit("b", n=2)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line)["event"] for line in lines] == ["a", "b"]
-
-    def test_logging_adapter_routes_stdlib_records(self):
-        import logging
-
-        log = EventLog()
-        logger = logging.getLogger("repro.test.observability")
-        logger.setLevel(logging.INFO)
-        handler = log.logging_handler()
-        logger.addHandler(handler)
-        try:
-            with correlation_scope("req-log"):
-                logger.info("hello %s", "world")
-        finally:
-            logger.removeHandler(handler)
-        (record,) = log.records(event="log")
-        assert record["message"] == "hello world"
-        assert record["correlation_id"] == "req-log"
-
-    def test_memory_ring_is_bounded(self):
-        log = EventLog(max_memory_events=3)
-        for index in range(10):
-            log.emit("tick", index=index)
-        records = log.records()
-        assert len(records) == 3
-        assert [record["index"] for record in records] == [7, 8, 9]
-
-
-# ----------------------------------------------------------------------
-# Service-level observability (HTTP -> scheduler -> event log)
+# Service-level observability (HTTP -> scheduler -> trace)
 # ----------------------------------------------------------------------
 
 
@@ -504,24 +445,19 @@ def service():
 
 
 class TestServiceObservability:
-    def test_correlation_id_flows_from_http_to_event_log(self, service):
+    def test_correlation_id_flows_from_http_to_the_trace(self, service):
         from repro.service import ServiceClient
 
-        server, scheduler = service
+        server, _ = service
         client = ServiceClient(server.url)
         job = client.submit(
             "s4-s4", kind="assess", correlation_id="req-e2e"
         )
         assert job["correlation_id"] == "req-e2e"
         client.result(job["id"], deadline=120)
-        events = scheduler.events.records(correlation_id="req-e2e")
-        kinds = [record["event"] for record in events]
-        assert kinds[0] == "job.submitted"
-        assert "job.started" in kinds
-        assert kinds[-1] == "job.finished"
-        assert all(
-            record["correlation_id"] == "req-e2e" for record in events
-        )
+        root = span_from_dict(client.trace(job["id"]))
+        assert root.name == f"service.job:{job['id']}"
+        assert root.attributes["correlation_id"] == "req-e2e"
 
     def test_correlation_id_defaults_to_the_job_id(self, service):
         from repro.service import ServiceClient
@@ -565,6 +501,29 @@ class TestServiceObservability:
         assert 0.0 <= doc["workers"]["utilisation"] <= 1.0
         assert doc["store"] == {"entries": 0, "spooled": 0, "quarantined": 0}
         assert doc["health"]["state"] == "healthy"
+
+    def test_healthz_embeds_the_resource_summary(self, service):
+        from repro.service import ServiceClient
+
+        server, _ = service
+        client = ServiceClient(server.url)
+        doc = client.healthz()
+        resources = doc["health"]["resources"]
+        assert resources["pid"] == os.getpid()
+        assert resources["rss_bytes"] > 0
+
+    def test_metrics_expose_resource_gauges(self, service):
+        from repro.service import ServiceClient
+
+        server, _ = service
+        client = ServiceClient(server.url)
+        job = client.submit("s4-s4", kind="assess", seed=5)
+        client.result(job["id"], deadline=120)
+        text = client.metrics_text()
+        assert "repro_process_rss_bytes" in text
+        assert "repro_process_cpu_seconds" in text
+        assert "repro_cache_hit_rate" in text
+        assert "repro_scheduler_worker_utilisation" in text
 
     def test_metrics_content_negotiation(self, service):
         from repro.service import ServiceClient
@@ -674,270 +633,3 @@ class TestResourceTelemetry:
         assert summary["pid"] == os.getpid()
         assert summary["rss_bytes"] > 0
         assert sampler.samples_taken == 2
-
-
-# ----------------------------------------------------------------------
-# SLO burn-rate monitoring
-# ----------------------------------------------------------------------
-
-
-class TestRollingCounter:
-    def test_totals_respect_the_window(self):
-        now = [1000.0]
-        counter = RollingCounter(
-            3600.0, bucket_seconds=10.0, clock=lambda: now[0]
-        )
-        counter.record(True, 5)
-        counter.record(False)
-        now[0] += 400.0
-        counter.record(True, 2)
-        assert counter.totals(300.0) == (2, 0)
-        assert counter.totals(3600.0) == (7, 1)
-        # Past the horizon everything expires from the windows ...
-        now[0] += 4000.0
-        counter.record(True)
-        assert counter.totals(3600.0) == (1, 0)
-        # ... but lifetime totals never do.
-        assert counter.total_good == 8
-        assert counter.total_bad == 1
-
-    def test_rejects_degenerate_geometry(self):
-        with pytest.raises(ValueError):
-            RollingCounter(5.0, bucket_seconds=10.0)
-
-
-class TestSLOMonitor:
-    def _monitor(self, now):
-        return SLOMonitor(clock=lambda: now[0])
-
-    def test_healthy_stream_is_ok(self):
-        now = [5000.0]
-        monitor = self._monitor(now)
-        for _ in range(50):
-            monitor.record_job(ok=True, duration_seconds=0.1)
-        assert [status.state for status in monitor.evaluate()] == [
-            "ok",
-            "ok",
-            "ok",
-        ]
-        assert monitor.worst_state() == "ok"
-
-    def test_sustained_failures_burn_critical(self):
-        now = [5000.0]
-        monitor = self._monitor(now)
-        for _ in range(10):
-            monitor.record_job(ok=False)
-        statuses = {status.name: status for status in monitor.evaluate()}
-        availability = statuses["availability"]
-        assert availability.state == "critical"
-        assert availability.fast["burn_rate"] >= CRITICAL_BURN_RATE
-        assert availability.slow["burn_rate"] >= CRITICAL_BURN_RATE
-        # Failures never double-dip into the latency/degradation budgets.
-        assert statuses["job_latency"].state == "ok"
-        assert statuses["degradation"].state == "ok"
-        assert monitor.worst_state() == "critical"
-
-    def test_warning_band_requires_both_windows(self):
-        now = [5000.0]
-        monitor = self._monitor(now)
-        # Error rate 5/1000 against a 0.1% budget: burn 5.0, inside the
-        # warning band on both windows.
-        monitor.record("availability", False, count=5)
-        monitor.record("availability", True, count=995)
-        status = {s.name: s for s in monitor.evaluate()}["availability"]
-        assert status.state == "warning"
-        assert 3.0 <= status.fast["burn_rate"] < CRITICAL_BURN_RATE
-        # Age the burst out of the fast window: one hot window alone
-        # must not hold the warning.
-        now[0] += 600.0
-        status = {s.name: s for s in monitor.evaluate()}["availability"]
-        assert status.fast["events"] == 0
-        assert status.state == "ok"
-
-    def test_latency_and_degradation_judge_successful_jobs_only(self):
-        now = [5000.0]
-        monitor = self._monitor(now)
-        monitor.record_job(ok=True, duration_seconds=45.0)
-        monitor.record_job(ok=True, duration_seconds=1.0, degraded=True)
-        statuses = {status.name: status for status in monitor.evaluate()}
-        assert statuses["availability"].total_bad == 0
-        assert statuses["job_latency"].total_bad == 1
-        assert statuses["degradation"].total_bad == 1
-
-    def test_spec_and_monitor_validation(self):
-        with pytest.raises(ValueError):
-            SLOSpec("bad", objective=1.5)
-        with pytest.raises(ValueError):
-            SLOMonitor((SLOSpec("dup", 0.9), SLOSpec("dup", 0.9)))
-
-    def test_concurrent_settlement_and_evaluation_never_deadlock(self):
-        """The ``JobScheduler.close()`` interleaving: worker threads are
-        still settling (``record_job``) while health/status readers call
-        ``worst_state()``/``to_dict()`` — both of which re-enter the
-        monitor lock through ``evaluate``.  A non-reentrant lock hangs
-        here; the join timeout turns that hang into a failure."""
-        monitor = SLOMonitor()
-        stop = threading.Event()
-        errors: list[BaseException] = []
-
-        def hammer(operation):
-            try:
-                while not stop.is_set():
-                    operation()
-            except BaseException as exc:  # noqa: BLE001 - reported below
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(
-                target=hammer,
-                args=(
-                    lambda: monitor.record_job(
-                        ok=True, duration_seconds=0.01
-                    ),
-                ),
-                daemon=True,
-            )
-            for _ in range(2)
-        ] + [
-            threading.Thread(
-                target=hammer, args=(monitor.worst_state,), daemon=True
-            ),
-            threading.Thread(
-                target=hammer, args=(monitor.to_dict,), daemon=True
-            ),
-        ]
-        for thread in threads:
-            thread.start()
-        time.sleep(0.3)
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=5.0)
-        assert not any(
-            thread.is_alive() for thread in threads
-        ), "SLO monitor deadlocked under concurrent settle + evaluate"
-        assert not errors, errors
-        assert monitor.worst_state() in ("ok", "warning", "critical")
-
-    def test_to_dict_is_the_slo_document_body(self):
-        now = [5000.0]
-        monitor = self._monitor(now)
-        monitor.record_job(ok=True, duration_seconds=0.5)
-        doc = monitor.to_dict()
-        assert doc["warn_burn_rate"] == 3.0
-        assert doc["critical_burn_rate"] == CRITICAL_BURN_RATE
-        names = [entry["name"] for entry in doc["slos"]]
-        assert names == ["availability", "job_latency", "degradation"]
-        availability = doc["slos"][0]
-        assert availability["totals"] == {"good": 1, "bad": 0, "events": 1}
-        assert set(availability["windows"]) == {"fast", "slow"}
-
-
-# ----------------------------------------------------------------------
-# Service-level SLOs, worker gauges, and the slo CLI
-# ----------------------------------------------------------------------
-
-
-class TestServiceSLO:
-    def test_slo_endpoint_reports_burn_rates_and_health(self, service):
-        from repro.service import ServiceClient
-
-        server, _ = service
-        client = ServiceClient(server.url)
-        job = client.submit("s4-s4", kind="assess")
-        client.result(job["id"], deadline=120)
-        doc = client.slo()
-        assert doc["state"] == "ok"
-        assert doc["health"]["state"] == "healthy"
-        availability = doc["slos"][0]
-        assert availability["name"] == "availability"
-        assert availability["state"] == "ok"
-        assert availability["totals"]["good"] >= 1
-        assert availability["windows"]["fast"]["burn_rate"] == 0.0
-
-    def test_critical_burn_degrades_health(self, service):
-        from repro.service import ServiceClient
-
-        server, scheduler = service
-        client = ServiceClient(server.url)
-        for _ in range(5):
-            scheduler.slo.record_job(ok=False)
-        doc = client.slo()
-        assert doc["state"] == "critical"
-        assert doc["health"]["state"] == "degraded"
-        assert "slo:availability" in doc["health"]["reasons"]
-        health = client.healthz()
-        assert health["health"]["slo"]["states"]["availability"] == "critical"
-
-    def test_warning_burn_is_advisory_not_degrading(self, service):
-        from repro.service import ServiceClient
-
-        server, scheduler = service
-        client = ServiceClient(server.url)
-        scheduler.slo.record("availability", False, count=5)
-        scheduler.slo.record("availability", True, count=995)
-        doc = client.slo()
-        assert doc["state"] == "warning"
-        assert doc["health"]["state"] == "slo-warning"
-        assert "slo:availability" in doc["health"]["warnings"]
-        assert doc["health"]["reasons"] == []
-
-    def test_healthz_embeds_slo_and_resource_summaries(self, service):
-        from repro.service import ServiceClient
-
-        server, _ = service
-        client = ServiceClient(server.url)
-        doc = client.healthz()
-        assert doc["health"]["slo"]["state"] == "ok"
-        assert set(doc["health"]["slo"]["states"]) == {
-            "availability",
-            "job_latency",
-            "degradation",
-        }
-        resources = doc["health"]["resources"]
-        assert resources["pid"] == os.getpid()
-        assert resources["rss_bytes"] > 0
-
-    def test_metrics_expose_resource_and_slo_gauges(self, service):
-        from repro.service import ServiceClient
-
-        server, _ = service
-        client = ServiceClient(server.url)
-        job = client.submit("s4-s4", kind="assess", seed=5)
-        client.result(job["id"], deadline=120)
-        text = client.metrics_text()
-        assert "repro_process_rss_bytes" in text
-        assert "repro_process_cpu_seconds" in text
-        assert "repro_cache_hit_rate" in text
-        assert "repro_scheduler_worker_utilisation" in text
-        assert "repro_slo_burn_rate" in text
-        assert 'slo="availability",window="fast"' in text
-
-class TestSloCli:
-    def test_slo_table_and_json(self, service, capsys):
-        from repro.cli import main
-
-        server, _ = service
-        assert main(["slo", "--url", server.url]) == 0
-        out = capsys.readouterr().out
-        for name in ("availability", "job_latency", "degradation"):
-            assert name in out
-        assert "overall: ok (health: healthy)" in out
-        assert main(["slo", "--url", server.url, "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["state"] == "ok"
-
-    def test_slo_exit_code_flags_critical_burn(self, service, capsys):
-        from repro.cli import EXIT_DEGRADED, main
-
-        server, scheduler = service
-        for _ in range(5):
-            scheduler.slo.record_job(ok=False)
-        assert main(["slo", "--url", server.url]) == EXIT_DEGRADED
-        out = capsys.readouterr().out
-        assert "critical" in out
-
-    def test_slo_unreachable_service_fails_cleanly(self, capsys):
-        from repro.cli import main
-
-        assert main(["slo", "--url", "http://127.0.0.1:1"]) == 1
-        assert "cannot fetch SLOs" in capsys.readouterr().err

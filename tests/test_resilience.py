@@ -1,14 +1,15 @@
 """Chaos suite: seeded fault plans against the whole resilience layer.
 
 Every test here injects a deterministic failure — a crashing detector, a
-torn spool write, a dead socket, a wedged worker — and asserts the stack
-degrades exactly as documented instead of dying: tombstones on the
-outcome, quarantined files on disk, an open breaker shedding load, a
-draining scheduler handing out retry hints.
+torn spool write, a dead socket, a server sending a bad retry hint — and
+asserts the stack degrades exactly as documented instead of dying:
+tombstones on the outcome, quarantined files on disk, a degraded health
+state, a draining scheduler handing out retry hints.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 import time
@@ -19,14 +20,9 @@ import pytest
 from repro.core import ResultQuality, default_efes
 from repro.resilience import (
     CORRUPTION_MARKER,
-    CircuitBreaker,
-    CircuitOpenError,
-    CircuitState,
     FaultError,
     FaultPlan,
     FaultPoint,
-    HealthMonitor,
-    HealthState,
     RetryPolicy,
     call_with_retry,
     corrupt_text,
@@ -42,7 +38,6 @@ from repro.service import (
     ReportStore,
     ServiceClient,
     ServiceUnavailableError,
-    job_key,
     make_server,
 )
 
@@ -318,96 +313,6 @@ class TestRetryCombinator:
 
 
 # ----------------------------------------------------------------------
-# Circuit breaker
-# ----------------------------------------------------------------------
-
-
-class TestCircuitBreaker:
-    def test_full_cycle_closed_open_half_open_closed(self):
-        now = [0.0]
-        transitions = []
-        breaker = CircuitBreaker(
-            name="t",
-            failure_threshold=2,
-            reset_timeout=10.0,
-            clock=lambda: now[0],
-            listener=lambda old, new: transitions.append(new),
-        )
-        breaker.allow()
-        breaker.record_failure()
-        assert breaker.state is CircuitState.CLOSED
-        breaker.record_failure()
-        assert breaker.state is CircuitState.OPEN
-        with pytest.raises(CircuitOpenError) as excinfo:
-            breaker.allow()
-        assert 0 < excinfo.value.retry_after <= 10.0
-        now[0] += 10.0
-        assert breaker.state is CircuitState.HALF_OPEN
-        breaker.allow()  # the single probe
-        with pytest.raises(CircuitOpenError):
-            breaker.allow()  # second probe over half_open_max
-        breaker.record_success()
-        assert breaker.state is CircuitState.CLOSED
-        breaker.allow()
-        assert transitions == [
-            CircuitState.OPEN,
-            CircuitState.HALF_OPEN,
-            CircuitState.CLOSED,
-        ]
-
-    def test_failed_probe_reopens_and_restarts_the_timer(self):
-        now = [0.0]
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_timeout=5.0, clock=lambda: now[0]
-        )
-        breaker.record_failure()
-        now[0] += 5.0
-        assert breaker.state is CircuitState.HALF_OPEN
-        breaker.record_failure()
-        assert breaker.state is CircuitState.OPEN
-        now[0] += 4.0
-        assert breaker.state is CircuitState.OPEN  # timer restarted
-        snapshot = breaker.snapshot()
-        assert snapshot["opened_total"] == 2
-
-
-class TestHealthMonitor:
-    def test_reasons_drive_the_state(self):
-        health = HealthMonitor()
-        assert health.state is HealthState.HEALTHY
-        health.flag("circuit_open")
-        assert health.state is HealthState.DEGRADED
-        health.clear("circuit_open")
-        assert health.state is HealthState.HEALTHY
-
-    def test_draining_is_terminal(self):
-        health = HealthMonitor()
-        health.flag("stuck_workers")
-        health.start_draining()
-        health.clear("stuck_workers")
-        assert health.state is HealthState.DRAINING
-        assert health.snapshot() == {
-            "state": "draining",
-            "reasons": [],
-            "warnings": [],
-        }
-
-    def test_warnings_are_advisory_and_outranked_by_reasons(self):
-        health = HealthMonitor()
-        health.set_warning("slo:availability", True)
-        assert health.state is HealthState.SLO_WARNING
-        # A hard reason outranks any number of advisories ...
-        health.flag("circuit_open")
-        assert health.state is HealthState.DEGRADED
-        health.clear("circuit_open")
-        assert health.state is HealthState.SLO_WARNING
-        # ... and clearing the warning restores full health.
-        health.set_warning("slo:availability", False)
-        assert health.state is HealthState.HEALTHY
-        assert health.snapshot()["warnings"] == []
-
-
-# ----------------------------------------------------------------------
 # Self-healing report store
 # ----------------------------------------------------------------------
 
@@ -534,45 +439,6 @@ class TestSchedulerResilience:
             sched.wait(follow_up.id, timeout=2.0)
             assert follow_up.state is JobState.DONE
 
-    def test_consecutive_failures_trip_the_breaker(self, small_example):
-        breaker = CircuitBreaker(name="jobs", failure_threshold=2)
-        with JobScheduler(
-            workers=1, max_queue=8, breaker=breaker
-        ) as sched:
-
-            def boom(job):
-                raise ValueError("boom")
-
-            for _ in range(2):
-                job = sched.submit_callable(boom)
-                sched.wait(job.id, timeout=2.0)
-                assert job.state is JobState.FAILED
-            assert breaker.state is CircuitState.OPEN
-            with pytest.raises(CircuitOpenError):
-                sched.submit_callable(lambda job: {"ok": True})
-            # Degraded, not dead: /healthz says so.
-            health = sched.health_snapshot()
-            assert health["state"] == "degraded"
-            assert "circuit_open" in health["reasons"]
-            assert health["breaker"]["state"] == "open"
-
-    def test_open_breaker_still_serves_the_store(self, small_example):
-        breaker = CircuitBreaker(name="jobs", failure_threshold=1)
-        store = ReportStore()
-        key = job_key(small_example, "assess")
-        store.put(key, {"kind": "assess", "reports": {}})
-        with JobScheduler(
-            workers=1, max_queue=8, breaker=breaker, store=store
-        ) as sched:
-            breaker.record_failure()
-            assert breaker.state is CircuitState.OPEN
-            job = sched.submit(small_example, kind="assess")
-            assert job.state is JobState.DONE
-            assert job.from_store
-            # Work that would actually execute is still rejected.
-            with pytest.raises(CircuitOpenError):
-                sched.submit(small_example, kind="estimate")
-
     def test_dispatch_fault_costs_the_job_not_the_dispatcher(self):
         plan = FaultPlan([FaultPoint(site="scheduler.dispatch", times=1)])
         with injected_faults(plan):
@@ -604,7 +470,7 @@ class TestSchedulerResilience:
             assert queued.error == DRAINING_ERROR
             assert queued.retry_after is not None
             assert queued.snapshot()["retry_after"] == queued.retry_after
-            assert sched.health.state is HealthState.DRAINING
+            assert sched.health_snapshot()["state"] == "draining"
             release.set()
             closer.join(timeout=5.0)
             assert running.state is JobState.DONE
@@ -613,20 +479,6 @@ class TestSchedulerResilience:
         finally:
             release.set()
             sched.close()
-
-    def test_watchdog_marks_stuck_workers(self):
-        with JobScheduler(
-            workers=1, max_queue=8, stuck_after=0.08
-        ) as sched:
-            job = sched.submit_callable(stubborn_payload(0.3))
-            deadline = time.monotonic() + 2.0
-            while time.monotonic() < deadline and not job.stuck:
-                time.sleep(0.02)
-            assert job.stuck
-            assert "stuck_workers" in sched.health.reasons
-            sched.wait(job.id, timeout=2.0)
-            assert job.state is JobState.DONE  # stuck is a mark, not a kill
-            assert sched.metrics.snapshot().counters["jobs_stuck"] >= 1
 
     def test_degraded_assessment_lands_in_the_result_document(
         self, small_example
@@ -649,6 +501,41 @@ class TestSchedulerResilience:
         degradations = job.result["degradations"]
         assert [d["module"] for d in degradations] == ["values"]
         assert set(job.result["reports"]) == {"mapping", "structure"}
+
+    def test_degraded_jobs_are_counted(self, small_example):
+        plan = FaultPlan(
+            [FaultPoint(site="detector", match={"name": "values"}, times=1)]
+        )
+        with injected_faults(plan):
+            with JobScheduler(workers=1, max_queue=8) as sched:
+                degraded = sched.submit(small_example, kind="assess")
+                sched.wait(degraded.id, timeout=60.0)
+                assert degraded.state is JobState.DONE
+                assert degraded.result["degradations"]
+                assert sched.metrics.counter("jobs_degraded") == 1
+                # Another key, so the job runs rather than being served
+                # from the store; the fault is spent, so it runs clean.
+                clean = sched.submit(small_example, kind="estimate")
+                sched.wait(clean.id, timeout=60.0)
+                assert clean.state is JobState.DONE
+                assert not clean.from_store
+                assert "degradations" not in clean.result
+                assert sched.metrics.counter("jobs_degraded") == 1
+
+    def test_quarantined_store_entry_degrades_health(self, tmp_path):
+        (tmp_path / "abc.rec").write_text("garbage", encoding="utf-8")
+        sched = JobScheduler(
+            workers=1, max_queue=8, store=ReportStore(tmp_path)
+        )
+        try:
+            health = sched.health_snapshot()
+            assert {key: health[key] for key in ("state", "reasons")} == {
+                "state": "degraded",
+                "reasons": ["store_quarantine"],
+            }
+        finally:
+            sched.close()
+        assert sched.health_snapshot()["state"] == "draining"
 
 
 # ----------------------------------------------------------------------
@@ -680,10 +567,26 @@ class _FlakyOnceHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
-def flaky_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _FlakyOnceHandler)
-    server.recovered = False
+class _BadHintHandler(_FlakyOnceHandler):
+    """Every request: 503 carrying the server's ``hint``, a ``(where,
+    value)`` pair, as the ``Retry-After`` header or the body's
+    ``retry_after``."""
+
+    def do_GET(self):  # noqa: N802 - stdlib naming
+        where, value = self.server.hint
+        if where == "header":
+            self._reply(503, {"error": "busy"}, retry_after=value)
+        else:
+            self._reply(503, {"error": "busy", "retry_after": value})
+
+
+@contextlib.contextmanager
+def stub_server(handler, **state):
+    """Serve ``handler`` on an ephemeral port, with ``state`` set as
+    server attributes; yields the URL."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    for name, value in state.items():
+        setattr(server, name, value)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -693,6 +596,12 @@ def flaky_server():
         server.shutdown()
         server.server_close()
         thread.join(timeout=5.0)
+
+
+@pytest.fixture()
+def flaky_server():
+    with stub_server(_FlakyOnceHandler, recovered=False) as url:
+        yield url
 
 
 class TestClientResilience:
@@ -776,30 +685,31 @@ class TestClientResilience:
         assert sleeps and sleeps[0] >= 0.25
         assert client.retries_total == 1
 
-    def test_open_breaker_maps_to_503_with_retry_after(self, small_example):
-        breaker = CircuitBreaker(name="jobs", failure_threshold=1)
-        scheduler = JobScheduler(workers=1, max_queue=8, breaker=breaker)
-        server = make_server(scheduler, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            breaker.record_failure()
-            client = ServiceClient(
-                server.url,
-                retry_policy=RetryPolicy(max_attempts=1),
-            )
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            pytest.param("header", "inf", id="header-inf"),
+            pytest.param("header", "nan", id="header-nan"),
+            pytest.param("header", "-3", id="header-negative"),
+            pytest.param("body", "soon", id="body-text"),
+            pytest.param("body", None, id="body-null"),
+            pytest.param("body", float("nan"), id="body-nan"),
+            pytest.param("body", -3, id="body-negative"),
+        ],
+    )
+    def test_unusable_retry_hint_is_no_hint(self, where, value):
+        """A hint that is not a finite number >= 0 is no hint: the 503 is
+        a plain ServiceUnavailableError, and every backoff stays inside
+        the policy's own caps."""
+        sleeps = []
+        with stub_server(_BadHintHandler, hint=(where, value)) as url:
+            client = ServiceClient(url, sleep=sleeps.append)
             with pytest.raises(ServiceUnavailableError) as excinfo:
-                client.submit("s1-s2", kind="assess")
-            assert excinfo.value.retry_after is not None
-            doc = client.healthz()
-            assert doc["status"] == "ok"  # alive...
-            assert doc["health"]["state"] == "degraded"  # ...but flagged
-            assert doc["health"]["reasons"] == ["circuit_open"]
-        finally:
-            server.shutdown()
-            server.server_close()
-            scheduler.close(wait=True, timeout=5.0)
-            thread.join(timeout=5.0)
+                client.healthz()
+        assert excinfo.value.retry_after is None
+        policy = client.retry_policy
+        assert len(sleeps) == policy.max_attempts - 1
+        assert all(0 <= delay <= policy.max_delay for delay in sleeps)
 
     def test_http_handler_fault_surfaces_as_500(self):
         scheduler = JobScheduler(workers=1, max_queue=8)
