@@ -15,8 +15,9 @@ of the shipped scenarios:
   SIGTERM drains gracefully, flushes the journal, and exits 0),
 * ``efes submit <scenario>``   — submit a job to a running service,
 * ``efes recover <journal>``   — replay a job journal offline:
-  ``--dry-run`` prints what recovery would do, without it the journal
-  is checkpointed and compacted.
+  ``--dry-run`` prints what recovery would do; without it every live
+  job is re-stated for the next ``efes serve`` and the journal is
+  compacted.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .practitioner import PractitionerSimulator
 from .reporting import render_domain_figure, render_table
 from .resilience import (
     FAULT_PLAN_ENV_VAR,
+    DegradedResult,
     FaultError,
     fault_plan_from_env,
 )
@@ -431,7 +433,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
         # A store's startup scan writes to the spool; a dry run only reads.
         store = (SpoolReader if args.dry_run else ReportStore)(args.spool)
     manager = RecoveryManager(journal, store)
-    summary = manager.inspect() if args.dry_run else manager.compact_offline()
+    summary = manager.inspect() if args.dry_run else manager.recover()[0]
     journal.close()
     mode = "dry run" if args.dry_run else "compacted"
     print(f"journal {args.journal_dir} ({mode}):")
@@ -508,7 +510,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     except TimeoutError as exc:
         print(f"efes: {exc}", file=sys.stderr)
         return 1
-    degraded = bool(result.get("deadline_exceeded"))
+    deadline_exceeded = bool(result.get("deadline_exceeded"))
     if args.kind == "estimate":
         total = result["estimate"]["total_minutes"]
         tasks = len(result["estimate"]["entries"])
@@ -522,7 +524,13 @@ def cmd_submit(args: argparse.Namespace) -> int:
             for name, body in result["reports"].items()
         )
         print(f"assessed {result['scenario']}: {counts}")
-    if degraded:
+    degradations = [
+        DegradedResult.from_dict(doc)
+        for doc in result.get("degradations", ())
+    ]
+    if degradations:
+        _print_degradations(degradations)
+    if deadline_exceeded:
         print(
             "efes: deadline exceeded mid-run; estimate covers completed "
             "stages only (unrun stages are degraded tombstones)",
@@ -531,7 +539,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     # Same convention as a degraded local run: exit 3 marks a partial
     # answer that scripts should treat differently from success or
     # failure.
-    return EXIT_DEGRADED if degraded else 0
+    return EXIT_DEGRADED if degradations or deadline_exceeded else 0
 
 
 def _report_size(body: dict) -> int:

@@ -13,12 +13,15 @@ settled exactly once after restart.
   batching (:class:`FlushPolicy`) and named fault-injection sites
   ``journal.append`` / ``journal.fsync`` / ``journal.replay``,
 * :class:`RecoveryManager` — startup replay of the journal against the
-  :class:`~repro.service.ReportStore`: jobs that never settled are
-  re-enqueued (interrupted ``RUNNING`` jobs are marked for idempotent
-  re-execution), jobs whose result is already spooled settle instantly
-  from the store, the idempotency-key dedup window is rebuilt so a
-  client retrying a ``submit`` after a crash neither loses nor
-  double-runs work, and fully-settled segments are compacted away.
+  :class:`~repro.service.ReportStore`, for ``efes serve`` and ``efes
+  recover`` alike: jobs that never settled are re-queued (interrupted
+  ``RUNNING`` jobs are marked for idempotent re-execution), jobs whose
+  result is already spooled settle instantly from the store, the
+  idempotency-key dedup window is rebuilt so a client retrying a
+  ``submit`` after a crash neither loses nor double-runs work, and
+  fully-settled segments are compacted away.  ``recover`` writes every
+  recovery record itself and hands the replayed jobs back, which the
+  scheduler admits like submissions.
 
 The proof is the deterministic crash-simulation harness in
 ``tests/sim/``: a seeded :class:`CrashSchedule` kills the
@@ -34,6 +37,7 @@ from .journal import (
     JournalError,
     dispatched_record,
     settled_record,
+    settled_record_of,
     submitted_record,
 )
 from .recovery import JournalReplay, RecoveryManager, ReplayedJob
@@ -48,5 +52,6 @@ __all__ = [
     "ReplayedJob",
     "dispatched_record",
     "settled_record",
+    "settled_record_of",
     "submitted_record",
 ]

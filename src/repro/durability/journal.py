@@ -134,7 +134,7 @@ class FlushPolicy:
 
 
 # ----------------------------------------------------------------------
-# Record constructors — the only shapes the scheduler writes.
+# Record constructors — the only shapes the scheduler and recovery write.
 # ----------------------------------------------------------------------
 
 
@@ -190,10 +190,8 @@ def settled_record(
     idempotency_key: str | None = None,
     kind: str | None = None,
     scenario: str | None = None,
-    checkpoint: bool = False,
 ) -> dict:
-    """A terminal transition; ``checkpoint=True`` marks the compacted
-    re-statement recovery writes so the dedup window survives restarts."""
+    """A terminal transition (see :func:`settled_record_of`)."""
     record: dict = {
         "type": "settled",
         "job_id": job_id,
@@ -212,9 +210,25 @@ def settled_record(
         record["kind"] = kind
     if scenario is not None:
         record["scenario"] = scenario
-    if checkpoint:
-        record["checkpoint"] = True
     return record
+
+
+def settled_record_of(job) -> dict:
+    """The settled record of a terminal job.
+
+    Live settles, keyed store hits and recovery all journal a terminal
+    job through here, so the record always matches the job.
+    """
+    return settled_record(
+        job.id,
+        job.state.value,
+        error=job.error,
+        store_key=job.store_key,
+        from_store=job.from_store,
+        idempotency_key=job.idempotency_key,
+        kind=job.kind,
+        scenario=job.scenario_name,
+    )
 
 
 class JobJournal:

@@ -1,7 +1,7 @@
 """Crash recovery: replay the job journal against the report store.
 
 On startup a journal-backed :class:`~repro.service.JobScheduler` hands
-its journal to a :class:`RecoveryManager`, which
+its journal to a :class:`RecoveryManager`, whose ``recover``
 
 1. **replays** every decodable record (torn tails are counted and
    skipped, WAL-style) into per-job state — last record wins, with a
@@ -9,32 +9,40 @@ its journal to a :class:`RecoveryManager`, which
 2. **settles from the store** any job that never journalled a terminal
    record but whose result document is already spooled (the crash hit
    between the store write and the ``settled`` append),
-3. **re-enqueues** every other unsettled job — rebuilding assess/
-   estimate payloads from the recorded scenario reference + seed, and
-   callable payloads through the scheduler's payload resolver; jobs
-   that were ``dispatched`` when the process died are marked
-   *interrupted* and re-executed idempotently (results are
+3. **re-queues** every other unsettled job — the scheduler's
+   ``rebuild`` rebuilds assess/estimate payloads from the recorded
+   scenario reference + seed, and callable payloads through its payload
+   resolver; jobs that were ``dispatched`` when the process died are
+   marked *interrupted* and re-executed idempotently (results are
    content-addressed, so a duplicate execution converges on the same
-   store entry),
+   store entry), and a job whose payload cannot be rebuilt settles
+   ``FAILED``,
 4. **re-detects lost results**: a ``settled done`` record whose store
-   entry has vanished (quarantined, deleted) is re-enqueued
+   entry has vanished (quarantined, deleted) is re-queued
    when its submission record still allows a rebuild,
-5. **checkpoints and compacts**: live jobs are re-stated into the fresh
+5. **re-states and compacts**: live jobs are re-stated into the fresh
    active segment, a bounded window of settled jobs is re-stated so the
    idempotency-key dedup window survives the restart, and every
    pre-restart segment is deleted.
 
+It returns every replayed job as a :class:`~repro.service.Job`, which
+the scheduler admits the way it admits a submission.
+
 The manager also works **offline** — ``efes recover --dry-run`` calls
-:meth:`inspect` (no writes at all) and ``efes recover`` calls
-:meth:`compact_offline` to checkpoint + compact a journal without
-starting a service.
+:meth:`~RecoveryManager.inspect` (no writes at all), and ``efes
+recover`` calls :meth:`~RecoveryManager.recover` without a ``rebuild``:
+every live job, a spooled one too, is re-stated for the next ``efes
+serve`` to settle or run, and the journal is compacted.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import time
+from collections.abc import Callable
 
-from .journal import JobJournal, settled_record
+from .journal import JobJournal, settled_record_of
 
 #: How many idempotency keys the scheduler remembers, and so how many
 #: settled jobs recovery re-states at compaction: a key the scheduler
@@ -42,6 +50,11 @@ from .journal import JobJournal, settled_record
 #: answering for it too).  Older settlements fall back to the
 #: content-addressed store, which still makes their re-execution free.
 IDEMPOTENCY_WINDOW = 256
+
+#: Error of a replayed job whose payload could not be rebuilt.
+UNRECOVERABLE_ERROR = (
+    "unrecoverable after crash: payload could not be rebuilt from the journal"
+)
 
 
 @dataclasses.dataclass
@@ -77,6 +90,26 @@ class ReplayedJob:
                 return record[name]
         return default
 
+    def as_job(self):
+        """The job as the scheduler admits it: queued, and ``recovered``."""
+        # Imported here: repro.service imports this package.
+        from ..service.jobs import Job
+
+        submitted = self.submitted or {}
+        return Job(
+            kind=self.field("kind") or "estimate",
+            scenario_name=self.field("scenario") or "",
+            quality=submitted.get("quality"),
+            priority=int(submitted.get("priority") or 0),
+            timeout=submitted.get("timeout"),
+            store_key=self.store_key,
+            id=self.job_id,
+            correlation_id=submitted.get("correlation_id") or self.job_id,
+            idempotency_key=self.idempotency_key,
+            recovered=True,
+            journalled=True,
+        )
+
 
 @dataclasses.dataclass
 class JournalReplay:
@@ -89,12 +122,11 @@ class JournalReplay:
 
 
 class RecoveryManager:
-    """Replays a :class:`JobJournal` and re-enacts its live jobs."""
+    """Replays a :class:`JobJournal` and carries out its replay plan."""
 
     def __init__(self, journal: JobJournal, store=None) -> None:
         self.journal = journal
         self.store = store
-        self.last_summary: dict | None = None
 
     # -- replay ------------------------------------------------------------
 
@@ -174,142 +206,118 @@ class RecoveryManager:
 
     # -- enactment ---------------------------------------------------------
 
-    def recover(self, scheduler) -> dict:
-        """Full startup recovery against a live scheduler.
+    def recover(
+        self, rebuild: Callable[..., Callable | None] | None = None
+    ) -> tuple[dict, list]:
+        """Carry out the replay plan; returns ``(summary, jobs)``.
 
-        Journal writes here propagate on failure: the re-statements and
-        checkpoints must be durably in the fresh segment before
-        :meth:`JobJournal.compact` deletes the segments they came from,
-        so a failing journal aborts recovery with the old segments — and
-        therefore every job — intact for the next attempt.
+        Each replayed job comes back as a ``recovered``
+        :class:`~repro.service.Job`.  A settled job in the window is
+        re-stated as settled; a spooled one settles ``DONE`` from the
+        store; every other live job takes its payload from
+        ``rebuild(job, submitted)`` and is re-stated as submitted
+        (``QUEUED``), or settles ``FAILED`` when ``rebuild`` returns
+        ``None``.  Without ``rebuild`` (offline) every live job is
+        re-stated for the next ``efes serve``.
+
+        Journal writes here propagate on failure: the re-statements must
+        be durably in the fresh segment before :meth:`JobJournal.compact`
+        deletes the segments they came from, so a failing journal aborts
+        recovery with the old segments — and therefore every job —
+        intact for the next attempt.
         """
+        # Imported here: repro.service imports this package.
+        from ..service.jobs import JobState
+
         replay = self.replay()
         plan = self.plan(replay)
-        completed = resubmitted = interrupted = unrecoverable = 0
+        jobs = []
         for state in plan["checkpoint"]:
-            scheduler._register_replayed_terminal(state)
-            self.journal.append(self._checkpoint_record(state), durable=False)
+            job = state.as_job()
+            try:
+                job.state = JobState(state.settled.get("state", "failed"))
+            except ValueError:  # pragma: no cover - foreign record
+                job.state = JobState.FAILED
+            job.error = state.settled.get("error")
+            job.from_store = bool(state.settled.get("from_store"))
+            self._settle(job)
+            jobs.append(job)
+        outcomes = None if rebuild is None else collections.Counter()
         for state in plan["complete_from_store"] + plan["resubmit"]:
-            if not state.is_settled and scheduler._complete_replayed_from_store(
-                state
-            ):
-                completed += 1
-                continue
-            if scheduler._resubmit_replayed(state):
-                resubmitted += 1
-                if state.dispatched:
-                    interrupted += 1
-            else:
-                unrecoverable += 1
+            job = state.as_job()
+            jobs.append(job)
+            if rebuild is not None:
+                result = self._stored_result(state)
+                if result is not None:
+                    job.state = JobState.DONE
+                    job.result = result
+                    job.from_store = True
+                    self._settle(job)
+                    outcomes["completed_from_store"] += 1
+                    continue
+                job.payload = rebuild(job, state.submitted)
+                if job.payload is None:
+                    job.state = JobState.FAILED
+                    job.error = UNRECOVERABLE_ERROR
+                    self._settle(job)
+                    outcomes["unrecoverable"] += 1
+                    continue
+                job.interrupted = state.dispatched
+                outcomes["resubmitted"] += 1
+                outcomes["interrupted"] += state.dispatched
+            self.journal.append(
+                dict(state.submitted, recovered=True), durable=False
+            )
         self.journal.flush()
         compacted = self.journal.compact()
-        summary = self._summary(
-            replay,
-            plan,
-            interrupted=interrupted,
-            unrecoverable=unrecoverable,
-            compacted=compacted,
-            completed=completed,
-            resubmitted=resubmitted,
-        )
-        self.last_summary = summary
-        return summary
+        return self._summary(replay, plan, outcomes, compacted), jobs
 
     def inspect(self) -> dict:
         """Dry run: replay + plan, zero writes (``efes recover --dry-run``)."""
         replay = self.replay()
-        plan = self.plan(replay)
-        summary = self._summary(
-            replay,
-            plan,
-            interrupted=sum(
-                1 for state in plan["resubmit"] if state.dispatched
-            ),
-            unrecoverable=0,
-            compacted=0,
-            dry_run=True,
-        )
-        self.last_summary = summary
-        return summary
+        return self._summary(replay, self.plan(replay), dry_run=True)
 
-    def compact_offline(self) -> dict:
-        """Checkpoint + compact without a scheduler (``efes recover``).
+    def _stored_result(self, state: ReplayedJob) -> dict | None:
+        """The spooled result of an unsettled job, if the store has it."""
+        if state.is_settled or not state.store_key or self.store is None:
+            return None
+        return self.store.get(state.store_key)
 
-        Live jobs are re-stated as ``submitted`` records (still marked
-        recovered, still unsettled — the next ``efes serve`` will run
-        them), the settled window is re-stated, and stale segments are
-        deleted.
-        """
-        replay = self.replay()
-        plan = self.plan(replay)
-        for state in plan["checkpoint"]:
-            self.journal.append(
-                self._checkpoint_record(state), durable=False
-            )
-        for state in plan["resubmit"] + plan["complete_from_store"]:
-            record = dict(state.submitted)
-            record["recovered"] = True
-            self.journal.append(record, durable=False)
-        self.journal.flush()
-        compacted = self.journal.compact()
-        summary = self._summary(
-            replay,
-            plan,
-            interrupted=sum(
-                1 for state in plan["resubmit"] if state.dispatched
-            ),
-            unrecoverable=0,
-            compacted=compacted,
-        )
-        self.last_summary = summary
-        return summary
+    def _settle(self, job) -> None:
+        """Journal a replayed job, in its terminal state, as settled now."""
+        job.finished_at = time.time()
+        self.journal.append(settled_record_of(job), durable=False)
 
     @staticmethod
-    def _checkpoint_record(state: ReplayedJob) -> dict:
-        settled = state.settled or {}
-        return settled_record(
-            state.job_id,
-            settled.get("state", "failed"),
-            error=settled.get("error"),
-            store_key=state.store_key,
-            from_store=bool(settled.get("from_store")),
-            idempotency_key=state.idempotency_key,
-            kind=state.field("kind"),
-            scenario=state.field("scenario"),
-            checkpoint=True,
-        )
-
     def _summary(
-        self,
         replay: JournalReplay,
         plan: dict,
+        outcomes: dict | None = None,
+        compacted: int = 0,
         *,
-        interrupted: int,
-        unrecoverable: int,
-        compacted: int,
-        completed: int | None = None,
-        resubmitted: int | None = None,
         dry_run: bool = False,
     ) -> dict:
+        """The recovery summary; without ``outcomes``, as planned."""
+        if outcomes is None:
+            outcomes = {
+                "resubmitted": len(plan["resubmit"]),
+                "interrupted": sum(
+                    1 for state in plan["resubmit"] if state.dispatched
+                ),
+                "completed_from_store": len(plan["complete_from_store"]),
+                "unrecoverable": 0,
+            }
         return {
             "segments": replay.segments,
             "records": replay.records,
             "torn_records": replay.torn_records,
             "jobs_seen": len(replay.jobs),
             "settled": len(plan["terminal"]),
-            "resubmitted": (
-                resubmitted
-                if resubmitted is not None
-                else len(plan["resubmit"])
-            ),
-            "interrupted": interrupted,
-            "completed_from_store": (
-                completed
-                if completed is not None
-                else len(plan["complete_from_store"])
-            ),
+            "resubmitted": outcomes["resubmitted"],
+            "interrupted": outcomes["interrupted"],
+            "completed_from_store": outcomes["completed_from_store"],
             "results_lost": plan["results_lost"],
-            "unrecoverable": unrecoverable,
+            "unrecoverable": outcomes["unrecoverable"],
             "checkpointed": len(plan["checkpoint"]),
             "compacted_segments": compacted,
             "dry_run": dry_run,

@@ -268,6 +268,8 @@ class ServiceClient:
         raises :class:`DeadlineExceededError` without touching the wire,
         and before it the retry policy's time budget is clamped to the
         remaining seconds — a retry never sleeps past the deadline.
+        Without either, the budget is the client's ``timeout``: a retry
+        hint longer than that re-raises the error that carries it.
         """
 
         def on_retry(attempt: int, delay: float, exc: BaseException) -> None:
@@ -282,6 +284,8 @@ class ServiceClient:
                 )
             if policy.deadline is None or policy.deadline > remaining:
                 policy = dataclasses.replace(policy, deadline=remaining)
+        elif policy.deadline is None:
+            policy = dataclasses.replace(policy, deadline=self.timeout)
         return call_with_retry(
             self._request_once,
             method,

@@ -51,13 +51,15 @@ configured, every acknowledged submission is written ahead to the
 :class:`~repro.durability.JobJournal` (fsynced before the ack under the
 default flush policy), ``dispatched``/``settled`` transitions follow as
 advisory records, and construction replays whatever journal a crashed
-predecessor left behind through a
-:class:`~repro.durability.RecoveryManager` — re-enqueueing unsettled
-jobs, settling crashed-but-stored ones from the spool, and rebuilding
-the **idempotency-key** dedup window so a client retrying a submit
-after a crash neither loses nor double-runs work.  A keyed submission the
-store answers is journalled as settled before its ack, so its key
-survives the crash too.
+predecessor left behind: :meth:`RecoveryManager.recover
+<repro.durability.RecoveryManager.recover>` settles or re-queues each
+replayed job, with payloads from :meth:`JobScheduler.rebuild`, and the
+scheduler admits the jobs it returns through the step a submission
+takes.  That re-enqueues unsettled jobs, settles crashed-but-stored
+ones from the spool, and rebuilds the **idempotency-key** dedup window,
+so a client retrying a submit after a crash neither loses nor
+double-runs work.  A keyed submission the store answers is journalled
+as settled before its ack, so its key survives the crash too.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ from ..durability import (
     JournalError,
     RecoveryManager,
     dispatched_record,
-    settled_record,
+    settled_record_of,
     submitted_record,
 )
 from ..durability.recovery import IDEMPOTENCY_WINDOW
@@ -197,12 +199,15 @@ class JobScheduler:
         self._completed_jobs = 0
         self._completed_seconds = 0.0
         # Recovery runs before the dispatcher exists: replayed jobs are
-        # re-stated and re-enqueued into a quiescent scheduler, then the
-        # dispatcher starts and drains them like any other submission.
+        # admitted into a quiescent scheduler, then the dispatcher starts
+        # and drains them like any other submission.
         if journal is not None:
-            self.recovery_summary = RecoveryManager(
+            self.recovery_summary, recovered = RecoveryManager(
                 journal, self.store
-            ).recover(self)
+            ).recover(self.rebuild)
+            with self._lock:
+                for job in recovered:
+                    self._admit_locked(job)
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-service-dispatch", daemon=True
         )
@@ -288,22 +293,13 @@ class JobScheduler:
                 # submission; recovery re-registers it as settled.
                 # Keyless hits have no retry to honour and stay off it.
                 self.journal.append(
-                    settled_record(
-                        job.id,
-                        JobState.DONE.value,
-                        store_key=key,
-                        from_store=True,
-                        idempotency_key=idempotency_key,
-                        kind=job.kind,
-                        scenario=job.scenario_name,
-                    ),
+                    settled_record_of(job),
                     durable=self.journal.flush_policy.fsync_on_ack,
                 )
                 job.journalled = True
             self.metrics.increment("jobs_from_store")
             with self._lock:
-                self._jobs[job.id] = job
-                self._remember_idempotency_locked(job)
+                self._admit_locked(job)
             return job
         job.payload = self._payload_for(job, scenario, resolved_quality)
         record = None
@@ -451,12 +447,19 @@ class JobScheduler:
                 # crash could silently lose.
                 self.journal.append(journal_record)
                 job.journalled = True
+            self._admit_locked(job)
+
+    def _admit_locked(self, job: Job) -> None:
+        """Register ``job``, queueing it unless it is already terminal:
+        the one admission step of submissions, store hits and recovered
+        jobs.  It checks no queue capacity; :meth:`_enqueue` does."""
+        if job.state is JobState.QUEUED:
             heapq.heappush(
                 self._queue, (-job.priority, next(self._sequence), job)
             )
-            self._jobs[job.id] = job
-            self._remember_idempotency_locked(job)
             self._wake.notify_all()
+        self._jobs[job.id] = job
+        self._remember_idempotency_locked(job)
 
     # ------------------------------------------------------------------
     # Settling: every terminal transition goes through here, exactly once
@@ -507,17 +510,7 @@ class JobScheduler:
         """
         if self.journal is None or not job.journalled:
             return
-        record = settled_record(
-            job.id,
-            job.state.value,
-            error=job.error,
-            store_key=job.store_key,
-            from_store=job.from_store,
-            idempotency_key=job.idempotency_key,
-            kind=job.kind,
-            scenario=job.scenario_name,
-        )
-        self._journal_append_advisory(record)
+        self._journal_append_advisory(settled_record_of(job))
 
     def _journal_append_advisory(self, record: dict) -> None:
         try:
@@ -526,182 +519,38 @@ class JobScheduler:
             self.metrics.increment("journal_append_failures")
 
     # ------------------------------------------------------------------
-    # Crash recovery enactment (called by RecoveryManager at startup)
+    # Crash recovery: RecoveryManager.recover builds the jobs, this
+    # rebuilds their payloads
     # ------------------------------------------------------------------
 
-    def _register_replayed_terminal(self, state) -> None:
-        """Re-admit a settled job from the journal's checkpoint window.
-
-        The job is terminal on arrival: ``GET /jobs/<id>`` keeps
-        answering after a restart, and its idempotency key re-enters the
-        dedup window so a late client retry still dedups instead of
-        re-running.  Results are served lazily from the store via
-        ``store_key`` — the journal never carries result documents.
-        """
-        settled = state.settled or {}
-        job = self._replayed_job_shell(state)
+    def rebuild(
+        self, job: Job, submitted: dict
+    ) -> Callable[[Job], dict] | None:
+        """The payload of a job recovery replays, from its ``submitted``
+        record; ``None`` when the journal cannot rebuild it (an
+        unresolvable scenario, a callable without a resolvable
+        ``payload_ref``), and recovery then settles the job ``FAILED``."""
         try:
-            job.state = JobState(settled.get("state", "failed"))
-        except ValueError:  # pragma: no cover - foreign record
-            job.state = JobState.FAILED
-        job.error = settled.get("error")
-        job.from_store = bool(settled.get("from_store"))
-        job.finished_at = time.time()
-        with self._lock:
-            self._jobs.setdefault(job.id, job)
-            self._remember_idempotency_locked(job)
-
-    def _complete_replayed_from_store(self, state) -> bool:
-        """Settle a crashed-but-stored job straight from the spool.
-
-        Covers the crash window between the store write and the settled
-        journal record: the result survived, so the job settles ``DONE``
-        (``from_store=True``) without re-executing.  Returns ``False``
-        when the spooled entry turns out to be unreadable after all
-        (quarantined between planning and now) — the caller falls back
-        to re-execution.
-        """
-        result = (
-            self.store.get(state.store_key) if state.store_key else None
-        )
-        if result is None:
-            return False
-        job = self._replayed_job_shell(state)
-        job.state = JobState.DONE
-        job.result = result
-        job.from_store = True
-        job.finished_at = time.time()
-        with self._lock:
-            self._jobs.setdefault(job.id, job)
-            self._remember_idempotency_locked(job)
-        self.metrics.increment("jobs_recovered_from_store")
-        self.journal.append(
-            settled_record(
-                job.id,
-                JobState.DONE.value,
-                store_key=job.store_key,
-                from_store=True,
-                idempotency_key=job.idempotency_key,
-                kind=job.kind,
-                scenario=job.scenario_name,
-            ),
-            durable=False,
-        )
-        return True
-
-    def _resubmit_replayed(self, state) -> bool:
-        """Rebuild and re-enqueue a job the crash left unsettled.
-
-        Returns ``False`` — after registering a FAILED tombstone so the
-        job id keeps answering — when the payload cannot be rebuilt
-        (unresolvable scenario, callable without a resolvable
-        ``payload_ref``).  Journal appends here go direct (not
-        best-effort): recovery's re-statements must land before
-        compaction deletes the originals, and a failure aborts startup
-        with the old segments intact.
-        """
-        job = self._rebuild_recovered_job(state)
-        if job is None:
-            self._register_unrecoverable(state)
-            return False
-        record = dict(state.submitted)
-        record["recovered"] = True
-        with self._lock:
-            self.journal.append(record, durable=False)
-            job.journalled = True
-            heapq.heappush(
-                self._queue, (-job.priority, next(self._sequence), job)
-            )
-            self._jobs[job.id] = job
-            self._remember_idempotency_locked(job)
-            self._wake.notify_all()
-        self.metrics.increment("jobs_recovered")
-        if job.interrupted:
-            self.metrics.increment("jobs_interrupted_recovered")
-        return True
-
-    def _replayed_job_shell(self, state) -> Job:
-        submitted = state.submitted or {}
-        job = Job(
-            kind=state.field("kind") or "estimate",
-            scenario_name=state.field("scenario") or "",
-            quality=submitted.get("quality"),
-            priority=int(submitted.get("priority") or 0),
-            timeout=submitted.get("timeout"),
-            store_key=state.store_key,
-            id=state.job_id,
-            correlation_id=submitted.get("correlation_id") or state.job_id,
-            idempotency_key=state.idempotency_key,
-        )
-        job.recovered = True
-        job.journalled = True
-        return job
-
-    def _rebuild_recovered_job(self, state) -> Job | None:
-        submitted = state.submitted or {}
-        job = self._replayed_job_shell(state)
-        job.interrupted = state.dispatched
-        if job.kind == "callable":
-            ref = submitted.get("payload_ref")
-            if ref is None or self.payload_resolver is None:
+            if job.kind == "callable":
+                ref = submitted.get("payload_ref")
+                if ref is None or self.payload_resolver is None:
+                    return None
+                return self.payload_resolver(ref, job)
+            scenario_ref = submitted.get("scenario_ref") or job.scenario_name
+            if job.kind not in ("assess", "estimate") or not scenario_ref:
                 return None
-            try:
-                payload = self.payload_resolver(ref, job)
-            except Exception:  # noqa: BLE001 - resolver is foreign code
-                return None
-            if payload is None:
-                return None
-            job.payload = payload
-            return job
-        if job.kind not in ("assess", "estimate"):
-            return None
-        scenario_ref = submitted.get("scenario_ref") or job.scenario_name
-        if not scenario_ref:
-            return None
-        try:
-            scenario = self._resolve_scenario(
-                scenario_ref, submitted.get("seed")
-            )
-        except Exception:  # noqa: BLE001 - unresolvable scenario
-            return None
-        job.payload = self._payload_for(
-            job, scenario, parse_quality(job.quality)
-        )
-        return job
+            seed = submitted.get("seed")
+            if self.scenario_resolver is not None:
+                scenario = self.scenario_resolver(scenario_ref, seed)
+            else:
+                from ..scenarios import resolve_scenario
 
-    def _resolve_scenario(self, scenario_ref: str, seed: int | None):
-        if self.scenario_resolver is not None:
-            return self.scenario_resolver(scenario_ref, seed)
-        from ..scenarios import resolve_scenario
-
-        return resolve_scenario(
-            scenario_ref, seed=seed if seed is not None else 1
-        )
-
-    def _register_unrecoverable(self, state) -> None:
-        job = self._replayed_job_shell(state)
-        job.state = JobState.FAILED
-        job.error = (
-            "unrecoverable after crash: payload could not be rebuilt "
-            "from the journal"
-        )
-        job.finished_at = time.time()
-        with self._lock:
-            self._jobs.setdefault(job.id, job)
-            self._remember_idempotency_locked(job)
-        self.metrics.increment("jobs_unrecoverable")
-        self.journal.append(
-            settled_record(
-                job.id,
-                JobState.FAILED.value,
-                error=job.error,
-                store_key=job.store_key,
-                idempotency_key=job.idempotency_key,
-                kind=job.kind,
-                scenario=job.scenario_name,
-            ),
-            durable=False,
-        )
+                scenario = resolve_scenario(
+                    scenario_ref, seed=seed if seed is not None else 1
+                )
+        except Exception:  # noqa: BLE001 - resolvers are foreign code
+            return None
+        return self._payload_for(job, scenario, parse_quality(job.quality))
 
     # ------------------------------------------------------------------
     # Dispatch + execution
@@ -981,8 +830,7 @@ class JobScheduler:
         }
 
     def deadline_stats(self) -> dict:
-        """The ``/healthz`` deadlines document (see
-        :meth:`health_snapshot`)."""
+        """The ``/healthz`` deadlines document (see :meth:`stats`)."""
         with self._lock:
             return self._deadline_stats_locked()
 
@@ -1018,7 +866,9 @@ class JobScheduler:
         )
 
     def health_snapshot(self) -> dict:
-        """Health state + resources + deadlines, as ``/healthz`` reports it.
+        """Health state + resources, as ``/healthz`` reports them under
+        ``health`` (the journal, recovery and deadline documents sit at
+        its top level, from :meth:`stats`).
 
         The state is ``draining`` once :meth:`close` began, else
         ``degraded`` while the report store holds quarantined entries
@@ -1029,16 +879,11 @@ class JobScheduler:
             state = "draining"
         else:
             state = "degraded" if reasons else "healthy"
-        doc = {
+        return {
             "state": state,
             "reasons": reasons,
             "resources": self.sampler.summary(),
-            "deadlines": self.deadline_stats(),
         }
-        if self.journal is not None:
-            doc["journal"] = self.journal.stats()
-            doc["recovery"] = self.recovery_summary
-        return doc
 
     # ------------------------------------------------------------------
     # Inspection + control

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import EXIT_DEGRADED, build_parser, main
 
 
 class TestParser:
@@ -140,6 +140,34 @@ class TestServiceCommands:
 
             assert main(["submit", "s4-s4", "--kind", "assess"]) == 0
             assert "assessed s4-s4" in capsys.readouterr().out
+        finally:
+            server.shutdown()
+            server.server_close()
+            scheduler.close(wait=True, timeout=5.0)
+            thread.join(timeout=5.0)
+
+    def test_submit_exits_3_on_a_degraded_result(self, capsys, monkeypatch):
+        from repro.resilience import FaultPlan, injected_faults
+        from repro.service import JobScheduler, make_server
+
+        plan = FaultPlan.from_dict({"points": [
+            {"site": "detector", "match": {"name": "values"}, "times": 1},
+        ]})
+        scheduler = JobScheduler(workers=1, max_queue=8)
+        server = make_server(scheduler, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            monkeypatch.setenv("REPRO_SERVICE_URL", server.url)
+            with injected_faults(plan):
+                code = main(["submit", "s4-s4", "--kind", "assess"])
+            assert code == EXIT_DEGRADED
+            out = capsys.readouterr().out
+            # The table a local run prints, naming the failed module.
+            assert "Degraded modules (partial results)" in out
+            assert any(
+                line.startswith("values ") for line in out.splitlines()
+            )
         finally:
             server.shutdown()
             server.server_close()

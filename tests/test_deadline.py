@@ -280,7 +280,6 @@ class TestSchedulerDeadline:
             assert stats["in_grace"] == 0
             assert stats["exceeded_total"] == 0
             assert stats["partial_results_total"] == 0
-            assert "deadlines" in sched.health_snapshot()
             assert "deadlines" in sched.stats()
 
     def test_negative_grace_is_rejected(self):

@@ -22,7 +22,7 @@ from repro.durability import (
     submitted_record,
 )
 from repro.durability.recovery import IDEMPOTENCY_WINDOW
-from repro.service.jobs import Job, JobState
+from repro.service.jobs import Job, JobState, QueueFullError
 from repro.service.scheduler import JobScheduler
 from repro.service.store import ReportStore
 
@@ -238,13 +238,13 @@ class TestRecoveryPlan:
         assert summary["settled"] == IDEMPOTENCY_WINDOW + 3
         assert summary["checkpointed"] == IDEMPOTENCY_WINDOW
 
-    def test_compact_offline_restates_live_jobs(self, tmp_path):
+    def test_offline_recover_restates_live_jobs(self, tmp_path):
         with JobJournal(tmp_path) as journal:
             journal.append(_submitted("live", payload_ref="ref"))
             journal.append(_submitted("done"))
             journal.append(settled_record("done", "done"))
         manager = RecoveryManager(JobJournal(tmp_path))
-        summary = manager.compact_offline()
+        summary, _ = manager.recover()
         assert summary["compacted_segments"] == 1
         # After compaction the journal still knows both jobs.
         replay = RecoveryManager(JobJournal(tmp_path)).replay()
@@ -405,6 +405,28 @@ class TestSchedulerRecovery:
         finally:
             scheduler.close()
 
+    def test_recovered_jobs_skip_the_queue_capacity_check(self, tmp_path):
+        with JobJournal(tmp_path) as journal:
+            for job_id in ("a", "b"):
+                journal.append(_submitted(job_id, payload_ref=job_id))
+        calls: list[str] = []
+        scheduler = JobScheduler(
+            workers=1,
+            max_queue=0,
+            journal=JobJournal(tmp_path),
+            payload_resolver=self._resolver(calls),
+        )
+        try:
+            for job_id in ("a", "b"):
+                job = scheduler.wait(job_id, timeout=10)
+                assert job.state is JobState.DONE
+            assert sorted(calls) == ["a", "b"]
+            # A submission still meets the (zero) capacity.
+            with pytest.raises(QueueFullError):
+                scheduler.submit_callable(lambda job: {}, payload_ref="c")
+        finally:
+            scheduler.close()
+
     def test_recovery_compacts_old_segments(self, tmp_path):
         journal = JobJournal(tmp_path)
         journal.append(_submitted("a", payload_ref="ref-a"))
@@ -449,7 +471,196 @@ class TestSchedulerRecovery:
             stats = scheduler.stats()
             assert stats["journal"]["directory"] == str(tmp_path)
             assert stats["recovery"]["dry_run"] is False
-            health = scheduler.health_snapshot()
-            assert "journal" in health and "recovery" in health
+            # /healthz reports the journal and recovery once, from stats.
+            assert set(scheduler.health_snapshot()) == {
+                "state", "reasons", "resources",
+            }
         finally:
             scheduler.close()
+
+
+class TestRecoveryOutcomes:
+    """One journal holds a job of each recovery outcome; a starting
+    scheduler and ``efes recover`` each recover a copy of it.  The
+    journal recovery leaves behind, the admitted jobs and both summaries
+    are pinned."""
+
+    UNRECOVERABLE = (
+        "unrecoverable after crash: payload could not be rebuilt from "
+        "the journal"
+    )
+
+    @pytest.fixture
+    def crashed(self, tmp_path):
+        """The journal and spool a crashed ``efes serve`` left behind."""
+        journal_dir, spool = tmp_path / "journal", tmp_path / "spool"
+        ReportStore(spool).put("sk-spooled", {"kind": "assess"})
+        jobs = [
+            (Job("callable", "settled", id="settled",
+                 idempotency_key="key-settled"), {"payload_ref": "settled"}),
+            (Job("assess", "example", id="spooled", store_key="sk-spooled"),
+             {"scenario_ref": "example", "seed": 1}),
+            (Job("callable", "queued", id="queued", priority=1),
+             {"payload_ref": "queued"}),
+            (Job("callable", "dispatched", id="dispatched", timeout=30.0),
+             {"payload_ref": "dispatched"}),
+            (Job("assess", "example", id="lost", store_key="sk-lost",
+                 idempotency_key="key-lost"),
+             {"scenario_ref": "example", "seed": 1}),
+            (Job("estimate", "nowhere", quality="high_quality",
+                 id="unresolvable"), {"scenario_ref": "nowhere"}),
+        ]
+        with JobJournal(journal_dir) as journal:
+            for job, refs in jobs:
+                journal.append(submitted_record(job, **refs))
+            for job_id in ("settled", "spooled", "dispatched", "lost"):
+                journal.append(dispatched_record(job_id))
+            journal.append(settled_record(
+                "settled", "done", idempotency_key="key-settled",
+                kind="callable", scenario="settled",
+            ))
+            journal.append(settled_record(
+                "lost", "done", store_key="sk-lost",
+                idempotency_key="key-lost", kind="assess", scenario="example",
+            ))
+        return journal_dir, spool
+
+    @staticmethod
+    def _journal_by_job(directory) -> dict:
+        records, _ = JobJournal(directory).replay()
+        by_job: dict[str, list] = {}
+        for record in records:
+            by_job.setdefault(record["job_id"], []).append(
+                {key: value for key, value in record.items() if key != "ts"}
+            )
+        return by_job
+
+    @staticmethod
+    def _restated(job_id, kind, scenario, **fields) -> list:
+        record = {
+            "type": "submitted", "job_id": job_id, "kind": kind,
+            "scenario": scenario, "quality": None, "priority": 0,
+            "timeout": None, "store_key": None, "correlation_id": job_id,
+            "idempotency_key": None, **fields, "recovered": True,
+        }
+        return [record]
+
+    def _live(self) -> dict:
+        """The re-statements of the jobs recovery leaves unsettled."""
+        return {
+            "queued": self._restated(
+                "queued", "callable", "queued", priority=1,
+                payload_ref="queued",
+            ),
+            "dispatched": self._restated(
+                "dispatched", "callable", "dispatched", timeout=30.0,
+                payload_ref="dispatched",
+            ),
+            "lost": self._restated(
+                "lost", "assess", "example", store_key="sk-lost",
+                idempotency_key="key-lost", scenario_ref="example", seed=1,
+            ),
+        }
+
+    SETTLED = [{
+        "type": "settled", "job_id": "settled", "state": "done",
+        "idempotency_key": "key-settled", "kind": "callable",
+        "scenario": "settled",
+    }]
+
+    def test_a_starting_scheduler_settles_or_requeues_each_job(self, crashed):
+        journal_dir, spool = crashed
+        calls: list[str] = []
+
+        def payload_resolver(ref, job):
+            if ref == "settled":  # never asked: the job is settled
+                raise AssertionError(ref)
+            return lambda job: calls.append(ref) or {"ref": ref}
+
+        # The journal dies after recovery's six appends, so it keeps
+        # exactly what recovery wrote while the requeued jobs run on.
+        journal = JobJournal(
+            journal_dir,
+            failpoint=lambda index, line: (
+                ("ok", 0) if index < 6 else ("crash", 0)
+            ),
+        )
+        scheduler = JobScheduler(
+            workers=1,
+            journal=journal,
+            store=ReportStore(spool),
+            payload_resolver=payload_resolver,
+            trace=False,
+        )
+        try:
+            jobs = {
+                job.id: scheduler.wait(job.id, timeout=60)
+                for job in scheduler.jobs()
+            }
+            summary = scheduler.recovery_summary
+        finally:
+            scheduler.close()
+        assert {
+            job_id: (
+                job.state.value, job.from_store, job.recovered,
+                job.interrupted,
+            )
+            for job_id, job in jobs.items()
+        } == {
+            "settled": ("done", False, True, False),
+            "spooled": ("done", True, True, False),
+            "queued": ("done", False, True, False),
+            "dispatched": ("done", False, True, True),
+            "lost": ("done", False, True, True),
+            "unresolvable": ("failed", False, True, False),
+        }
+        assert jobs["unresolvable"].error == self.UNRECOVERABLE
+        assert sorted(calls) == ["dispatched", "queued"]
+        assert jobs["lost"].result["kind"] == "assess"
+        assert self._journal_by_job(journal_dir) == {
+            "settled": self.SETTLED,
+            "spooled": [{
+                "type": "settled", "job_id": "spooled", "state": "done",
+                "store_key": "sk-spooled", "from_store": True,
+                "kind": "assess", "scenario": "example",
+            }],
+            **self._live(),
+            "unresolvable": [{
+                "type": "settled", "job_id": "unresolvable",
+                "state": "failed", "error": self.UNRECOVERABLE,
+                "kind": "estimate", "scenario": "nowhere",
+            }],
+        }
+        assert summary == {
+            "segments": 1, "records": 12, "torn_records": 0,
+            "jobs_seen": 6, "settled": 1, "resubmitted": 3,
+            "interrupted": 2, "completed_from_store": 1, "results_lost": 1,
+            "unrecoverable": 1, "checkpointed": 1, "compacted_segments": 1,
+            "dry_run": False,
+        }
+
+    def test_efes_recover_restates_each_live_job(self, crashed, capsys):
+        from repro.cli import main
+
+        journal_dir, spool = crashed
+        assert main(["recover", str(journal_dir), "--spool", str(spool)]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert dict(line.split() for line in lines) == {
+            "segments": "1", "records": "12", "torn_records": "0",
+            "jobs_seen": "6", "settled": "1", "resubmitted": "4",
+            "interrupted": "2", "completed_from_store": "1",
+            "results_lost": "1", "checkpointed": "1",
+            "compacted_segments": "1",
+        }
+        assert self._journal_by_job(journal_dir) == {
+            "settled": self.SETTLED,
+            "spooled": self._restated(
+                "spooled", "assess", "example", store_key="sk-spooled",
+                scenario_ref="example", seed=1,
+            ),
+            **self._live(),
+            "unresolvable": self._restated(
+                "unresolvable", "estimate", "nowhere",
+                quality="high_quality", scenario_ref="nowhere",
+            ),
+        }

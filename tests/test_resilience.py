@@ -711,6 +711,17 @@ class TestClientResilience:
         assert len(sleeps) == policy.max_attempts - 1
         assert all(0 <= delay <= policy.max_delay for delay in sleeps)
 
+    def test_overlong_retry_hint_reraises_its_error(self):
+        """A hint past the client's timeout is not waited out (sleeping
+        1e300 s would raise OverflowError): the 503's error, carrying
+        the hint, re-raises at once."""
+        with stub_server(_BadHintHandler, hint=("header", "1e300")) as url:
+            client = ServiceClient(url)
+            with pytest.raises(ServiceUnavailableError) as excinfo:
+                client.healthz()
+        assert excinfo.value.retry_after == 1e300
+        assert client.retries_total == 0
+
     def test_http_handler_fault_surfaces_as_500(self):
         scheduler = JobScheduler(workers=1, max_queue=8)
         server = make_server(scheduler, port=0)

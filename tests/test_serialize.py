@@ -162,7 +162,6 @@ class TestJournalCodec:
                         else None,
                         store_key=f"sk-{index}" if rng.random() < 0.5
                         else None,
-                        checkpoint=rng.random() < 0.2,
                     )
                 )
         return records
