@@ -282,7 +282,7 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     from .reporting import render_experiment_markdown
 
     report = run_experiments(
-        seed=args.seed, trace_dir=args.trace_dir, strict=bool(args.strict)
+        seed=args.seed, trace_dir=args.trace_dir, strict=args.strict
     )
     if args.trace_dir:
         print(f"wrote per-scenario trace files to {args.trace_dir}/")

@@ -93,18 +93,16 @@ def default_modules() -> list[EstimationModule]:
 def default_efes(
     settings: ExecutionSettings | None = None,
     runtime=None,
-    strict: bool | None = None,
 ) -> Efes:
     """EFES with the shipped modules and (by default) Table 9 settings.
 
     ``runtime`` optionally binds a dedicated :class:`repro.runtime.Runtime`
-    (profile cache + metrics); by default the
-    process-wide runtime is used.  ``strict`` fixes the framework's
-    failure policy: ``True`` fails fast everywhere, ``False`` degrades
-    everywhere, ``None`` keeps the per-method defaults (fail-fast for
-    ``assess``/``plan``/``estimate``, graceful for ``run``).
+    (profile cache + metrics); by default the process-wide runtime is
+    used.  The failure policy is per call: each entry point takes
+    ``strict`` (fail-fast for ``assess``/``plan``/``estimate``, graceful
+    for ``run``).
     """
-    return Efes(default_modules(), settings, runtime=runtime, strict=strict)
+    return Efes(default_modules(), settings, runtime=runtime)
 
 
 __all__ = [

@@ -7,6 +7,14 @@ module couples a *data complexity detector* with a *task planner*
 assessment), all planners (phase 2 input), and prices the resulting tasks
 with the execution settings' effort-calculation functions (phase 2, effort
 estimation).
+
+:meth:`Efes.run` is the one pipeline of both phases: the CLI's
+``estimate`` and ``trace``, the benchmarks and the service's estimate
+jobs all call it.  Every entry point takes a plain ``strict`` flag —
+``True`` by default for ``assess``, ``plan`` and ``estimate``, ``False``
+for ``run`` — and both degradation boundaries (the runtime's detector
+loop and :meth:`Efes.plan`) apply :func:`~repro.runtime.deadline.degrades`
+to decide whether a failure costs its module or the call.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import time
 from ..observability import Span, Tracer, tracing
 from ..resilience import DegradedResult, format_exception, split_degraded
 from ..runtime import Runtime, RuntimeMetrics, get_runtime
-from ..runtime.deadline import checkpoint as deadline_checkpoint
+from ..runtime.deadline import checkpoint as deadline_checkpoint, degrades
 from ..scenarios.scenario import IntegrationScenario
 from .effort import (
     EffortEstimate,
@@ -95,8 +103,9 @@ class AssessmentOutcome:
     #: Root span of the traced run (``Efes.run(..., trace=True)``), else
     #: ``None``; serialisable via :func:`repro.core.serialize.span_to_dict`.
     trace: Span | None = None
-    #: Modules whose detector or planner failed during a non-strict run;
-    #: empty on a fully successful pipeline.  A non-empty list means
+    #: The scenario's load tombstones, then the modules whose detector
+    #: or planner failed, in a non-strict run; empty on a fully
+    #: successful pipeline.  A non-empty list means
     #: ``reports``/``estimate`` are *partial* — usable, but missing the
     #: named modules' contributions.
     degradations: list[DegradedResult] = dataclasses.field(
@@ -124,7 +133,6 @@ class Efes:
         modules: Sequence[EstimationModule],
         settings: ExecutionSettings | None = None,
         runtime: Runtime | None = None,
-        strict: bool | None = None,
     ) -> None:
         names = [module.name for module in modules]
         if len(set(names)) != len(names):
@@ -134,22 +142,9 @@ class Efes:
         #: Optional dedicated runtime; ``None`` resolves to the active
         #: runtime at call time (see :mod:`repro.runtime`).
         self.runtime = runtime
-        #: Failure policy: ``True`` = fail-fast everywhere, ``False`` =
-        #: degrade everywhere, ``None`` (default) = fail-fast for the
-        #: fine-grained entry points (``assess``/``plan``/``estimate``,
-        #: the historical contract) but graceful degradation for the
-        #: deliverable-producing :meth:`run`.
-        self.strict = strict
 
     def _resolve_runtime(self) -> Runtime:
         return self.runtime if self.runtime is not None else get_runtime()
-
-    def _strictness(self, override: bool | None, default: bool) -> bool:
-        if override is not None:
-            return override
-        if self.strict is not None:
-            return self.strict
-        return default
 
     @property
     def metrics(self) -> RuntimeMetrics:
@@ -161,23 +156,37 @@ class Efes:
     # ------------------------------------------------------------------
 
     def assess(
-        self, scenario: IntegrationScenario, strict: bool | None = None
+        self, scenario: IntegrationScenario, strict: bool = True
     ) -> dict[str, ComplexityReport]:
         """Run every module's detector; returns reports keyed by module.
 
-        Detectors run one after another on the runtime; the report dict
-        is ordered by module declaration order.  In strict mode (the
-        default here) a failing detector's exception propagates; with
-        ``strict=False`` the failed module's slot holds a
-        :class:`~repro.resilience.DegradedResult` instead and the other
-        reports survive.
+        Detectors run one after another on the runtime, in module
+        declaration order.  A scenario loaded leniently from disk may
+        carry ``phase="load"`` tombstones on ``scenario.load_degradations``
+        (see :func:`repro.scenarios.io.load_scenario`): malformed relation
+        CSVs that loaded empty.  With ``strict=True`` (the default here)
+        the first of them raises
+        :class:`~repro.scenarios.io.ScenarioFormatError` and a failing
+        detector's exception propagates.  With ``strict=False`` the load
+        tombstones come first in the dict, keyed by their ``module`` and
+        counted on ``degraded_total`` and ``loads_degraded``, a failed
+        detector's slot holds a :class:`~repro.resilience.DegradedResult`
+        instead of a report, and the other reports survive.
         """
-        on_error = (
-            "raise" if self._strictness(strict, default=True) else "degrade"
+        loaded = getattr(scenario, "load_degradations", ())
+        if loaded and strict:
+            from ..scenarios.io import ScenarioFormatError
+
+            raise ScenarioFormatError(loaded[0].error)
+        runtime = self._resolve_runtime()
+        if loaded:
+            runtime.metrics.increment("degraded_total", len(loaded))
+            runtime.metrics.increment("loads_degraded", len(loaded))
+        reports: dict = {tombstone.module: tombstone for tombstone in loaded}
+        reports.update(
+            runtime.run_detectors(self.modules, scenario, strict=strict)
         )
-        return self._resolve_runtime().run_detectors(
-            self.modules, scenario, on_error=on_error
-        )
+        return reports
 
     # ------------------------------------------------------------------
     # Phase 2: effort estimation
@@ -188,39 +197,39 @@ class Efes:
         scenario: IntegrationScenario,
         quality: ResultQuality,
         reports: dict[str, ComplexityReport] | None = None,
-        strict: bool | None = None,
+        strict: bool = True,
         degradations: list[DegradedResult] | None = None,
     ) -> list[Task]:
         """Run every module's planner on its report; concatenated tasks.
 
-        In strict mode (default) a missing report raises ``KeyError`` and
-        a failing planner propagates.  With ``strict=False`` degraded or
-        missing modules are skipped and a planner failure becomes a
-        :class:`~repro.resilience.DegradedResult` — appended to the
-        ``degradations`` accumulator when the caller provides one, along
-        with any assess-phase tombstones found in ``reports``.
+        With ``strict=True`` (the default) a missing report raises
+        ``KeyError`` and a failing planner propagates.  With
+        ``strict=False`` missing modules are skipped and a planner
+        failure becomes a :class:`~repro.resilience.DegradedResult`.
+        Tombstones in ``reports`` are never planned.  They, then the
+        planners' own, are appended to the ``degradations`` accumulator
+        when the caller provides one.
         """
         _require_quality(quality)
-        strict_mode = self._strictness(strict, default=True)
         runtime = self._resolve_runtime()
         if reports is None:
-            reports = self.assess(scenario, strict=strict_mode)
+            reports = self.assess(scenario, strict=strict)
+        if degradations is not None:
+            degradations.extend(
+                report
+                for report in reports.values()
+                if isinstance(report, DegradedResult)
+            )
         tasks: list[Task] = []
         with runtime.activated(), runtime.metrics.stage("plan"):
             for module in self.modules:
                 report = (
                     reports[module.name]
-                    if strict_mode
+                    if strict
                     else reports.get(module.name)
                 )
-                if isinstance(report, DegradedResult):
-                    # The detector already failed; its tombstone belongs
-                    # to the caller's degradation record.
-                    if degradations is not None:
-                        degradations.append(report)
+                if report is None or isinstance(report, DegradedResult):
                     continue
-                if report is None:
-                    continue  # non-strict: module absent, nothing to plan
                 with tracing.span(f"planner:{module.name}") as span:
                     started = time.perf_counter()
                     try:
@@ -231,7 +240,7 @@ class Efes:
                         deadline_checkpoint("planner", module=module.name)
                         planned = module.plan(scenario, report, quality)
                     except Exception as exc:  # noqa: BLE001 - degradation
-                        if strict_mode:
+                        if not degrades(exc, strict):
                             raise
                         error = format_exception(exc)
                         span.set_attribute("error", error)
@@ -259,7 +268,7 @@ class Efes:
         quality: ResultQuality,
         adjustments: Iterable[TaskAdjustment] = (),
         reports: dict[str, ComplexityReport] | None = None,
-        strict: bool | None = None,
+        strict: bool = True,
         degradations: list[DegradedResult] | None = None,
     ) -> EffortEstimate:
         """The full pipeline: assess → plan → (adjust) → price.
@@ -295,7 +304,7 @@ class Efes:
         quality: ResultQuality,
         adjustments: Iterable[TaskAdjustment] = (),
         trace: bool = False,
-        strict: bool | None = None,
+        strict: bool = False,
     ) -> AssessmentOutcome:
         """Both phases as one deliverable: reports + tasks + estimate.
 
@@ -306,52 +315,33 @@ class Efes:
         completed root span (``run:<scenario>``) — detectors, profiling,
         planning, and pricing appear as its descendants.
 
-        Unless ``strict`` resolves to ``True``, a failing detector or
-        planner no longer aborts the run: the failed module is skipped,
-        recorded on ``outcome.degradations``, counted on the runtime's
+        Unless ``strict=True``, a failing detector or planner does not
+        abort the run: the failed module is skipped, recorded on
+        ``outcome.degradations`` after the scenario's load tombstones
+        (see :meth:`assess`), counted on the runtime's
         ``degraded_total``, and annotated on its span — the returned
-        outcome covers every module that survived.
-
-        Scenarios loaded leniently from disk may carry ``phase="load"``
-        tombstones (``scenario.load_degradations``, see
-        :func:`repro.scenarios.io.load_scenario`): malformed relation
-        CSVs that loaded empty.  Those merge into the outcome's
-        ``degradations`` too — and under strict mode the first one is
-        upgraded back to a :class:`~repro.scenarios.io.ScenarioFormatError`.
+        outcome covers every module that survived.  Under
+        ``strict=True`` the first load tombstone raises
+        :class:`~repro.scenarios.io.ScenarioFormatError`.
         """
         _require_quality(quality)
-        strict_mode = self._strictness(strict, default=False)
-        load_degraded = list(getattr(scenario, "load_degradations", ()) or ())
-        if load_degraded and strict_mode:
-            from ..scenarios.io import ScenarioFormatError
-
-            raise ScenarioFormatError(load_degraded[0].error)
 
         def execute() -> AssessmentOutcome:
-            degradations: list[DegradedResult] = list(load_degraded)
-            if load_degraded:
-                runtime = self._resolve_runtime()
-                runtime.metrics.increment(
-                    "degraded_total", len(load_degraded)
-                )
-                runtime.metrics.increment(
-                    "loads_degraded", len(load_degraded)
-                )
-            reports = self.assess(scenario, strict=strict_mode)
-            clean_reports, assess_degraded = split_degraded(reports)
-            degradations.extend(assess_degraded)
+            reports, degradations = split_degraded(
+                self.assess(scenario, strict=strict)
+            )
             estimate = self.estimate(
                 scenario,
                 quality,
                 adjustments=adjustments,
-                reports=clean_reports,
-                strict=strict_mode,
+                reports=reports,
+                strict=strict,
                 degradations=degradations,
             )
             return AssessmentOutcome(
                 scenario.name,
                 quality,
-                clean_reports,
+                reports,
                 estimate,
                 degradations=degradations,
             )
@@ -371,12 +361,8 @@ class Efes:
         return outcome
 
     def with_settings(self, settings: ExecutionSettings) -> "Efes":
-        return Efes(
-            self.modules, settings, runtime=self.runtime, strict=self.strict
-        )
+        return Efes(self.modules, settings, runtime=self.runtime)
 
     def with_runtime(self, runtime: Runtime | None) -> "Efes":
         """The same framework bound to a different execution runtime."""
-        return Efes(
-            self.modules, self.settings, runtime=runtime, strict=self.strict
-        )
+        return Efes(self.modules, self.settings, runtime=runtime)

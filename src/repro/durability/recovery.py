@@ -152,7 +152,11 @@ class RecoveryManager:
             elif kind == "dispatched":
                 state.dispatched = True
             else:
+                # A settled job was not running at the crash, so a
+                # results-lost job that recovery re-queues is not
+                # interrupted.
                 state.settled = record
+                state.dispatched = False
         return JournalReplay(
             jobs=jobs,
             records=stats["records"],

@@ -10,7 +10,12 @@ For each domain (bibliographic, music) the harness:
    domain's measurements (cross validation, exactly as in Section 6.2),
 5. reports per-cell comparisons plus the relative rmse of both estimators.
 
-Every number is deterministic given the seeds.
+Every number is deterministic given the seeds.  Each scenario is
+assessed once, in process, and both quality cells price its reports.
+:func:`run_experiments` degrades a failing module by default (its
+casualties land on the report's ``degradations``), while
+:func:`evaluate_domain` called directly fails fast unless given
+``strict=False``.
 """
 
 from __future__ import annotations
@@ -65,46 +70,16 @@ class Cell:
         return (self.scenario.name, self.quality.label)
 
 
-def _assess_via_scheduler(scheduler, scenario, degradations=None):
-    """Phase 1 through the assessment service's scheduler + report store.
-
-    Repeated runs (cross-validation folds, repeated harness invocations
-    against a spooled store) are served from the store instead of
-    re-running the detectors.  Result documents produced by a non-strict
-    service may carry ``degradations``; they are decoded into the
-    caller's accumulator so a partially failed remote assessment is
-    reported exactly like a local one.
-    """
-    from .core.serialize import reports_from_dict
-    from .service.jobs import JobState
-
-    job = scheduler.submit(scenario, kind="assess")
-    job = scheduler.wait(job.id)
-    if job.state is not JobState.DONE:
-        raise RuntimeError(
-            f"assessment job for {scenario.name!r} ended "
-            f"{job.state.value}: {job.error}"
-        )
-    if degradations is not None:
-        for doc in job.result.get("degradations", ()):
-            degradations.append(DegradedResult.from_dict(doc))
-    return reports_from_dict(job.result["reports"])
-
-
 def evaluate_domain(
     scenarios: Sequence[IntegrationScenario],
     efes: Efes | None = None,
     simulator: PractitionerSimulator | None = None,
-    scheduler=None,
     trace_dir: str | Path | None = None,
-    strict: bool | None = None,
+    strict: bool = True,
     degradations: dict[str, list[DegradedResult]] | None = None,
 ) -> list[Cell]:
     """Measure + raw-estimate every (scenario, quality) cell of a domain.
 
-    ``scheduler`` optionally routes phase-1 assessment through a
-    :class:`repro.service.JobScheduler` (and thus its report store); the
-    serialisation round-trip is lossless, so the cells are identical.
     ``trace_dir`` enables tracing and writes one span tree per scenario
     to ``<trace_dir>/<scenario>.trace.json``.  With ``strict=False``, a
     failing detector or planner degrades the affected module instead of
@@ -123,19 +98,13 @@ def evaluate_domain(
             if tracer is None
             else tracer.activated()
         )
-        scenario_degraded: list[DegradedResult] = []
         with scope, tracing.span(f"scenario:{scenario.name}"):
             # Assess once per scenario; both quality cells price the
             # same complexity reports (the detectors are
             # quality-independent).
-            if scheduler is not None:
-                reports = _assess_via_scheduler(
-                    scheduler, scenario, degradations=scenario_degraded
-                )
-            else:
-                reports = efes.assess(scenario, strict=strict)
-            reports, assess_degraded = split_degraded(reports)
-            scenario_degraded.extend(assess_degraded)
+            reports, scenario_degraded = split_degraded(
+                efes.assess(scenario, strict=strict)
+            )
             for quality in QUALITIES:
                 result = simulator.integrate(scenario, quality)
                 estimate = efes.estimate(
@@ -314,7 +283,6 @@ def run_experiments(
     efes_factory: Callable[[], Efes] | None = None,
     simulator: PractitionerSimulator | None = None,
     runtime=None,
-    scheduler=None,
     trace_dir: str | Path | None = None,
     strict: bool = False,
 ) -> ExperimentReport:
@@ -323,11 +291,9 @@ def run_experiments(
     ``runtime`` optionally supplies a :class:`repro.runtime.Runtime` for
     the default framework (a shared profile cache); the
     cross-validation folds then re-profile each scenario from cache
-    instead of from scratch.  ``scheduler`` additionally routes phase-1
-    assessment through a :class:`repro.service.JobScheduler`, so repeated
-    harness runs against a spooled report store skip assessment entirely.
-    ``trace_dir`` enables per-scenario tracing; one
-    ``<scenario>.trace.json`` span tree lands there per scenario.
+    instead of from scratch.  ``trace_dir`` enables per-scenario
+    tracing; one ``<scenario>.trace.json`` span tree lands there per
+    scenario.
 
     By default (``strict=False``) a crashing detector or planner costs
     its module's contribution to the affected scenario, not the whole
@@ -342,11 +308,11 @@ def run_experiments(
     degradations: dict[str, list[DegradedResult]] = {}
     domains = {
         "bibliographic": evaluate_domain(
-            bibliographic_scenarios(seed), efes, simulator, scheduler,
+            bibliographic_scenarios(seed), efes, simulator,
             trace_dir=trace_dir, strict=strict, degradations=degradations,
         ),
         "music": evaluate_domain(
-            music_scenarios(seed), efes, simulator, scheduler,
+            music_scenarios(seed), efes, simulator,
             trace_dir=trace_dir, strict=strict, degradations=degradations,
         ),
     }

@@ -2,9 +2,9 @@
 
 This package replaces the PostgreSQL backend of the paper's prototype with
 an embedded engine: typed schemas, constraints, instances, validation,
-relational-algebra operators, and CSV I/O.  Every other subsystem (data
-profiling, CSG conversion, the EFES modules, the practitioner simulator)
-reads databases exclusively through this package.
+CSV I/O, and a SQL subset (:mod:`repro.relational.sql`).  Every other
+subsystem (data profiling, CSG conversion, the EFES modules, the
+practitioner simulator) reads databases exclusively through this package.
 """
 
 from .constraints import (

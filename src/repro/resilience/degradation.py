@@ -23,7 +23,8 @@ class DegradedResult:
 
     #: Name of the estimation module that failed.
     module: str
-    #: Pipeline phase that failed: ``"assess"`` or ``"plan"``.
+    #: Pipeline phase that failed: ``"load"`` (a relation CSV of a
+    #: scenario directory), ``"assess"`` or ``"plan"``.
     phase: str
     #: ``"ExceptionType: message"`` of the failure.
     error: str

@@ -28,12 +28,14 @@ Three pieces, mirroring the contextvars design of the Tracer:
     noticed at this checkpoint, not the next one.
 
 Cancellation raises :class:`OperationCancelled` (or its deadline
-flavour :class:`DeadlineExceededError`); the engine's degradation
-boundaries convert those into :class:`~repro.resilience.DegradedResult`
-tombstones, which is what turns a timed-out run into a priced partial
-estimate instead of a crash.  A computation that never reaches a
-checkpoint is settled ``FAILED`` by the scheduler once its grace window
-passes.
+flavour :class:`DeadlineExceededError`).  The degradation boundaries
+(the runtime's detector loop and ``Efes.plan``) ask :func:`degrades`:
+a deadline becomes a :class:`~repro.resilience.DegradedResult`
+tombstone, which is what turns a timed-out run into a priced partial
+estimate instead of a crash, while a plain cancel propagates to the
+caller, so a cancelled job degrades no module.  A computation that
+never reaches a checkpoint is settled ``FAILED`` by the scheduler once
+its grace window passes.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ __all__ = [
     "OperationCancelled",
     "checkpoint",
     "current_scope",
+    "degrades",
 ]
 
 #: Seconds a cancelled job gets to reach its next checkpoint before the
@@ -82,6 +85,20 @@ class DeadlineExceededError(OperationCancelled):
         self, message: str = "deadline exceeded", site: str = ""
     ) -> None:
         super().__init__(message, site)
+
+
+def degrades(exc: Exception, strict: bool) -> bool:
+    """Whether a degradation boundary turns ``exc`` into a tombstone.
+
+    Under ``strict`` nothing does.  Otherwise everything does except a
+    plain cancel (reason ``cancelled``): the whole job is being dropped,
+    so no module of it failed, and the cancel propagates to the caller.
+    A :class:`DeadlineExceededError` degrades, which is how a timed-out
+    job keeps the partial estimate it earned.
+    """
+    if strict:
+        return False
+    return not isinstance(exc, OperationCancelled) or exc.reason != "cancelled"
 
 
 class Deadline:

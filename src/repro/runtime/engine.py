@@ -32,7 +32,7 @@ from contextlib import contextmanager
 from ..observability import tracing
 from ..resilience import DegradedResult, fault_point, format_exception
 from .cache import ProfileCache
-from .deadline import checkpoint
+from .deadline import checkpoint, degrades
 from .metrics import RuntimeMetrics
 
 _ACTIVE: contextvars.ContextVar["Runtime | None"] = contextvars.ContextVar(
@@ -76,25 +76,22 @@ class Runtime:
     # -- execution --------------------------------------------------------
 
     def run_detectors(
-        self, modules: Sequence, scenario, on_error: str = "raise"
+        self, modules: Sequence, scenario, strict: bool = True
     ) -> dict:
         """Phase 1 for every module; reports in module order.
 
-        With ``on_error="raise"`` (the default), exceptions from a
-        failing detector propagate to the caller (first module in
-        declaration order wins when several fail).  With
-        ``on_error="degrade"`` a failing detector yields a
-        :class:`~repro.resilience.DegradedResult` in the report dict
-        instead — the other modules' reports survive, the failure is
-        counted on ``degraded_total``, and the detector's span carries an
-        ``error`` annotation.  Each detector runs as stage
-        ``detector:<name>`` (one span, one ``stage_seconds`` sample), so
-        per-detector p50/p95/p99 survive aggregation.
+        With ``strict=True`` (the default), exceptions from a failing
+        detector propagate to the caller (first module in declaration
+        order wins when several fail).  With ``strict=False`` a failing
+        detector yields a :class:`~repro.resilience.DegradedResult` in
+        the report dict instead — the other modules' reports survive,
+        the failure is counted on ``degraded_total``, and the detector's
+        span carries an ``error`` annotation — unless
+        :func:`~repro.runtime.deadline.degrades` lets it propagate (a
+        plain cancel).  Each detector runs as stage ``detector:<name>``
+        (one span, one ``stage_seconds`` sample), so per-detector
+        p50/p95/p99 survive aggregation.
         """
-        if on_error not in ("raise", "degrade"):
-            raise ValueError(
-                f"on_error must be 'raise' or 'degrade', got {on_error!r}"
-            )
         self.metrics.increment("assessments")
         self.metrics.increment("detector_runs", by=len(modules))
 
@@ -108,7 +105,7 @@ class Runtime:
                     )
                     return module.assess(scenario)
                 except Exception as exc:  # noqa: BLE001 - degradation boundary
-                    if on_error == "raise":
+                    if not degrades(exc, strict):
                         raise
                     error = format_exception(exc)
                     stage.set_attribute("error", error)

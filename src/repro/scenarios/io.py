@@ -396,11 +396,13 @@ def load_scenario(
     schema) always raise :class:`ScenarioFormatError`.  Malformed
     relation **data** is softer by default: each bad CSV loads as an
     empty relation and leaves a :class:`DegradedResult` tombstone on
-    ``scenario.load_degradations``, which :meth:`Efes.run
-    <repro.core.framework.Efes.run>` merges into its outcome — the
-    estimate survives, visibly partial.  ``strict=True`` upgrades the
-    first bad CSV to a :class:`ScenarioFormatError` carrying the
-    ``file:line`` diagnostic.
+    ``scenario.load_degradations``.  :meth:`Efes.assess
+    <repro.core.framework.Efes.assess>` reads them: non-strict, they
+    lead its report dict, so every deliverable that assesses the
+    scenario (an estimate, an assessment, a service job) survives,
+    visibly partial; strict, the first one raises.  ``strict=True``
+    here upgrades the first bad CSV to a :class:`ScenarioFormatError`
+    carrying the ``file:line`` diagnostic at load time.
     """
     directory = Path(path)
     manifest_path = directory / "scenario.json"

@@ -4,8 +4,8 @@ Wraps :mod:`urllib.request` — no dependencies — and mirrors the service
 resources one method each.  Error taxonomy:
 
 * :class:`BackpressureError` — the queue is full (503 + ``retry_after``);
-  **not retried by default** (the caller decides whether to shed or wait;
-  pass ``retry_backpressure=True`` to opt in),
+  **not retried** by the default policy (the caller decides whether to
+  shed or wait),
 * :class:`ServiceUnavailableError` — the service is unreachable
   (connection refused/reset, timeout) or answered 503 for a non-queue
   reason (a closed scheduler, a failing journal).  Carries the last
@@ -232,19 +232,13 @@ class ServiceClient:
         timeout: float = 30.0,
         *,
         retry_policy: RetryPolicy | None = None,
-        retry_backpressure: bool = False,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        policy = (
+        self.retry_policy = (
             retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
         )
-        if retry_backpressure and BackpressureError not in policy.retry_on:
-            policy = dataclasses.replace(
-                policy, retry_on=(*policy.retry_on, BackpressureError)
-            )
-        self.retry_policy = policy
         self._sleep = sleep
         self.retries_total = 0
         #: Recent submissions by idempotency key, for full-envelope

@@ -20,11 +20,10 @@ estimate it earned (unrun modules become degradation tombstones and the
 result document carries ``deadline_exceeded: true``); one that never
 cooperates is settled ``FAILED`` at the grace deadline, its abandoned
 thread left to drain in the background — a stuck detector cannot wedge
-the service.  Deadline partials are never written to the report store:
-they are budget-dependent, and a later full-budget submission of the
-same scenario must not be served a truncated answer.  **Cancellation**
-works on queued jobs (they simply never start) and on running jobs
-(event + immediate slot release, result discarded).
+the service.  **Cancellation** works on queued jobs (they simply never
+start) and on running jobs (event + immediate slot release, result
+discarded); a cancel is never a degradation, because the degradation
+boundaries let it propagate (:func:`~repro.runtime.deadline.degrades`).
 
 Resilience layer (see :mod:`repro.resilience`):
 
@@ -38,13 +37,18 @@ Resilience layer (see :mod:`repro.resilience`):
 * ``scheduler.dispatch`` is a named fault-injection site: an injected
   dispatch fault fails the popped job but never kills the dispatcher.
 
-Results of assess/estimate jobs are serialised documents
-(:mod:`repro.core.serialize`) and are written to the content-addressed
-:class:`~repro.service.store.ReportStore`; a later submission with
-identical scenario content completes instantly from the store.  With the
-default ``strict=False``, a failing detector or planner degrades its
-module instead of failing the job — the result document then carries a
-``degradations`` list alongside the surviving reports.
+An estimate job runs :meth:`Efes.run <repro.core.framework.Efes.run>`
+and an assess job a non-strict :meth:`Efes.assess
+<repro.core.framework.Efes.assess>`, so a failing detector or planner,
+or a relation CSV that failed to load, degrades its module instead of
+failing the job: the result document then carries a ``degradations``
+list alongside the surviving reports.  Results are serialised documents
+(:mod:`repro.core.serialize`); a complete one is written to the
+content-addressed :class:`~repro.service.store.ReportStore`, and a later
+submission with identical scenario content completes instantly from the
+store.  Degraded results and deadline partials are never stored: they
+depend on a fault or a budget, and a later submission of the same
+content must not be served a partial answer.
 
 Durability layer (see :mod:`repro.durability`): with a ``journal``
 configured, every acknowledged submission is written ahead to the
@@ -76,12 +80,7 @@ from ..core.framework import Efes
 from ..core.quality import ResultQuality, parse_quality
 from ..core.serialize import estimate_to_dict, reports_to_dict
 from ..observability import ResourceSampler, Tracer, span_to_dict, tracing
-from ..resilience import (
-    DegradedResult,
-    fault_point,
-    format_exception,
-    split_degraded,
-)
+from ..resilience import fault_point, format_exception, split_degraded
 from ..durability import (
     JobJournal,
     JournalError,
@@ -98,6 +97,7 @@ from ..runtime import (
     Runtime,
 )
 from ..runtime.deadline import DEFAULT_GRACE
+from ..scenarios import resolve_scenario
 from .jobs import (
     Job,
     JobCancelled,
@@ -130,10 +130,8 @@ class JobScheduler:
         max_queue: int = 64,
         default_timeout: float | None = None,
         trace: bool = True,
-        strict: bool = False,
         journal: JobJournal | None = None,
         payload_resolver: Callable[[str, "Job"], Callable | None] | None = None,
-        scenario_resolver: Callable[[str, int | None], object] | None = None,
         deadline_grace: float = DEFAULT_GRACE,
     ) -> None:
         if workers < 1:
@@ -155,10 +153,6 @@ class JobScheduler:
         self.workers = workers
         self.max_queue = max_queue
         self.default_timeout = default_timeout
-        #: Pipeline failure policy for assess/estimate payloads:
-        #: ``False`` (default) degrades failed modules into the result
-        #: document's ``degradations`` list; ``True`` fails the job.
-        self.strict = strict
         #: Seconds a deadline-fired payload gets to reach a checkpoint
         #: and settle with its partial result before the reaper settles
         #: it ``FAILED`` (the slot is reclaimed at fire time either way).
@@ -177,9 +171,6 @@ class JobScheduler:
         #: Rebuilds callable-job payloads at recovery: called with
         #: ``(payload_ref, job)``, returns the payload or ``None``.
         self.payload_resolver = payload_resolver
-        #: Rebuilds scenarios at recovery: called with ``(scenario_ref,
-        #: seed)``; defaults to :func:`repro.scenarios.resolve_scenario`.
-        self.scenario_resolver = scenario_resolver
         #: Recovery summary of the journal replay run at construction
         #: (``None`` without a journal); surfaced by ``/healthz``.
         self.recovery_summary: dict | None = None
@@ -369,67 +360,35 @@ class JobScheduler:
         while len(self._idempotency) > IDEMPOTENCY_WINDOW:
             self._idempotency.popitem(last=False)
 
-    def _cancel_guard(self, job: Job) -> None:
-        """Between-stage cancellation check for assess/estimate payloads.
-
-        A plain cancel stops the pipeline here; a *fired deadline* does
-        not — the cancel scope has already tombstoned the unrun work, and
-        the partial document this payload is carrying is exactly what the
-        job must settle with inside its grace window.
-        """
-        if not job.deadline_fired:
-            job.check_cancelled()
-
     def _payload_for(
         self, job: Job, scenario, quality: ResultQuality
     ) -> Callable[[Job], dict]:
-        if job.kind == "assess":
+        """The payload of an assess or estimate job: ``Efes.run`` for an
+        estimate, a non-strict ``Efes.assess`` for an assessment, then
+        the result document."""
 
-            def assess_payload(job: Job) -> dict:
-                reports = self.efes.assess(scenario, strict=self.strict)
-                self._cancel_guard(job)
-                clean, degraded = split_degraded(reports)
-                with self.metrics.stage("serialize"):
-                    doc = {
-                        "kind": "assess",
-                        "scenario": scenario.name,
-                        "reports": reports_to_dict(clean),
-                    }
-                    if degraded:
-                        doc["degradations"] = [d.to_dict() for d in degraded]
-                    return doc
-
-            return assess_payload
-
-        def estimate_payload(job: Job) -> dict:
-            degradations: list[DegradedResult] = []
-            reports = self.efes.assess(scenario, strict=self.strict)
-            self._cancel_guard(job)
-            clean, assess_degraded = split_degraded(reports)
-            degradations.extend(assess_degraded)
-            estimate = self.efes.estimate(
-                scenario,
-                quality,
-                reports=clean,
-                strict=self.strict,
-                degradations=degradations,
-            )
-            self._cancel_guard(job)
+        def payload(job: Job) -> dict:
+            estimate = None
+            if job.kind == "estimate":
+                outcome = self.efes.run(scenario, quality)
+                reports, degradations = outcome.reports, outcome.degradations
+                estimate = outcome.estimate
+            else:
+                reports, degradations = split_degraded(
+                    self.efes.assess(scenario, strict=False)
+                )
             with self.metrics.stage("serialize"):
-                doc = {
-                    "kind": "estimate",
-                    "scenario": scenario.name,
-                    "quality": quality.value,
-                    "reports": reports_to_dict(clean),
-                    "estimate": estimate_to_dict(estimate),
-                }
+                doc = {"kind": job.kind, "scenario": scenario.name}
+                if estimate is not None:
+                    doc["quality"] = quality.value
+                doc["reports"] = reports_to_dict(reports)
+                if estimate is not None:
+                    doc["estimate"] = estimate_to_dict(estimate)
                 if degradations:
-                    doc["degradations"] = [
-                        d.to_dict() for d in degradations
-                    ]
+                    doc["degradations"] = [d.to_dict() for d in degradations]
                 return doc
 
-        return estimate_payload
+        return payload
 
     def _enqueue(self, job: Job, *, journal_record: dict | None = None) -> None:
         with self._lock:
@@ -540,14 +499,9 @@ class JobScheduler:
             if job.kind not in ("assess", "estimate") or not scenario_ref:
                 return None
             seed = submitted.get("seed")
-            if self.scenario_resolver is not None:
-                scenario = self.scenario_resolver(scenario_ref, seed)
-            else:
-                from ..scenarios import resolve_scenario
-
-                scenario = resolve_scenario(
-                    scenario_ref, seed=seed if seed is not None else 1
-                )
+            scenario = resolve_scenario(
+                scenario_ref, seed=seed if seed is not None else 1
+            )
         except Exception:  # noqa: BLE001 - resolvers are foreign code
             return None
         return self._payload_for(job, scenario, parse_quality(job.quality))
@@ -756,21 +710,25 @@ class JobScheduler:
                 if self._settle_locked(job, JobState.FAILED, error=error):
                     self.metrics.increment("jobs_failed")
             else:
+                degraded = isinstance(result, dict) and bool(
+                    result.get("degradations")
+                )
                 # Store BEFORE settling: the settled-done journal record
                 # must never precede its result document, so a crash
                 # between the two re-executes (idempotent) rather than
-                # trusting a result that was never persisted.
+                # trusting a result that was never persisted.  A degraded
+                # result is not stored, like a deadline partial: the
+                # content address answers with complete results only.
                 if (
                     not job.state.is_terminal
                     and job.store_key is not None
                     and result is not None
+                    and not degraded
                 ):
                     self._store_result_locked(job, result)
                 if self._settle_locked(job, JobState.DONE, result=result):
                     self.metrics.increment("jobs_completed")
-                    if isinstance(result, dict) and result.get(
-                        "degradations"
-                    ):
+                    if degraded:
                         self.metrics.increment("jobs_degraded")
             # A late arrival (the job settled by timeout or cancel while
             # the payload drained) still releases its slot idempotently.

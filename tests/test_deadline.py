@@ -23,6 +23,7 @@ from repro.runtime.deadline import (
     OperationCancelled,
     checkpoint,
     current_scope,
+    degrades,
 )
 from repro.service import JobScheduler, JobState, ServiceClient, make_server
 from repro.service.client import (
@@ -80,6 +81,12 @@ class TestCancelScope:
             deadline=Deadline(time.monotonic() - 0.1), cancel_event=event
         )
         assert scope.cancel_reason() == "deadline"
+
+    def test_only_a_plain_cancel_escapes_the_degradation_policy(self):
+        assert degrades(DeadlineExceededError(), strict=False)
+        assert degrades(ValueError("bug"), strict=False)
+        assert not degrades(OperationCancelled(), strict=False)
+        assert not degrades(DeadlineExceededError(), strict=True)
 
     def test_exception_hierarchy(self):
         assert issubclass(DeadlineExceededError, OperationCancelled)
@@ -251,6 +258,39 @@ class TestSchedulerDeadline:
             counters = sched.metrics.snapshot().counters
             assert counters["jobs_cancelled"] >= 1
             assert counters["jobs_double_settle_averted"] >= 1
+
+    def test_plain_cancel_degrades_no_module(self, small_example):
+        # A cancel lands while the first detector stalls: the next
+        # checkpoint's OperationCancelled stops the whole job instead of
+        # tombstoning the detectors and planners that have not run.
+        plan = FaultPlan(
+            [
+                FaultPoint(
+                    site="detector",
+                    action="delay",
+                    match={"name": "mapping"},
+                    delay_seconds=0.5,
+                    times=1,
+                )
+            ]
+        )
+        with injected_faults(plan), JobScheduler(workers=1) as sched:
+            job = sched.submit(small_example, "estimate", "high")
+            deadline = time.monotonic() + 30
+            while not plan.trip_count("detector"):
+                assert time.monotonic() < deadline, "the delay never fired"
+                time.sleep(0.005)
+            sched.cancel(job.id)
+            # The payload reports in after the stall; its settle loses.
+            while not sched.metrics.counter("jobs_double_settle_averted"):
+                assert time.monotonic() < deadline, "the payload never ended"
+                time.sleep(0.005)
+            assert sched.job(job.id).state is JobState.CANCELLED
+            counters = sched.metrics.snapshot().counters
+            for name in (
+                "degraded_total", "detectors_degraded", "planners_degraded"
+            ):
+                assert counters.get(name, 0) == 0, name
 
     def test_cancel_during_store_phase(self, small_example, monkeypatch):
         # Same race one phase later: the cancel re-enters the scheduler

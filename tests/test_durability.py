@@ -611,7 +611,7 @@ class TestRecoveryOutcomes:
             "spooled": ("done", True, True, False),
             "queued": ("done", False, True, False),
             "dispatched": ("done", False, True, True),
-            "lost": ("done", False, True, True),
+            "lost": ("done", False, True, False),
             "unresolvable": ("failed", False, True, False),
         }
         assert jobs["unresolvable"].error == self.UNRECOVERABLE
@@ -634,7 +634,7 @@ class TestRecoveryOutcomes:
         assert summary == {
             "segments": 1, "records": 12, "torn_records": 0,
             "jobs_seen": 6, "settled": 1, "resubmitted": 3,
-            "interrupted": 2, "completed_from_store": 1, "results_lost": 1,
+            "interrupted": 1, "completed_from_store": 1, "results_lost": 1,
             "unrecoverable": 1, "checkpointed": 1, "compacted_segments": 1,
             "dry_run": False,
         }
@@ -648,7 +648,7 @@ class TestRecoveryOutcomes:
         assert dict(line.split() for line in lines) == {
             "segments": "1", "records": "12", "torn_records": "0",
             "jobs_seen": "6", "settled": "1", "resubmitted": "4",
-            "interrupted": "2", "completed_from_store": "1",
+            "interrupted": "1", "completed_from_store": "1",
             "results_lost": "1", "checkpointed": "1",
             "compacted_segments": "1",
         }

@@ -522,6 +522,28 @@ class TestSchedulerResilience:
                 assert "degradations" not in clean.result
                 assert sched.metrics.counter("jobs_degraded") == 1
 
+    @pytest.mark.parametrize("kind", ["assess", "estimate"])
+    def test_degraded_result_is_not_stored(self, kind):
+        # The content address answers with complete results only: once
+        # the transient fault is gone, the same content runs again.
+        from repro.scenarios import resolve_scenario
+
+        plan = FaultPlan(
+            [FaultPoint(site="detector", match={"name": "values"}, times=1)]
+        )
+        with JobScheduler(workers=1, max_queue=8) as sched:
+            with injected_faults(plan):
+                degraded = sched.submit(resolve_scenario("s4-s4"), kind=kind)
+                sched.wait(degraded.id, timeout=60.0)
+            assert degraded.state is JobState.DONE
+            assert degraded.result["degradations"]
+            again = sched.submit(resolve_scenario("s4-s4"), kind=kind)
+            sched.wait(again.id, timeout=60.0)
+            assert again.state is JobState.DONE
+            assert not again.from_store
+            assert "degradations" not in again.result
+            assert sched.store.get(again.store_key) == again.result
+
     def test_quarantined_store_entry_degrades_health(self, tmp_path):
         (tmp_path / "abc.rec").write_text("garbage", encoding="utf-8")
         sched = JobScheduler(

@@ -1,11 +1,13 @@
 """Tests for scenario serialization (save/load round trips)."""
 
 import json
+import threading
 
 import pytest
 
 from repro.core import ResultQuality, default_efes
 from repro.relational import FunctionalDependencyConstraint
+from repro.runtime import Runtime
 from repro.scenarios.bibliographic import scenario_multi_source
 from repro.scenarios.io import (
     ScenarioFormatError,
@@ -194,6 +196,63 @@ class TestMalformedRelationData:
             default_efes().run(
                 scenario, ResultQuality.HIGH_QUALITY, strict=True
             )
+
+    def test_assess_puts_load_tombstones_first(self, small_example, tmp_path):
+        save_scenario(small_example, tmp_path)
+        self._mangle_first_csv(tmp_path)
+        scenario = load_scenario(tmp_path)
+        efes = default_efes(runtime=Runtime())
+        (tombstone,) = scenario.load_degradations
+        reports = efes.assess(scenario, strict=False)
+        assert list(reports) == [
+            tombstone.module, "mapping", "structure", "values"
+        ]
+        assert reports[tombstone.module] is tombstone
+        assert efes.metrics.counter("loads_degraded") == 1
+        with pytest.raises(ScenarioFormatError):
+            efes.assess(scenario)
+
+    def test_service_results_of_both_kinds_carry_the_tombstone(
+        self, small_example, tmp_path
+    ):
+        from repro.service import JobScheduler, ServiceClient, make_server
+
+        save_scenario(small_example, tmp_path)
+        victim = self._mangle_first_csv(tmp_path)
+        scheduler = JobScheduler(workers=1)
+        server = make_server(scheduler, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(server.url)
+            for kind in ("assess", "estimate"):
+                job = client.submit(str(tmp_path), kind=kind)
+                doc = client.result(job["id"], deadline=120)
+                load = doc["degradations"][0]
+                assert load["phase"] == "load"
+                assert f"{victim}:2:" in load["error"]
+                # A partial result is not stored under its content key.
+                again = client.submit(str(tmp_path), kind=kind)
+                assert not again["from_store"]
+        finally:
+            server.shutdown()
+            server.server_close()
+            scheduler.close(wait=True, timeout=5.0)
+            thread.join(timeout=5.0)
+
+    def test_cli_assess_exits_degraded_and_strict_fails(
+        self, small_example, tmp_path, capsys
+    ):
+        from repro.cli import EXIT_DEGRADED, main
+
+        save_scenario(small_example, tmp_path)
+        victim = self._mangle_first_csv(tmp_path)
+        assert main(["assess", str(tmp_path)]) == EXIT_DEGRADED
+        out = capsys.readouterr().out
+        assert "Degraded modules (partial results)" in out
+        assert f"{victim}:2:" in out
+        assert main(["--strict", "assess", str(tmp_path)]) == 2
+        assert f"{victim}:2:" in capsys.readouterr().err
 
     def test_clean_scenario_has_no_tombstones(self, small_example, tmp_path):
         save_scenario(small_example, tmp_path)

@@ -377,28 +377,6 @@ class TestScheduler:
             assert second.stats()["completed_jobs"] == 0
 
 
-class TestExperimentsIntegration:
-    def test_evaluate_domain_via_scheduler_matches_direct(
-        self, small_example, efes
-    ):
-        from repro.experiments import evaluate_domain
-        from repro.practitioner import PractitionerSimulator
-
-        direct = evaluate_domain(
-            [small_example], efes, PractitionerSimulator()
-        )
-        with JobScheduler(workers=1) as sched:
-            routed = evaluate_domain(
-                [small_example], efes, PractitionerSimulator(), sched
-            )
-        assert [c.efes_total for c in routed] == [
-            c.efes_total for c in direct
-        ]
-        assert [c.measured_total for c in routed] == [
-            c.measured_total for c in direct
-        ]
-
-
 def _refuse_to_build(seed):
     raise AssertionError("the scenario should have come from the cache")
 
