@@ -15,8 +15,12 @@ the aggregate counters of :class:`repro.runtime.RuntimeMetrics`:
   :meth:`repro.runtime.RuntimeMetrics.stage` from the same block and
   clock as the layer's span.
 
-Exporters (:mod:`~repro.observability.export`) turn spans into JSON and
-aligned text trees, and metrics snapshots into Prometheus exposition.
+Process resources (:mod:`~repro.observability.resources`) are sampled
+on demand, never by a background thread.  Nothing here keeps a gauge:
+the service computes each one per ``/metrics`` scrape, and exporters
+(:mod:`~repro.observability.export`) turn spans into JSON and aligned
+text trees, and a metrics snapshot plus those gauges into Prometheus
+exposition.
 """
 
 from .export import (
@@ -31,7 +35,7 @@ from .histograms import (
     Histogram,
     HistogramSnapshot,
 )
-from .resources import ResourceSampler, sample_resources
+from .resources import resource_summary, sample_resources
 from .tracing import (
     NOOP_SPAN,
     Span,
@@ -47,7 +51,6 @@ __all__ = [
     "Histogram",
     "HistogramSnapshot",
     "NOOP_SPAN",
-    "ResourceSampler",
     "Span",
     "Tracer",
     "active_tracer",
@@ -56,6 +59,7 @@ __all__ = [
     "is_tracing",
     "prometheus_text",
     "render_span_tree",
+    "resource_summary",
     "sample_resources",
     "span",
     "span_from_dict",

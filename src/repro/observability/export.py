@@ -168,13 +168,15 @@ def prometheus_text(
     prefix: str = "repro",
     extra_gauges: dict[str, float] | None = None,
 ) -> str:
-    """Render a :class:`~repro.runtime.metrics.MetricsSnapshot` (plus
-    optional scalar gauges, e.g. queue depth) as Prometheus exposition.
+    """Render a :class:`~repro.runtime.metrics.MetricsSnapshot` and one
+    scrape's gauges (name → value, e.g. queue depth) as Prometheus
+    exposition.
 
     Counters become ``<prefix>_<name>_total``; histograms (stage timings
     among them, as ``<prefix>_stage_seconds{stage=...}``) are emitted
     natively with cumulative buckets plus a companion
-    ``_quantile``-labelled gauge family for p50/p95/p99.
+    ``_quantile``-labelled gauge family for p50/p95/p99; each gauge is
+    one unlabelled ``<prefix>_<name>`` family.
     """
     lines: list[str] = []
 
@@ -182,17 +184,6 @@ def prometheus_text(
         metric = f"{prefix}_{sanitize_metric_name(name)}_total"
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric} {snapshot.counters[name]}")
-
-    gauge_families: dict[str, list[tuple[dict, float]]] = {}
-    for name, labels, value in getattr(snapshot, "gauges", ()):
-        gauge_families.setdefault(name, []).append((dict(labels), value))
-    for name in sorted(gauge_families):
-        metric = f"{prefix}_{sanitize_metric_name(name)}"
-        lines.append(f"# TYPE {metric} gauge")
-        for labels, value in gauge_families[name]:
-            lines.append(
-                f"{metric}{format_labels(labels)} {_format_value(value)}"
-            )
 
     families: dict[str, list] = {}
     for histogram in getattr(snapshot, "histograms", ()):

@@ -6,9 +6,10 @@ says *what it cost the machine*.  Everything here is stdlib-only:
 :func:`os.times` for CPU seconds, :mod:`resource` (``getrusage``) for
 peak RSS, and :mod:`gc` for collection counts.
 
-The service's :class:`ResourceSampler` samples its own process on
-demand (every ``/metrics`` / ``/healthz`` scrape) into ``process_*``
-gauges on the shared :class:`~repro.runtime.RuntimeMetrics`.
+The service samples its own process on demand, once per scrape and
+never from a background thread: ``/metrics`` publishes the
+:data:`GAUGE_KEYS` of one :func:`sample_resources` document as
+``process_*`` gauges, and ``/healthz`` embeds :func:`resource_summary`.
 """
 
 from __future__ import annotations
@@ -77,42 +78,16 @@ GAUGE_KEYS = (
 )
 
 
-class ResourceSampler:
-    """Samples the calling process into ``<prefix>_*`` gauges on demand.
-
-    The service calls :meth:`sample` from its ``/metrics`` and
-    ``/healthz`` handlers — scrape-driven sampling, no background thread
-    to leak.  Returns the raw document so handlers can embed a summary.
-    """
-
-    def __init__(self, metrics, *, prefix: str = "process") -> None:
-        self.metrics = metrics
-        self.prefix = prefix
-        self.samples_taken = 0
-
-    def sample(self) -> dict:
-        doc = sample_resources()
-        for key in GAUGE_KEYS:
-            self.metrics.set_gauge(f"{self.prefix}_{key}", float(doc[key]))
-        self.samples_taken += 1
-        return doc
-
-    def summary(self) -> dict:
-        """The compact rendering ``/healthz`` embeds."""
-        doc = self.sample()
-        return {
-            "pid": doc["pid"],
-            "rss_bytes": doc["rss_bytes"],
-            "cpu_seconds": round(doc["cpu_seconds"], 3),
-            "gc_collections": (
-                doc["gc_gen0_collections"]
-                + doc["gc_gen1_collections"]
-                + doc["gc_gen2_collections"]
-            ),
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"ResourceSampler(prefix={self.prefix!r}, "
-            f"samples={self.samples_taken})"
-        )
+def resource_summary() -> dict:
+    """The compact resource document ``/healthz`` embeds."""
+    doc = sample_resources()
+    return {
+        "pid": doc["pid"],
+        "rss_bytes": doc["rss_bytes"],
+        "cpu_seconds": round(doc["cpu_seconds"], 3),
+        "gc_collections": (
+            doc["gc_gen0_collections"]
+            + doc["gc_gen1_collections"]
+            + doc["gc_gen2_collections"]
+        ),
+    }

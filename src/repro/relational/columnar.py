@@ -3,19 +3,13 @@
 The relational substrate stores instances column-major
 (:class:`~repro.relational.instance.RelationInstance`); this module turns
 one column of Python values into a compact, *canonical* block of stdlib
-typed arrays — an :mod:`array` payload plus a null bitmask — and back,
-losslessly.  Three consumers share the encoding:
-
-* **Content fingerprints** (:mod:`repro.runtime.cache`) hash
-  :meth:`ColumnBlock.canonical_bytes`, so digests depend only on the
-  typed values themselves — never on ``repr`` formatting, row order of
-  dict iteration, or which process produced them.
-* **Scenario documents** (:func:`repro.scenarios.io.scenario_to_dict`)
-  carry blocks as base64 JSON; a decoded instance is value-identical to
-  the original, so it fingerprints and assesses byte-identically.
-* **Batch scans**: profiling statistics and UCC/IND/FD discovery operate
-  on whole columns; the column-major instance hands them the values
-  without per-row tuple gathering.
+typed arrays: an :mod:`array` payload plus a null bitmask.  Content
+fingerprints (:mod:`repro.runtime.cache`) hash
+:meth:`ColumnBlock.canonical_bytes`, and the service keys its jobs and
+its report store by those fingerprints, so a digest depends only on the
+typed values themselves: never on ``repr`` formatting, row order of dict
+iteration, or which process produced them.  The encoding is one-way:
+nothing decodes a block.
 
 Encoding kinds (chosen per column, most specific first):
 
@@ -52,7 +46,6 @@ this replaced (``tests/test_columnar.py`` keeps it as the reference).
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import operator
 import struct
@@ -61,15 +54,7 @@ from array import array
 from collections.abc import Sequence
 from itertools import accumulate, compress, repeat
 
-__all__ = [
-    "ColumnBlock",
-    "ColumnCodecError",
-    "block_from_doc",
-    "block_to_doc",
-    "decode_column",
-    "encode_column",
-    "is_wide_int",
-]
+__all__ = ["ColumnBlock", "ColumnCodecError", "encode_column", "is_wide_int"]
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -79,9 +64,6 @@ _NONE_TYPE = type(None)
 #: interpreter's default int-to-text limit.
 _WIDE_INT = 10**4300
 
-#: Physical encodings a block may use.
-KINDS = ("empty", "int64", "float64", "bool", "text", "object")
-
 _LITTLE = sys.byteorder == "little"
 
 #: Presence bytes (0/1 per row) to the ASCII digits of a base-2 literal.
@@ -89,7 +71,7 @@ _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class ColumnCodecError(ValueError):
-    """A block is malformed or cannot represent the requested values."""
+    """A column holds a value the encoding cannot represent."""
 
 
 def _le(typed: array) -> bytes:
@@ -98,14 +80,6 @@ def _le(typed: array) -> bytes:
         typed = array(typed.typecode, typed)
         typed.byteswap()
     return typed.tobytes()
-
-
-def _from_le(typecode: str, raw: bytes) -> array:
-    typed = array(typecode)
-    typed.frombytes(raw)
-    if not _LITTLE:
-        typed.byteswap()
-    return typed
 
 
 def _pack_mask(present: bytes) -> bytes:
@@ -126,10 +100,6 @@ def _full_mask(count: int) -> bytes:
     return b"\xff" * full + (bytes(((1 << tail) - 1,)) if tail else b"")
 
 
-def _mask_bit(mask: bytes, index: int) -> bool:
-    return bool(mask[index >> 3] & (1 << (index & 7)))
-
-
 @dataclasses.dataclass(frozen=True)
 class ColumnBlock:
     """One encoded column: kind + row count + null mask + payload.
@@ -143,15 +113,6 @@ class ColumnBlock:
     null_mask: bytes
     payload: bytes
     aux: bytes = b""
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ColumnCodecError(f"unknown column kind: {self.kind!r}")
-
-    @property
-    def null_count(self) -> int:
-        present = sum(bin(byte).count("1") for byte in self.null_mask)
-        return self.count - present
 
     def canonical_bytes(self) -> bytes:
         """A self-delimiting byte string; equal values ⇒ equal bytes.
@@ -170,11 +131,6 @@ class ColumnBlock:
                 self.payload,
             )
         )
-
-
-# ----------------------------------------------------------------------
-# Encoding
-# ----------------------------------------------------------------------
 
 
 _KIND_OF_TYPE = {bool: "bool", int: "int64", float: "float64", str: "text"}
@@ -271,118 +227,3 @@ def encode_column(values: Sequence[object]) -> ColumnBlock:
         b"\x00" if v is None else _encode_object(v) for v in values
     )
     return ColumnBlock("object", count, mask, payload)
-
-
-# ----------------------------------------------------------------------
-# Decoding
-# ----------------------------------------------------------------------
-
-
-def _decode_object(payload: bytes, count: int) -> list[object]:
-    values: list[object] = []
-    position = 0
-    view = memoryview(payload)
-    for _ in range(count):
-        if position >= len(payload):
-            raise ColumnCodecError("object payload truncated")
-        tag = payload[position:position + 1]
-        position += 1
-        if tag == b"\x00":
-            values.append(None)
-        elif tag == b"b":
-            values.append(payload[position] != 0)
-            position += 1
-        elif tag == b"f":
-            (value,) = struct.unpack_from("<d", payload, position)
-            position += 8
-            values.append(value)
-        elif tag in (b"i", b"x", b"s"):
-            (length,) = struct.unpack_from("<q", payload, position)
-            position += 8
-            blob = bytes(view[position:position + length])
-            if len(blob) != length:
-                raise ColumnCodecError("object payload truncated")
-            position += length
-            if tag == b"s":
-                values.append(blob.decode("utf-8"))
-            else:
-                values.append(int(blob, 16 if tag == b"x" else 10))
-        else:
-            raise ColumnCodecError(f"unknown object tag: {tag!r}")
-    if position != len(payload):
-        raise ColumnCodecError("object payload has trailing bytes")
-    return values
-
-
-def decode_column(block: ColumnBlock) -> list[object]:
-    """Restore the exact value list :func:`encode_column` consumed."""
-    if block.kind == "empty":
-        return []
-    count, mask = block.count, block.null_mask
-    if len(mask) != (count + 7) // 8:
-        raise ColumnCodecError(
-            f"null mask is {len(mask)} bytes for {count} rows"
-        )
-    if block.kind == "object":
-        values = _decode_object(block.payload, count)
-        for index, value in enumerate(values):
-            if (value is None) == _mask_bit(mask, index):
-                raise ColumnCodecError("object payload disagrees with mask")
-        return values
-    if block.kind == "int64":
-        typed = _from_le("q", block.payload)
-        raw: Sequence[object] = typed
-    elif block.kind == "float64":
-        typed = _from_le("d", block.payload)
-        raw = typed
-    elif block.kind == "bool":
-        raw = [byte != 0 for byte in block.payload]
-    elif block.kind == "text":
-        offsets = _from_le("q", block.aux)
-        blob = block.payload
-        raw = []
-        start = 0
-        for end in offsets:
-            raw.append(blob[start:end].decode("utf-8"))
-            start = end
-    else:  # pragma: no cover - __post_init__ rejects unknown kinds
-        raise ColumnCodecError(f"unknown column kind: {block.kind!r}")
-    if len(raw) != count:
-        raise ColumnCodecError(
-            f"payload holds {len(raw)} values for {count} rows"
-        )
-    return [
-        raw[index] if _mask_bit(mask, index) else None
-        for index in range(count)
-    ]
-
-
-# ----------------------------------------------------------------------
-# JSON document form (for scenario documents)
-# ----------------------------------------------------------------------
-
-
-def block_to_doc(block: ColumnBlock) -> dict:
-    """A JSON-compatible rendering of one block (payloads as base64)."""
-    doc = {
-        "kind": block.kind,
-        "count": block.count,
-        "nulls": base64.b64encode(block.null_mask).decode("ascii"),
-        "data": base64.b64encode(block.payload).decode("ascii"),
-    }
-    if block.aux:
-        doc["aux"] = base64.b64encode(block.aux).decode("ascii")
-    return doc
-
-
-def block_from_doc(doc: dict) -> ColumnBlock:
-    try:
-        return ColumnBlock(
-            kind=doc["kind"],
-            count=int(doc["count"]),
-            null_mask=base64.b64decode(doc["nulls"]),
-            payload=base64.b64decode(doc["data"]),
-            aux=base64.b64decode(doc.get("aux", "")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ColumnCodecError(f"malformed column document: {exc}") from exc

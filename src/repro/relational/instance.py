@@ -11,7 +11,7 @@ demand and memoised per mutation version.
 The canonical byte form of a column is produced by
 :mod:`repro.relational.columnar` (typed arrays + null bitmask);
 :meth:`RelationInstance.encoded_columns` builds it for content
-fingerprints and scenario documents.
+fingerprints.
 """
 
 from __future__ import annotations
@@ -127,41 +127,6 @@ class RelationInstance:
             self._count += count
             self._version += 1
 
-    def load_typed_columns(
-        self,
-        columns: Sequence[Sequence[object]],
-        count: int | None = None,
-    ) -> None:
-        """Replace all content with already-typed columns, without casting.
-
-        The decoding path of scenario documents: decoded columnar
-        blocks hold exactly the values the original ``insert``
-        casts produced, so re-casting them would only cost time.  Columns
-        must match the relation's arity and share one length; ``count``
-        covers the zero-attribute corner where no column carries it.
-        """
-        if len(columns) != self.relation.arity():
-            raise InstanceError(
-                f"column count mismatch for {self.relation.name!r}: "
-                f"expected {self.relation.arity()}, got {len(columns)}"
-            )
-        lengths = {len(column) for column in columns}
-        if len(lengths) > 1:
-            raise InstanceError(
-                f"ragged columns for {self.relation.name!r}: "
-                f"lengths {sorted(lengths)}"
-            )
-        if count is None:
-            count = lengths.pop() if lengths else 0
-        elif lengths and lengths.pop() != count:
-            raise InstanceError(
-                f"declared count disagrees with column length for "
-                f"{self.relation.name!r}"
-            )
-        self._columns = [list(column) for column in columns]
-        self._count = count
-        self._version += 1
-
     def delete_where(self, predicate) -> int:
         """Delete tuples matching ``predicate(row_dict)``; returns the count."""
         keep: list[int] = []
@@ -272,12 +237,11 @@ class RelationInstance:
         """The canonical typed-array encoding of every column, in schema
         attribute order.
 
-        This is the content form shared by fingerprinting
-        (:mod:`repro.runtime.cache`) and scenario documents
-        (:func:`repro.scenarios.io.database_to_dict`).  An assessment
-        encodes nothing: its cache keys hash :meth:`content_hash`, and a
-        database is fingerprinted only to tell it from another of equal
-        hash, or by the service to key a job.  It is not memoised:
+        Only fingerprinting (:mod:`repro.runtime.cache`) reads it.  An
+        assessment encodes nothing: its cache keys hash
+        :meth:`content_hash`, and a database is fingerprinted only to
+        tell it from another of equal hash, or by the service to key a
+        job.  It is not memoised:
         fingerprints memoise their digest, so nothing encodes a version
         twice, and a kept encoding would only hold memory.
         """

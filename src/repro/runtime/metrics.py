@@ -3,11 +3,13 @@
 The assessment runtime (ROADMAP: "as fast as the hardware allows") needs
 to be observable before it can be tuned: every :class:`RuntimeMetrics`
 instance collects named counters (cache hits/misses, detector runs, task
-counts), gauges, and labelled log-scale **histograms**
+counts) and labelled log-scale **histograms**
 (:mod:`repro.observability.histograms`) so latency distributions —
 p50/p95/p99 per stage — survive aggregation.  All operations are
 thread-safe because the service's worker slots update one runtime's
-metrics from several threads.
+metrics from several threads.  It keeps no gauges: a point-in-time value
+is computed when it is read, by the service's ``/metrics`` scrape
+(:meth:`repro.service.ServiceServer.metrics`).
 
 Each pipeline layer is timed at one point, :meth:`RuntimeMetrics.stage`:
 it opens the layer's span and records the block's duration once, as the
@@ -25,37 +27,20 @@ from ..observability import tracing
 from ..observability.histograms import Histogram, HistogramSnapshot
 
 
-#: Canonical key shape for one labelled metric series.
-LabelSet = tuple[tuple[str, str], ...]
-
-
-def _label_key(labels: dict) -> LabelSet:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
 @dataclasses.dataclass(frozen=True)
 class MetricsSnapshot:
     """An immutable copy of the metrics at one point in time.
 
     ``timestamp`` (unix seconds) lets two scrapes of the service's
-    ``/metrics`` endpoint be diffed into rates.  Gauges live in
-    ``gauges`` as ``(name, labels, value)`` triples.
+    ``/metrics`` endpoint be diffed into rates.
     """
 
     counters: dict[str, int]
     histograms: tuple[HistogramSnapshot, ...] = ()
     timestamp: float = 0.0
-    gauges: tuple[tuple[str, LabelSet, float], ...] = ()
 
     def counter(self, name: str) -> int:
         return self.counters.get(name, 0)
-
-    def gauge(self, name: str, **labels) -> float | None:
-        wanted = _label_key(labels)
-        for gauge_name, gauge_labels, value in self.gauges:
-            if gauge_name == name and gauge_labels == wanted:
-                return value
-        return None
 
     def histogram(self, name: str, **labels) -> HistogramSnapshot | None:
         """The snapshot of one histogram series, if it was recorded."""
@@ -70,10 +55,6 @@ class MetricsSnapshot:
         return {
             "timestamp": self.timestamp,
             "counters": dict(self.counters),
-            "gauges": [
-                {"name": name, "labels": dict(labels), "value": value}
-                for name, labels, value in self.gauges
-            ],
             "histograms": [
                 histogram.to_dict() for histogram in self.histograms
             ],
@@ -125,12 +106,11 @@ class _Stage:
 
 
 class RuntimeMetrics:
-    """Thread-safe counters, gauges, and histograms."""
+    """Thread-safe counters and histograms."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
-        self._gauges: dict[tuple[str, LabelSet], float] = {}
         self._histograms: dict[tuple, Histogram] = {}
 
     # -- counters --------------------------------------------------------
@@ -142,18 +122,6 @@ class RuntimeMetrics:
     def counter(self, name: str) -> int:
         with self._lock:
             return self._counters.get(name, 0)
-
-    # -- gauges -----------------------------------------------------------
-
-    def set_gauge(self, name: str, value: float, **labels) -> None:
-        """Set a point-in-time gauge (process RSS, slot utilisation);
-        last write wins."""
-        with self._lock:
-            self._gauges[(name, _label_key(labels))] = float(value)
-
-    def gauge(self, name: str, **labels) -> float | None:
-        with self._lock:
-            return self._gauges.get((name, _label_key(labels)))
 
     # -- cache accounting -------------------------------------------------
 
@@ -224,16 +192,11 @@ class RuntimeMetrics:
                     histogram.snapshot() for histogram in histograms
                 ),
                 timestamp=time.time(),
-                gauges=tuple(
-                    (name, labels, value)
-                    for (name, labels), value in sorted(self._gauges.items())
-                ),
             )
 
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
             self._histograms.clear()
 
     def render(self) -> str:

@@ -1,7 +1,8 @@
 """Integration scenarios: the running example and both case-study domains.
 
 All instances are synthesised deterministically (see DESIGN.md §1 for the
-substitution rationale); every builder takes a seed.
+substitution rationale); every builder takes a seed.  User scenarios are
+read from one format, the CSV directory of :mod:`repro.scenarios.io`.
 """
 
 from .bibliographic import (
@@ -23,14 +24,10 @@ from .example import ExampleParameters, example_scenario
 from .generators import DataGenerator
 from .io import (
     ScenarioFormatError,
-    database_from_dict,
-    database_to_dict,
     load_database,
     load_scenario,
     save_database,
     save_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
 )
 from .music import (
     music_scenarios,
@@ -49,14 +46,10 @@ __all__ = [
     "ScenarioCache",
     "ScenarioFormatError",
     "UnknownScenarioError",
-    "database_from_dict",
-    "database_to_dict",
     "load_database",
     "load_scenario",
     "save_database",
     "save_scenario",
-    "scenario_from_dict",
-    "scenario_to_dict",
     "bibliographic_scenarios",
     "example_scenario",
     "music_scenarios",

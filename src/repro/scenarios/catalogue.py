@@ -3,7 +3,8 @@
 :data:`SCENARIO_BUILDERS` is the one table of catalogue names; ``efes
 list``, :func:`scenario_catalogue`, :func:`resolve_scenario` and the
 servers' :class:`ScenarioCache` all read it, so each builds only the
-scenarios it names.
+scenarios it names.  Any other reference is a scenario directory, read
+by :func:`~repro.scenarios.io.load_scenario` on every resolve.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ def resolve_scenario(name: str, seed: int = 1) -> IntegrationScenario:
     """A shipped scenario by name, or a directory in the on-disk format.
 
     Builds only the named scenario.  This is the resolution path of the
-    CLI and of journal replay; long-running servers resolve through a
-    :class:`ScenarioCache` instead.
+    CLI and of journal replay; long-running servers resolve catalogue
+    names through a :class:`ScenarioCache`, and directories through here.
     """
     build = SCENARIO_BUILDERS.get(name)
     if build is not None:
@@ -87,16 +88,17 @@ def resolve_scenario(name: str, seed: int = 1) -> IntegrationScenario:
 
 
 class ScenarioCache:
-    """Scenario references resolved once for the life of a server.
+    """Catalogue builds kept for the life of a server.
 
     The first request for a catalogue name at a seed builds that seed's
     whole catalogue, so later names at the seed are free; requests that
     arrive during the build wait for it instead of starting their own.
     The running example does not depend on the seed: it is built once
-    and every seed's catalogue shares it.  Directory references are
-    loaded once per ``(name, seed)``.  A failed build raises in every
+    and every seed's catalogue shares it.  A failed build raises in every
     request that waited for it and is not kept, so the next request
-    builds again.  Nothing is evicted.
+    builds again.  Nothing is evicted.  A directory reference is not
+    cached: :func:`resolve_scenario` reads it on every request, so a
+    repaired CSV is seen by the next submission.
     """
 
     def __init__(self) -> None:
@@ -108,11 +110,7 @@ class ScenarioCache:
         :class:`UnknownScenarioError` for an unknown reference."""
         if name in SCENARIO_BUILDERS:
             return self.catalogue(seed)[name]
-        if Path(name).is_dir():
-            return self._once(
-                ("directory", name, seed), lambda: load_scenario(name)
-            )
-        raise UnknownScenarioError(name)
+        return resolve_scenario(name, seed)
 
     def catalogue(self, seed: int) -> dict[str, IntegrationScenario]:
         """Every shipped scenario at ``seed``, built on the first call."""

@@ -1,8 +1,10 @@
 """Scenario serialization: save/load integration scenarios on disk.
 
-This is the adoption path for user data: export your databases as CSV,
+This is the adoption path for user data, and the one format a scenario
+is read from besides the catalogue: export your databases as CSV,
 describe schemas + constraints + correspondences in JSON, and point EFES
-at the directory (``efes assess path/to/scenario``).
+at the directory (``efes assess path/to/scenario``, or a service
+submission naming it).
 
 Layout::
 
@@ -22,7 +24,6 @@ import json
 from pathlib import Path
 
 from ..matching.correspondence import Correspondence, CorrespondenceSet
-from ..relational.columnar import block_from_doc, block_to_doc, decode_column
 from ..relational.errors import InstanceError
 from ..resilience import DegradedResult
 from ..relational.constraints import (
@@ -199,133 +200,6 @@ def load_database(
             continue
         database.insert_all(rel.name, loaded)
     return database
-
-
-# ----------------------------------------------------------------------
-# In-memory document forms (columnar payloads)
-# ----------------------------------------------------------------------
-
-
-def database_to_dict(database: Database) -> dict:
-    """A JSON-compatible document of a whole database.
-
-    Relation data rides as canonical columnar blocks
-    (:mod:`repro.relational.columnar`, base64 payloads), so a decoded
-    database is **value-identical** to the original — same typed values,
-    same content fingerprint, byte-identical assessment results.
-    """
-    relations = []
-    for rel in database.schema.relations:
-        instance = database.table(rel.name)
-        relations.append(
-            {
-                "name": rel.name,
-                "attributes": [
-                    {"name": a.name, "type": a.datatype.value}
-                    for a in rel.attributes
-                ],
-                "count": len(instance),
-                "columns": [
-                    block_to_doc(block)
-                    for block in instance.encoded_columns()
-                ],
-            }
-        )
-    return {
-        "name": database.schema.name,
-        "relations": relations,
-        "constraints": [
-            constraint_to_dict(c) for c in database.schema.constraints
-        ],
-    }
-
-
-def database_from_dict(document: dict) -> Database:
-    """Rebuild a database from :func:`database_to_dict` output."""
-    try:
-        relations = []
-        for rel_doc in document.get("relations", ()):
-            attributes = [
-                Attribute(a["name"], DataType(a["type"]))
-                for a in rel_doc.get("attributes", ())
-            ]
-            relations.append(Relation(rel_doc["name"], attributes))
-        schema = Schema(document["name"], relations=relations)
-        for constraint_doc in document.get("constraints", ()):
-            schema.add_constraint(constraint_from_dict(constraint_doc))
-        database = Database(schema)
-        for rel_doc in document.get("relations", ()):
-            columns = [
-                decode_column(block_from_doc(block_doc))
-                for block_doc in rel_doc.get("columns", ())
-            ]
-            database.table(rel_doc["name"]).load_typed_columns(
-                columns, count=int(rel_doc.get("count", 0))
-            )
-        return database
-    except (KeyError, TypeError, ValueError, InstanceError) as exc:
-        if isinstance(exc, ScenarioFormatError):
-            raise
-        raise ScenarioFormatError(
-            f"malformed database document: {exc}"
-        ) from exc
-
-
-def scenario_to_dict(scenario: IntegrationScenario) -> dict:
-    """A single JSON-compatible document of a whole scenario.
-
-    Unlike :func:`save_scenario` (a directory of CSVs for human
-    adoption), this form is self-contained and exact.
-    """
-    return {
-        "version": FORMAT_VERSION,
-        "name": scenario.name,
-        "sources": [
-            database_to_dict(source) for source in scenario.sources
-        ],
-        "target": database_to_dict(scenario.target),
-        "correspondences": {
-            source_name: [
-                _correspondence_to_dict(c) for c in correspondence_set
-            ]
-            for source_name, correspondence_set in (
-                scenario.correspondences.items()
-            )
-        },
-    }
-
-
-def scenario_from_dict(document: dict) -> IntegrationScenario:
-    """Rebuild a scenario from :func:`scenario_to_dict` output.
-
-    Like :func:`load_scenario`, ``known_transformations`` (callables)
-    do not survive the trip; estimation never depends on them.
-    """
-    version = document.get("version")
-    if version != FORMAT_VERSION:
-        raise ScenarioFormatError(
-            f"unsupported scenario document version: {version!r}"
-        )
-    try:
-        sources = [
-            database_from_dict(doc) for doc in document["sources"]
-        ]
-        target = database_from_dict(document["target"])
-        correspondences = {
-            source_name: CorrespondenceSet(
-                _correspondence_from_dict(entry) for entry in entries
-            )
-            for source_name, entries in document["correspondences"].items()
-        }
-        return IntegrationScenario(
-            document["name"], sources, target, correspondences
-        )
-    except ScenarioFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioFormatError(
-            f"malformed scenario document: {exc}"
-        ) from exc
 
 
 # ----------------------------------------------------------------------

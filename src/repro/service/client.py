@@ -114,22 +114,18 @@ DEFAULT_RETRY_POLICY = RetryPolicy(
     seed=0,
 )
 
-#: How many submit envelopes the client remembers for resubmission.
-ENVELOPE_WINDOW = 256
-
 
 @dataclasses.dataclass(frozen=True)
 class SubmitEnvelope:
     """The complete, immutable description of one job submission.
 
-    An idempotency key only guarantees exactly-once *admission*; for the
+    An idempotency key only guarantees exactly-once *admission*; for a
     retried submission to mean the same thing it must also carry the
-    same scenario, kind, quality, **priority**, timeout, and seed.  The
-    client therefore freezes every submission into an envelope, keeps a
-    window of them keyed by idempotency key, and
-    :meth:`ServiceClient.resubmit` replays the envelope verbatim —
-    nothing is rebuilt from (possibly different) defaults.  The server
-    parses a request into the same type (:meth:`from_request`).
+    same scenario, kind, quality, **priority**, timeout, and seed.
+    :meth:`ServiceClient.submit` freezes each submission into one
+    envelope, and every retry of its POST sends that envelope's
+    :meth:`body` and :meth:`headers` again.  The server parses a request
+    into the same type (:meth:`from_request`).
     """
 
     scenario: str
@@ -148,7 +144,7 @@ class SubmitEnvelope:
 
     def body(self) -> dict:
         """The full ``POST /jobs`` body — priority always included, so a
-        resubmission can never silently fall back to the default."""
+        retried request can never silently fall back to the default."""
         doc: dict = {
             "scenario": self.scenario,
             "kind": self.kind,
@@ -241,9 +237,6 @@ class ServiceClient:
         )
         self._sleep = sleep
         self.retries_total = 0
-        #: Recent submissions by idempotency key, for full-envelope
-        #: resubmission after a 503 (insertion-ordered, bounded window).
-        self._envelopes: dict[str, SubmitEnvelope] = {}
 
     # -- plumbing ---------------------------------------------------------
 
@@ -367,13 +360,9 @@ class ServiceClient:
         but the response was lost, or the process crashed right after
         the ack) resolves to the *original* job on resubmission instead
         of a duplicate execution — including across a service restart,
-        because the journal carries the dedup window.
-
-        The full submission is frozen into a :class:`SubmitEnvelope`
-        remembered under its key (:meth:`envelope`), so a later
-        :meth:`resubmit` after backpressure re-sends *exactly* what was
-        sent the first time — same priority included, not whatever the
-        call-site defaults happen to be.
+        because the journal carries the dedup window.  The submission is
+        frozen into one :class:`SubmitEnvelope`, so every retry sends
+        exactly what the first attempt sent.
         """
         envelope = SubmitEnvelope(
             scenario=scenario,
@@ -386,20 +375,7 @@ class ServiceClient:
             idempotency_key=idempotency_key or uuid.uuid4().hex,
             deadline=deadline,
         )
-        return self.submit_envelope(envelope)
-
-    def submit_envelope(self, envelope: SubmitEnvelope) -> dict:
-        """Submit one frozen envelope (the resubmission-safe path)."""
-        if not envelope.idempotency_key:
-            envelope = dataclasses.replace(
-                envelope, idempotency_key=uuid.uuid4().hex
-            )
-        self._remember(envelope)
-        until = (
-            time.monotonic() + envelope.deadline
-            if envelope.deadline is not None
-            else None
-        )
+        until = time.monotonic() + deadline if deadline is not None else None
         _, doc = self._request(
             "POST",
             "/jobs",
@@ -408,32 +384,6 @@ class ServiceClient:
             until=until,
         )
         return doc["job"]
-
-    def resubmit(self, idempotency_key: str) -> dict:
-        """Re-send the original envelope for ``idempotency_key``.
-
-        The correct follow-up to a :class:`BackpressureError`: the same
-        key *and* the same body ride again, so the service either dedups
-        onto the original job or admits an identical one — never a
-        default-priority clone of a high-priority submission.
-        """
-        envelope = self._envelopes.get(idempotency_key)
-        if envelope is None:
-            raise KeyError(
-                f"no remembered envelope for idempotency key "
-                f"{idempotency_key!r}"
-            )
-        return self.submit_envelope(envelope)
-
-    def envelope(self, idempotency_key: str) -> SubmitEnvelope | None:
-        """The remembered envelope for a key, if still in the window."""
-        return self._envelopes.get(idempotency_key)
-
-    def _remember(self, envelope: SubmitEnvelope) -> None:
-        self._envelopes.pop(envelope.idempotency_key, None)
-        self._envelopes[envelope.idempotency_key] = envelope
-        while len(self._envelopes) > ENVELOPE_WINDOW:
-            self._envelopes.pop(next(iter(self._envelopes)))
 
     def status(self, job_id: str) -> dict:
         _, doc = self._request("GET", f"/jobs/{job_id}")

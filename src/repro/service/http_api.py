@@ -27,9 +27,10 @@ Resources::
     DELETE /jobs/<id>        cancel; returns the job status
     GET    /trace/<id>       the job's span tree (service.job:<id> root)
     GET    /healthz          liveness and health
-    GET    /metrics          counters, gauges and histograms (stage
-                             timings are ``stage_seconds{stage=...}``)
-                             plus scheduler and store statistics;
+    GET    /metrics          counters and histograms (stage timings
+                             are ``stage_seconds{stage=...}``), gauges
+                             computed per scrape (name -> value), plus
+                             scheduler and store statistics;
                              ``Accept: text/plain`` (or
                              ``?format=prometheus``) switches to
                              Prometheus text exposition
@@ -51,8 +52,10 @@ and refused with:
 An unknown path or job id is a 404 on every method, and an injected
 ``http.handler`` fault a 500.  Scenario references are either shipped
 catalogue names (``efes list``) or scenario directories in the on-disk
-format; they resolve through one :class:`~repro.scenarios.ScenarioCache`
-per server, so repeated submissions do not regenerate instances.
+format.  Catalogue names resolve through one
+:class:`~repro.scenarios.ScenarioCache` per server, so repeated
+submissions do not regenerate instances; a directory is read on every
+submission.
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ import json
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ..observability import prometheus_text
+from ..observability import prometheus_text, sample_resources
+from ..observability.resources import GAUGE_KEYS
 from ..resilience import fault_point
 from ..runtime import MetricsSnapshot
 from ..scenarios import (
@@ -160,22 +164,38 @@ class ServiceServer(ThreadingHTTPServer):
         }
 
     def metrics(self) -> tuple[MetricsSnapshot, dict[str, float], dict]:
-        # Point-in-time gauges (resources, utilization) are re-sampled
-        # per scrape, so Prometheus always sees fresh values.
-        self.scheduler.refresh_observability()
+        """The runtime's counters and histograms, this scrape's gauges
+        and the scheduler and store statistics.
+
+        Every gauge is computed here, once per scrape, into one
+        name → value mapping that the Prometheus text and the JSON
+        ``gauges`` both render: from :meth:`JobScheduler.stats`, the
+        store's stats, one :func:`sample_resources` document and the
+        profile-cache counters.
+        """
         stats = self.scheduler.stats()
         store = self.scheduler.store.stats()
-        gauges = {
-            "queue_depth": float(stats["queue_depth"]),
-            "queue_capacity": float(stats["max_queue"]),
-            "workers_busy": float(stats["busy_workers"]),
-            "workers_total": float(stats["workers"]),
-            "jobs_running": float(stats["running"]),
-            "store_entries": float(store["entries"]),
-            "store_spooled": float(store["spooled"]),
-            "store_quarantined": float(store["quarantined"]),
-        }
+        resources = sample_resources()
         snapshot = self.scheduler.metrics.snapshot()
+        deadlines = stats["deadlines"]
+        gauges = {
+            "queue_depth": stats["queue_depth"],
+            "queue_capacity": stats["max_queue"],
+            "workers_busy": stats["busy_workers"],
+            "workers_total": stats["workers"],
+            "jobs_running": stats["running"],
+            "store_entries": store["entries"],
+            "store_spooled": store["spooled"],
+            "store_quarantined": store["quarantined"],
+            "scheduler_worker_utilisation": stats["worker_utilisation"],
+            "scheduler_jobs_in_grace": deadlines["in_grace"],
+            "scheduler_deadline_min_remaining_seconds": (
+                deadlines["min_remaining_seconds"] or 0.0
+            ),
+            "cache_hit_rate": self.scheduler.metrics.cache_hit_rate,
+            **{f"process_{key}": resources[key] for key in GAUGE_KEYS},
+        }
+        gauges = {name: float(value) for name, value in gauges.items()}
         return snapshot, gauges, {"scheduler": stats, "store": store}
 
     def jobs(self, state: str | None) -> dict:
@@ -321,7 +341,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 "text/plain; version=0.0.4; charset=utf-8",
             )
         else:
-            self._send_json(200, {**snapshot.to_dict(), **extra})
+            self._send_json(
+                200, {**snapshot.to_dict(), "gauges": gauges, **extra}
+            )
 
     def _submit(self) -> None:
         try:

@@ -79,7 +79,7 @@ from ..core import default_efes
 from ..core.framework import Efes
 from ..core.quality import ResultQuality, parse_quality
 from ..core.serialize import estimate_to_dict, reports_to_dict
-from ..observability import ResourceSampler, Tracer, span_to_dict, tracing
+from ..observability import Tracer, resource_summary, span_to_dict, tracing
 from ..resilience import fault_point, format_exception, split_degraded
 from ..durability import (
     JobJournal,
@@ -160,9 +160,6 @@ class JobScheduler:
         #: Per-job tracing: each executed job runs under its own tracer
         #: and keeps its serialised ``service.job:<id>`` span tree.
         self.trace = trace
-        #: Per-process resource telemetry (RSS, CPU, GC), published as
-        #: ``process_*`` gauges on ``/metrics``.
-        self.sampler = ResourceSampler(self.runtime.metrics)
         #: Write-ahead job journal (``None`` = durability off).  When
         #: set, every acknowledged submission is journalled + fsynced
         #: before ``submit`` returns, and construction runs crash
@@ -792,41 +789,11 @@ class JobScheduler:
         with self._lock:
             return self._deadline_stats_locked()
 
-    def refresh_observability(self) -> None:
-        """Re-sample point-in-time gauges before a ``/metrics`` scrape.
-
-        Publishes the dispatcher process's resource sample
-        (``process_*`` gauges), job-slot utilization and the
-        profile-cache hit rate.
-        """
-        self.sampler.sample()
-        with self._lock:
-            busy = self.workers - self._free_slots
-            queue_depth = self._queue_depth_locked()
-            deadline_stats = self._deadline_stats_locked()
-        self.metrics.set_gauge(
-            "scheduler_jobs_in_grace", float(deadline_stats["in_grace"])
-        )
-        self.metrics.set_gauge(
-            "scheduler_deadline_min_remaining_seconds",
-            float(deadline_stats["min_remaining_seconds"] or 0.0),
-        )
-        self.metrics.set_gauge("scheduler_busy_workers", float(busy))
-        self.metrics.set_gauge(
-            "scheduler_worker_utilisation", busy / self.workers
-        )
-        self.metrics.set_gauge("scheduler_queue_depth", float(queue_depth))
-        hits = self.metrics.counter("cache_hits")
-        misses = self.metrics.counter("cache_misses")
-        lookups = hits + misses
-        self.metrics.set_gauge(
-            "cache_hit_rate", hits / lookups if lookups else 0.0
-        )
-
     def health_snapshot(self) -> dict:
         """Health state + resources, as ``/healthz`` reports them under
         ``health`` (the journal, recovery and deadline documents sit at
-        its top level, from :meth:`stats`).
+        its top level, from :meth:`stats`).  The resources are one fresh
+        :func:`~repro.observability.resource_summary`.
 
         The state is ``draining`` once :meth:`close` began, else
         ``degraded`` while the report store holds quarantined entries
@@ -840,7 +807,7 @@ class JobScheduler:
         return {
             "state": state,
             "reasons": reasons,
-            "resources": self.sampler.summary(),
+            "resources": resource_summary(),
         }
 
     # ------------------------------------------------------------------
@@ -896,6 +863,10 @@ class JobScheduler:
         return round(max(1.0, waves * average), 1)
 
     def stats(self) -> dict:
+        """Point-in-time scheduler state: ``/healthz`` reports it, and
+        each ``/metrics`` scrape computes its scheduler gauges from it
+        (:meth:`ServiceServer.metrics
+        <repro.service.http_api.ServiceServer.metrics>`)."""
         with self._lock:
             busy = self.workers - self._free_slots
             return {

@@ -1,18 +1,17 @@
-"""Property tests for the typed-array column codec and the columnar
+"""Property tests for the typed-array column encoder and the columnar
 instance layout.
 
-Two contracts underpin the content fingerprints and scenario documents:
+Two contracts underpin the content fingerprints:
 
-* the codec is **lossless** — any column of post-cast values (None /
-  bool / int / float / str, any mix, any width, any unicode) round-trips
-  exactly through encode → decode, including via the base64 JSON form
-  of scenario documents, and
+* the encoder is **injective** — two columns of post-cast values (None /
+  bool / int / float / str, any mix, any width, any unicode) that
+  differ as typed values never share canonical bytes, and it writes the
+  bytes of the per-value reference encoder kept below, and
 * the row view and the column view of an instance are the **same data**
   — every profiling statistic computed from one equals the statistic
   computed from the other.
 """
 
-import json
 import math
 import random
 import struct
@@ -28,45 +27,30 @@ from repro.relational import Database, DataType, Schema, relation
 from repro.relational.columnar import (
     ColumnBlock,
     ColumnCodecError,
-    block_from_doc,
-    block_to_doc,
-    decode_column,
     encode_column,
 )
 
 #: Post-cast value universe: what RelationInstance columns actually hold.
-column_values = st.lists(
-    st.one_of(
-        st.none(),
-        st.booleans(),
-        st.integers(),  # unbounded — exercises the >64-bit object path
-        st.floats(allow_nan=False),
-        st.text(),  # full unicode, including astral + control chars
-    ),
-    max_size=60,
+value_types = (
+    st.none(),
+    st.booleans(),
+    st.integers(),  # unbounded — exercises the >64-bit object path
+    st.floats(allow_nan=False),
+    st.text(),  # full unicode, including astral + control chars
 )
+scalars = st.one_of(value_types)
+column_values = st.lists(scalars, max_size=60)
 
 
 def typed_view(values):
-    """Equality that distinguishes 1 / 1.0 / True (list == does not)."""
-    return [(type(v).__name__, v) for v in values]
+    """Equality that distinguishes 1 / 1.0 / True and 0.0 / -0.0
+    (list == does not)."""
+    return [
+        (type(v).__name__, v.hex() if type(v) is float else v) for v in values
+    ]
 
 
 class TestCodecRoundTrip:
-    @settings(max_examples=200)
-    @given(column_values)
-    def test_encode_decode_is_identity(self, values):
-        block = encode_column(values)
-        assert typed_view(decode_column(block)) == typed_view(values)
-
-    @settings(max_examples=100)
-    @given(column_values)
-    def test_json_doc_form_round_trips(self, values):
-        doc = json.loads(json.dumps(block_to_doc(encode_column(values))))
-        assert typed_view(decode_column(block_from_doc(doc))) == typed_view(
-            values
-        )
-
     @settings(max_examples=100)
     @given(column_values)
     def test_canonical_bytes_deterministic(self, values):
@@ -85,13 +69,52 @@ class TestCodecRoundTrip:
             != encode_column(second).canonical_bytes()
         )
 
-    def test_special_floats_round_trip(self):
-        values = [float("inf"), float("-inf"), -0.0, 5e-324, 1.5]
-        decoded = decode_column(encode_column(values))
-        assert decoded == values
-        assert math.copysign(1.0, decoded[2]) == -1.0
-        nan_decoded = decode_column(encode_column([float("nan"), None]))
-        assert math.isnan(nan_decoded[0]) and nan_decoded[1] is None
+
+#: Groups of values that compare, hash or print alike, or sit on either
+#: side of a kind's edge, yet are different typed values.
+LOOKALIKES = (
+    (1, 1.0, True, "1"),
+    (0.0, -0.0),
+    (math.inf, -math.inf),
+    (None, 0, "", False),
+    (2**63 - 1, 2**63, 10**4300),
+)
+
+#: Neighbours for a lookalike: a column of one type, or of any mix.
+fillers = st.sampled_from((*value_types, scalars))
+
+
+@st.composite
+def lookalike_columns(draw):
+    """Columns that differ in one place only: there each holds another
+    member of one lookalike group, or splits one text between two
+    neighbours at another point."""
+    neighbours = draw(st.lists(draw(fillers), max_size=12))
+    index = draw(st.integers(0, len(neighbours)))
+    if draw(st.booleans()):
+        variants = [(value,) for value in draw(st.sampled_from(LOOKALIKES))]
+    else:
+        text = draw(st.text(max_size=8))
+        variants = [(text[:cut], text[cut:]) for cut in range(len(text) + 1)]
+    return [
+        neighbours[:index] + list(variant) + neighbours[index:]
+        for variant in variants
+    ]
+
+
+class TestLookalikes:
+    """The encoder gives different columns different bytes where a
+    collision is likeliest: values Python treats as equal, and texts
+    joined end to end."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(lookalike_columns())
+    def test_one_edit_changes_the_bytes(self, columns):
+        views = {tuple(typed_view(values)) for values in columns}
+        encodings = {
+            encode_column(values).canonical_bytes() for values in columns
+        }
+        assert len(encodings) == len(views)
 
 
 class TestCodecKinds:
@@ -110,9 +133,7 @@ class TestCodecKinds:
         ],
     )
     def test_classification(self, values, kind):
-        block = encode_column(values)
-        assert block.kind == kind
-        assert typed_view(decode_column(block)) == typed_view(values)
+        assert encode_column(values).kind == kind
 
     def test_numeric_lookalikes_encode_distinctly(self):
         # 1 == 1.0 == True in Python, but they are different typed
@@ -137,25 +158,10 @@ class TestCodecKinds:
             sys.set_int_max_str_digits(limit)
         assert unlimited == default
         assert default != encode_column([1, wide + 1]).canonical_bytes()
-        decoded = decode_column(encode_column([1, wide, -wide, None]))
-        assert decoded == [1, wide, -wide, None]
 
     def test_unencodable_type_raises(self):
         with pytest.raises(ColumnCodecError):
             encode_column([object()])
-
-    def test_corrupt_payload_raises(self):
-        block = encode_column([1, 2, 3])
-        clipped = block_from_doc(
-            {
-                "kind": block.kind,
-                "count": block.count,
-                "nulls": block_to_doc(block)["nulls"],
-                "data": "",
-            }
-        )
-        with pytest.raises(ColumnCodecError):
-            decode_column(clipped)
 
 
 # ----------------------------------------------------------------------
@@ -403,11 +409,10 @@ class TestRowColumnAgreement:
         database = seeded_database(seed)
         for rel in database.schema.relations:
             instance = database.table(rel.name)
-            decoded = [
-                decode_column(block)
-                for block in instance.encoded_columns()
-            ]
-            assert decoded == instance.columns()
+            assert instance.encoded_columns() == tuple(
+                encode_column(instance.column(name))
+                for name in rel.attribute_names
+            )
 
     def test_mutation_invalidates_encoded_memo(self):
         schema = Schema(

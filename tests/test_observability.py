@@ -18,11 +18,11 @@ from repro.core.serialize import (
 )
 from repro.observability import (
     Histogram,
-    ResourceSampler,
     Tracer,
     escape_label_value,
     prometheus_text,
     render_span_tree,
+    resource_summary,
     sample_resources,
     span,
 )
@@ -364,7 +364,7 @@ class TestStageTimings:
         metrics.observe("stage_seconds", 4.0, stage="assess")
         before = time.time()
         doc = metrics.snapshot().to_dict()
-        assert set(doc) == {"timestamp", "counters", "gauges", "histograms"}
+        assert set(doc) == {"timestamp", "counters", "histograms"}
         (assess,) = doc["histograms"]
         assert assess["labels"] == {"stage": "assess"}
         assert assess["count"] == 2
@@ -425,6 +425,33 @@ class TestPrometheusText:
 # ----------------------------------------------------------------------
 # Service-level observability (HTTP -> scheduler -> trace)
 # ----------------------------------------------------------------------
+
+
+#: The gauge families of ``GET /metrics`` after one job, as README's
+#: "Resource telemetry" lists them.
+GAUGE_FAMILIES = {
+    "repro_cache_hit_rate",
+    "repro_jobs_running",
+    "repro_metrics_snapshot_timestamp_seconds",
+    "repro_process_cpu_seconds",
+    "repro_process_cpu_system_seconds",
+    "repro_process_cpu_user_seconds",
+    "repro_process_gc_gen0_collections",
+    "repro_process_gc_gen1_collections",
+    "repro_process_gc_gen2_collections",
+    "repro_process_rss_bytes",
+    "repro_queue_capacity",
+    "repro_queue_depth",
+    "repro_scheduler_deadline_min_remaining_seconds",
+    "repro_scheduler_jobs_in_grace",
+    "repro_scheduler_worker_utilisation",
+    "repro_stage_seconds_quantile",
+    "repro_store_entries",
+    "repro_store_quarantined",
+    "repro_store_spooled",
+    "repro_workers_busy",
+    "repro_workers_total",
+}
 
 
 @pytest.fixture()
@@ -525,6 +552,22 @@ class TestServiceObservability:
         assert "repro_cache_hit_rate" in text
         assert "repro_scheduler_worker_utilisation" in text
 
+    def test_each_gauge_is_one_family_under_one_name(self, service):
+        from repro.service import ServiceClient
+
+        server, _ = service
+        client = ServiceClient(server.url)
+        job = client.submit("s4-s4", kind="assess", seed=4)
+        client.result(job["id"], deadline=120)
+        families = {
+            line.split()[2]
+            for line in client.metrics_text().splitlines()
+            if line.startswith("# TYPE ") and line.endswith(" gauge")
+        }
+        assert families == GAUGE_FAMILIES
+        gauges = client.metrics()["gauges"]
+        assert {f"repro_{name}" for name in gauges} <= families
+
     def test_metrics_content_negotiation(self, service):
         from repro.service import ServiceClient
 
@@ -618,18 +661,7 @@ class TestResourceTelemetry:
         assert "gc_gen0_collections" in doc
         # Spool state is the report store's (``store.spooled``); the
         # process document carries none.
-        summary = ResourceSampler(RuntimeMetrics()).summary()
+        summary = resource_summary()
         assert not [
             key for key in (*doc, *summary) if key.startswith("spool_")
         ]
-
-    def test_resource_sampler_sets_process_gauges(self):
-        metrics = RuntimeMetrics()
-        sampler = ResourceSampler(metrics)
-        doc = sampler.sample()
-        assert metrics.gauge("process_rss_bytes") == float(doc["rss_bytes"])
-        assert metrics.gauge("process_cpu_seconds") is not None
-        summary = sampler.summary()
-        assert summary["pid"] == os.getpid()
-        assert summary["rss_bytes"] > 0
-        assert sampler.samples_taken == 2

@@ -271,9 +271,13 @@ class TestCachedEqualsUncached:
 
 
 def one_column(datatype, values):
-    """A one-relation, one-column database holding exactly ``values``."""
+    """A one-relation, one-column database holding exactly ``values``.
+
+    The column is appended as given, past the datatype cast that would
+    turn ``True`` into ``1`` in an INTEGER column.
+    """
     db = Database(Schema("db", relations=[relation("r", [("x", datatype)])]))
-    db.table("r").load_typed_columns([values])
+    db.table("r")._append(len(values), [list(values)])
     return db
 
 

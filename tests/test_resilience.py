@@ -627,53 +627,6 @@ def flaky_server():
 
 
 class TestClientResilience:
-    def test_client_resubmit_replays_the_original_envelope(self):
-        """A resubmit after 503 must carry the original priority, not the
-        call-site defaults."""
-        captured: list[tuple[dict, str]] = []
-
-        class Capture(BaseHTTPRequestHandler):
-            def log_message(self, *args):
-                pass
-
-            def do_POST(self):  # noqa: N802 - stdlib naming
-                length = int(self.headers.get("Content-Length") or 0)
-                body = json.loads(self.rfile.read(length))
-                captured.append((body, self.headers.get("Idempotency-Key")))
-                payload = json.dumps(
-                    {"job": {"id": "j-1", "state": "queued"}}
-                ).encode()
-                self.send_response(202)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), Capture)
-        thread = threading.Thread(
-            target=lambda: server.serve_forever(poll_interval=0.02),
-            daemon=True,
-        )
-        thread.start()
-        try:
-            client = ServiceClient(
-                f"http://127.0.0.1:{server.server_address[1]}"
-            )
-            client.submit(
-                "example", quality="high", priority=5, idempotency_key="k-prio"
-            )
-            client.resubmit("k-prio")
-            assert len(captured) == 2
-            assert captured[0][0] == captured[1][0], "resubmit body diverged"
-            assert captured[1][0]["priority"] == 5
-            assert captured[0][1] == captured[1][1] == "k-prio"
-            with pytest.raises(KeyError):
-                client.resubmit("never-seen")
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5.0)
-
     def test_dead_server_raises_service_unavailable(self):
         import socket
 

@@ -240,6 +240,34 @@ class TestMalformedRelationData:
             scheduler.close(wait=True, timeout=5.0)
             thread.join(timeout=5.0)
 
+    def test_service_reads_a_repaired_directory_again(self, tmp_path):
+        from repro.scenarios import scenario_s4_s4
+        from repro.service import JobScheduler, ServiceClient, make_server
+
+        save_scenario(scenario_s4_s4(1), tmp_path)
+        original = sorted(tmp_path.rglob("*.csv"))[0].read_bytes()
+        victim = self._mangle_first_csv(tmp_path)
+        scheduler = JobScheduler()
+        server = make_server(scheduler, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(server.url)
+            job = client.submit(str(tmp_path), kind="assess")
+            doc = client.result(job["id"], deadline=120)
+            assert [d["phase"] for d in doc["degradations"]] == ["load"]
+            victim.write_bytes(original)
+            job = client.submit(str(tmp_path), kind="assess")
+            doc = client.result(job["id"], deadline=120)
+            assert not doc.get("degradations")
+            # Read again, unchanged content still keys its stored result.
+            assert client.submit(str(tmp_path), kind="assess")["from_store"]
+        finally:
+            server.shutdown()
+            server.server_close()
+            scheduler.close(wait=True, timeout=5.0)
+            thread.join(timeout=5.0)
+
     def test_cli_assess_exits_degraded_and_strict_fails(
         self, small_example, tmp_path, capsys
     ):
