@@ -5,6 +5,10 @@ statistics and compares them with the decision model of Algorithm 1; the
 *value transformation planner* maps detected heterogeneities to cleaning
 tasks via Table 7.  Unlike structure repairs, "those tasks do not have
 interdependencies", so planning is a straight catalogue lookup.
+
+The detector's findings are cached per source content in the runtime's
+``ProfileCache``, so a re-quote of assessed content profiles and fits
+nothing.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import dataclasses
 from ...matching.correspondence import Correspondence, CorrespondenceSet
 from ...profiling.profiler import ColumnProfile, profile_column
 from ...relational.database import Database
+from ...runtime import ContentKey, get_runtime
 from ...scenarios.scenario import IntegrationScenario
 from ..framework import EstimationModule
 from ..quality import ResultQuality
@@ -78,6 +83,36 @@ class ValueFitDetector:
         self.fit_threshold = fit_threshold
 
     def detect(
+        self,
+        source: Database,
+        target: Database,
+        correspondences: CorrespondenceSet,
+    ) -> list[ValueHeterogeneityFinding]:
+        """The findings of ``source`` against ``target``, cached per source
+        content on the active runtime, like the structure detector's.
+
+        They are a pure function of both contents (the target's foreign
+        keys included), the correspondences and the fit threshold, which
+        make up the cache key.  Only the source's name is applied after
+        the lookup, so a content-identical source under another name
+        reports its own.
+        """
+        findings = get_runtime().cache.get_or_compute(
+            source,
+            (
+                "values",
+                ContentKey(target),
+                tuple(correspondences),
+                self.fit_threshold,
+            ),
+            lambda: tuple(self._detect(source, target, correspondences)),
+        )
+        return [
+            dataclasses.replace(finding, source_database=source.name)
+            for finding in findings
+        ]
+
+    def _detect(
         self,
         source: Database,
         target: Database,

@@ -73,9 +73,11 @@ class Database:
         return self.instance.total_rows()
 
     @property
-    def version(self) -> tuple[tuple[str, int], ...]:
-        """The instance's mutation counters (see ``DatabaseInstance.version``)."""
-        return self.instance.version
+    def version(self) -> tuple:
+        """The instance's mutation counters (see ``DatabaseInstance.version``)
+        and the number of declared constraints, which are only ever
+        appended: a constraint added to an assessed database changes it."""
+        return (*self.instance.version, len(self.schema.constraints))
 
     def __repr__(self) -> str:
         return (

@@ -1,16 +1,17 @@
 """Content-keyed memoisation of expensive profiling results.
 
-Profiles, discovered dependencies and the structure detector's
-violations are pure functions of immutable database instances, yet the
+Profiles, discovered dependencies and the structure and value detectors'
+findings are pure functions of immutable database instances, yet the
 benchmark scripts, the cross-validation folds of :mod:`repro.experiments`
 and every re-quote assess the same content over and over.
 :class:`ProfileCache` keys every entry on a :class:`ContentKey` of the
 database, so
 
 * repeated profiling of unchanged data is a cache hit,
-* any mutation (insert/update/delete/map_column) bumps the instance's
-  version counter, so a new key no longer equals the old one and every
-  derived entry is unreachable — no stale reads, ever,
+* any mutation (insert/update/delete/map_column, or a constraint added
+  to the schema) changes the database's version, so a new key no longer
+  equals the old one and every derived entry is unreachable — no stale
+  reads, ever,
 * two live databases with equal content share entries (common when
   scenarios are rebuilt from the same seed).
 
@@ -225,12 +226,12 @@ class ProfileCache:
     Keys are ``(ContentKey(database), *operation_key)`` where the
     operation key names the computation and its parameters, e.g.
     ``("profile_column", "songs", "length", "integer")``, ``("uccs", 2)``
-    or ``("structure", ContentKey(target), correspondences, ...)``.  Hits
-    and misses are counted on the attached
-    :class:`~repro.runtime.metrics.RuntimeMetrics`, structure lookups
-    included.  A lookup may fingerprint inside the cache's lock, when a
-    stored key hashes like the new one; fingerprints take only their own
-    digest lock.
+    or a detector's ``("structure", ContentKey(target), correspondences,
+    ...)`` and ``("values", ...)``.  Hits and misses are counted on the
+    attached :class:`~repro.runtime.metrics.RuntimeMetrics`, detector
+    lookups included.  A lookup may fingerprint inside the cache's lock,
+    when a stored key hashes like the new one; fingerprints take only
+    their own digest lock.
     """
 
     def __init__(
@@ -271,10 +272,15 @@ class ProfileCache:
         return result
 
     def entries(self) -> list[tuple[tuple, object]]:
-        """A snapshot of ``(key, value)`` pairs in LRU order (oldest
-        first)."""
+        """A snapshot of the cached column profiles as ``(key, profile)``
+        pairs in LRU order (oldest first), without the dependencies and
+        detector findings cached next to them."""
         with self._lock:
-            return list(self._entries.items())
+            return [
+                (key, value)
+                for key, value in self._entries.items()
+                if key[1] == "profile_column"
+            ]
 
     def keys(self) -> list[tuple]:
         """A snapshot of the cache keys, each content key resolved to its
@@ -294,11 +300,18 @@ class ProfileCache:
 
         Mutations invalidate implicitly (the content key changes); this
         explicit hook exists for callers that want to reclaim memory or
-        force recomputation.  Entries of an equal-content twin go too.
+        force recomputation.  That covers entries which name ``database``
+        after their head, such as a detector's findings keyed on its
+        source with this as the target.  Entries of an equal-content twin
+        go too.
         """
         content = ContentKey(database)
         with self._lock:
-            stale = [key for key in self._entries if key[0] == content]
+            stale = [
+                key
+                for key in self._entries
+                if any(part == content for part in key)
+            ]
             for key in stale:
                 del self._entries[key]
         return len(stale)

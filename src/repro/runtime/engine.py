@@ -10,9 +10,12 @@ instances.  :class:`Runtime` exploits that:
 * the cached profiling entry points (``profile_column``,
   ``profile_database``, ``discover_uccs/inds/fds``) memoise results in a
   content-keyed :class:`~repro.runtime.cache.ProfileCache`,
-* ``structure_violations`` memoises the structure detector's result per
-  source in the same cache, so a re-quote of assessed content converts
-  no CSG (stage ``csg`` runs once per source counted, never on a hit),
+* both detectors memoise their findings per source in the same cache:
+  the structure detector through ``structure_violations``, so a re-quote
+  of assessed content converts no CSG (stage ``csg`` runs once per source
+  counted, never on a hit), and the value detector through
+  ``cache.get_or_compute``, so a re-quote profiles no column and fits
+  nothing (its miss is timed by the ``profile`` stages it opens),
 * everything is instrumented on a :class:`RuntimeMetrics` instance that
   :class:`~repro.core.framework.Efes`, the CLI, and the benchmark
   conftest can query.

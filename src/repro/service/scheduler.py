@@ -784,11 +784,6 @@ class JobScheduler:
             ),
         }
 
-    def deadline_stats(self) -> dict:
-        """The ``/healthz`` deadlines document (see :meth:`stats`)."""
-        with self._lock:
-            return self._deadline_stats_locked()
-
     def health_snapshot(self) -> dict:
         """Health state + resources, as ``/healthz`` reports them under
         ``health`` (the journal, recovery and deadline documents sit at

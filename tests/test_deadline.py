@@ -314,13 +314,12 @@ class TestSchedulerDeadline:
 
     def test_deadline_stats_shape(self):
         with JobScheduler(workers=1, deadline_grace=0.25) as sched:
-            stats = sched.deadline_stats()
+            stats = sched.stats()["deadlines"]
             assert stats["grace_seconds"] == 0.25
             assert stats["running_with_deadline"] == 0
             assert stats["in_grace"] == 0
             assert stats["exceeded_total"] == 0
             assert stats["partial_results_total"] == 0
-            assert "deadlines" in sched.stats()
 
     def test_negative_grace_is_rejected(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.core import ResultQuality, default_efes
+from repro.core import Efes, ResultQuality, ValueModule, default_efes
 from repro.core.serialize import (
     SerializationError,
     span_from_dict,
@@ -128,12 +128,20 @@ class TestRunTraced:
             small_example, ResultQuality.HIGH_QUALITY, trace=True
         )
         cold_profiles = cold.trace.find("profile")
-        warm_profiles = warm.trace.find("profile")
-        assert cold_profiles and warm_profiles
+        assert cold_profiles
         assert not any(
             node.attributes["cache_hit"] for node in cold_profiles
         )
-        assert all(node.attributes["cache_hit"] for node in warm_profiles)
+        # A re-quote reads the value findings in one lookup, no profile.
+        assert warm.trace.find("profile") == []
+        # Another fit threshold misses the findings and re-reads every
+        # profile from the cache.
+        refit = Efes(
+            [ValueModule(fit_threshold=0.5)], runtime=runtime
+        ).run(small_example, ResultQuality.HIGH_QUALITY, trace=True)
+        refit_profiles = refit.trace.find("profile")
+        assert len(refit_profiles) == len(cold_profiles)
+        assert all(node.attributes["cache_hit"] for node in refit_profiles)
 
 
 # ----------------------------------------------------------------------
@@ -301,14 +309,14 @@ class TestStageTimings:
         efes = default_efes(runtime=runtime)
         scenario = scenario_s1_s2(seed=1)
         cold = efes.run(scenario, ResultQuality.HIGH_QUALITY, trace=True)
-        # The warm re-quote's profile and csg spans are cache hits: they
-        # stay in its trace and add no sample.
+        # The warm re-quote opens no profile span (the value detector's
+        # findings are one lookup); its csg span is a cache hit that
+        # stays in its trace and adds no sample.
         warm = efes.run(scenario, ResultQuality.HIGH_QUALITY, trace=True)
-        assert all(
-            node.attributes["cache_hit"] is True
-            for name in ("profile", "csg")
-            for node in warm.trace.find(name)
-        )
+        assert warm.trace.find("profile") == []
+        csg = warm.trace.find("csg")
+        assert csg
+        assert all(node.attributes["cache_hit"] is True for node in csg)
         series = [
             histogram
             for histogram in runtime.metrics.snapshot().histograms

@@ -171,13 +171,15 @@ class TestStructureCache:
 
 
 @pytest.mark.parametrize(
-    "fingerprinted, hits, misses", [(True, 13, 0), (False, 2, 11)]
+    "fingerprinted, hits, misses", [(True, 2, 0), (False, 2, 12)]
 )
 def test_twin_of_a_collected_scenario(fingerprinted, hits, misses):
     """A rebuilt twin shares its collected predecessor's entries only if
     the predecessor's keys were resolved: it was fingerprinted before its
-    run, as every service job is.  Otherwise the twin recomputes, and
-    still serializes the same bytes."""
+    run, as every service job is.  Then its two detectors hit once each.
+    Otherwise the twin recomputes, and still serializes the same bytes:
+    it misses both detectors and ten column profiles, and hits the two
+    target columns that two correspondences each read."""
     runtime = Runtime()
     scenario = scenario_s1_s2(seed=4)
     if fingerprinted:
