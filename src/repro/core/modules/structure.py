@@ -19,7 +19,9 @@ before fixing tasks and detecting infinite cleaning loops.
 from __future__ import annotations
 
 import dataclasses
-import itertools
+from collections import Counter
+from collections.abc import Sequence
+from itertools import chain, product, repeat
 
 from ...csg.cardinality import Cardinality, Interval
 from ...csg.convert import database_to_csg, schema_to_csg
@@ -52,6 +54,26 @@ class InfiniteCleaningLoopError(RuntimeError):
     tasks.  EFES proposes only consistent repair strategies." — raising is
     the consistent reaction; the message names the oscillating tasks.
     """
+
+
+def duplicate_combinations(
+    image_sets: Sequence[dict[object, set[object]]],
+) -> tuple[int, int]:
+    """The duplicate extras and the scope of a composite UNIQUE.
+
+    ``image_sets`` holds one map per key component, from each element of
+    the first map to its images.  Every element counts once for each
+    combination of its images (distinct images make distinct
+    combinations); an element without an image for some component counts
+    for none, as an incomplete SQL key is exempt.  The scope is the
+    number of distinct combinations, and the extras are the elements
+    beyond the first that share one.
+    """
+    first, *others = image_sets
+    columns = [first.values()]
+    columns.extend(map(other.get, first, repeat(())) for other in others)
+    seen = Counter(chain.from_iterable(map(product, *columns)))
+    return sum(seen.values()) - len(seen), len(seen)
 
 
 def _node_mapping(
@@ -299,22 +321,11 @@ class StructureConflictDetector:
                 continue  # e.g. all key components unique on the source
 
             # Count combinations shared by multiple source entities.
-            image_sets = [
-                source_instance.image_sets(matched.path)
-                for matched in matched_paths
-            ]
-            seen: dict[tuple, int] = {}
-            elements = image_sets[0].keys()
-            for element in elements:
-                images = [images_of.get(element, set()) for images_of in image_sets]
-                if not all(images):
-                    continue  # incomplete keys are exempt, like SQL
-                # Combinations of distinct images are distinct: each
-                # element counts once per combination.
-                for combo in itertools.product(*images):
-                    seen[combo] = seen.get(combo, 0) + 1
-            duplicate_extras = sum(
-                count - 1 for count in seen.values() if count > 1
+            duplicate_extras, scope = duplicate_combinations(
+                [
+                    source_instance.image_sets(matched.path)
+                    for matched in matched_paths
+                ]
             )
             if not duplicate_extras:
                 continue
@@ -330,7 +341,7 @@ class StructureConflictDetector:
                     prescribed=str(prescribed),
                     inferred=str(inferred),
                     violation_count=duplicate_extras,
-                    scope=len(seen),
+                    scope=scope,
                     target_relation=constraint.relation,
                     target_attribute=attribute_label,
                 )
@@ -366,12 +377,13 @@ class StructureConflictDetector:
         prescribed = relationship.cardinality
         counts = instance.image_counts(path)
         minimum = prescribed.min if prescribed.min is not None else 0
-        below = sum(1 for count in counts.values() if count < minimum)
-        above = sum(
-            1
-            for count in counts.values()
-            if count >= minimum and not prescribed.contains(count)
-        )
+        below = above = 0
+        # Each distinct image count is classified once.
+        for count, elements in Counter(counts.values()).items():
+            if count < minimum:
+                below += elements
+            elif not prescribed.contains(count):
+                above += elements
         scope = len(counts)
         label = f"{relationship.start.name}->{relationship.end.name}"
         results: list[StructureViolation] = []

@@ -19,27 +19,32 @@ near 1; many different patterns ⇒ importance near 0) and otherwise use
 standard distribution-overlap measures.
 
 Every statistic computes from a :class:`ColumnSummary` with per-distinct
-work: text patterns come from one :func:`extract_patterns` call over the
-column's distinct texts; casts run not at all where the column's value
-types already are the datatype's, once per distinct value where equal
-values cast alike, and otherwise through one caster looked up per
-column; squared deviations, entropy terms and histogram bins are
-computed once per distinct number or count.  Float sums still add in
-row order, so every statistic is byte-identical to its per-value
-definition, which the tests keep as the reference.
+work.  The text patterns and the character histogram read one grouping
+of the column's distinct texts by their count: the patterns come from
+one :func:`extract_patterns` call over the groups laid end to end, and
+each group's patterns and characters are counted at once and weighted by
+its count.  Casts run not at all where the column's value types already
+are the datatype's, once per distinct value where equal values cast
+alike, and otherwise through one parser looked up per column; a value
+that cannot be cast costs its parser's ``None``, not an exception.
+Squared deviations, entropy terms and histogram bins are computed once
+per distinct number or count, and the top-k values of an all-distinct
+column are its first K.  Float sums still add in row order, so every
+statistic is byte-identical to its per-value definition, which the tests
+keep as the reference.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Callable, Sequence
 
 from ..relational.columnar import is_wide_int
-from ..relational.datatypes import DataType, cast, is_native, try_cast_column
-from ..relational.errors import TypeCastError
+from ..relational.datatypes import DataType, is_native, try_cast_column
 from .patterns import extract_patterns, generalize_pattern
 
 __all__ = [
@@ -74,14 +79,6 @@ def histogram_intersection(
 
 def _bounded(value: float) -> float:
     return max(0.0, min(1.0, value))
-
-
-def _to_float(value: object) -> float | None:
-    """``value`` cast to FLOAT, or ``None`` when it cannot be."""
-    try:
-        return float(cast(value, DataType.FLOAT))
-    except TypeCastError:
-        return None
 
 
 def _tie_text(value: object) -> str:
@@ -133,12 +130,14 @@ class ColumnSummary:
     and casts are shared between equal values only in an :attr:`exact`
     column.  The column's set of value types, computed once, skips work
     that cannot change a value: an all-``str`` column's texts are its
-    counts, an all-``int`` column's floats come from one ``map(float)``,
-    and a column whose values already have a datatype's native type casts
-    to it without a caster call, as does an all-``int`` column within
-    ±10**640 to STRING.  An int too wide for decimal text takes its hex
-    text, as in top-k ties.  Float sums stay in row order.  Each part is
-    computed on first use.
+    counts, an all-``int`` column's texts come from one ``str()`` per
+    distinct int and its floats from one ``map(float)``, and a column
+    whose values already have a datatype's native type casts to it
+    without a parser call, as does an all-``int`` column within ±10**640
+    to STRING.  An int too wide for decimal text takes its hex text, as
+    in top-k ties; a column holding one keeps the per-row texts, since a
+    hex text could equal another int's decimal text.  Float sums stay in
+    row order.  Each part is computed on first use.
     """
 
     def __init__(self, values: Sequence[object]) -> None:
@@ -191,11 +190,31 @@ class ColumnSummary:
         return str
 
     @functools.cached_property
+    def decimal_ints(self) -> bool:
+        """Whether every value is an ``int`` with decimal text, so that
+        distinct values have distinct texts."""
+        return self.types == {int} and self.text_of is str
+
+    @functools.cached_property
     def texts(self) -> Counter[str]:
-        """Count of each text (:attr:`text_of`) of a non-null value."""
+        """Count of each text (:attr:`text_of`) of a non-null value, in
+        first-occurrence order."""
         if self.types <= {str}:
             return self.counts  # str() of a str is the value itself
+        if self.decimal_ints:
+            # One str() per distinct int; the texts keep the order of
+            # :attr:`counts`.
+            return Counter(dict(zip(map(str, self.counts), self.counts.values())))
         return Counter(map(self.text_of, self.non_null))
+
+    @functools.cached_property
+    def text_groups(self) -> dict[int, list[str]]:
+        """The distinct texts grouped by their count, each group in
+        first-occurrence order."""
+        groups: defaultdict[int, list[str]] = defaultdict(list)
+        for text, count in self.texts.items():
+            groups[count].append(text)
+        return groups
 
     @functools.cached_property
     def exact(self) -> bool:
@@ -213,7 +232,8 @@ class ColumnSummary:
             except OverflowError:
                 pass  # an int beyond float range: the casts refuse it
         if self.exact:
-            memo = {value: _to_float(value) for value in self.counts}
+            counts = self.counts
+            memo = dict(zip(counts, try_cast_column(counts, DataType.FLOAT)))
             numbers = map(memo.__getitem__, self.non_null)
         else:
             numbers = try_cast_column(self.non_null, DataType.FLOAT)
@@ -398,10 +418,19 @@ class TextPatternStatistic(Statistic):
     def compute(
         cls, values: Sequence[object] | ColumnSummary
     ) -> "TextPatternStatistic":
-        texts = ColumnSummary.of(values).texts
+        groups = ColumnSummary.of(values).text_groups
+        # One extract_patterns call over the groups laid end to end; each
+        # group's patterns are counted at once and weighted by its count.
+        patterns = extract_patterns(
+            list(itertools.chain.from_iterable(groups.values()))
+        )
         counts: Counter[str] = Counter()
-        for pattern, count in zip(extract_patterns(list(texts)), texts.values()):
-            counts[pattern] += count
+        start = 0
+        for count, texts in groups.items():
+            end = start + len(texts)
+            for pattern, occurrences in Counter(patterns[start:end]).items():
+                counts[pattern] += occurrences * count
+            start = end
         total = sum(counts.values())
         distribution = tuple(
             sorted(
@@ -463,11 +492,8 @@ class CharacterHistogram(Statistic):
         cls, values: Sequence[object] | ColumnSummary
     ) -> "CharacterHistogram":
         # Texts that occur equally often are joined and counted in one pass.
-        by_count: dict[int, list[str]] = {}
-        for text, count in ColumnSummary.of(values).texts.items():
-            by_count.setdefault(count, []).append(text)
         counts: Counter[str] = Counter()
-        for count, texts in by_count.items():
+        for count, texts in ColumnSummary.of(values).text_groups.items():
             for char, occurrences in Counter("".join(texts)).items():
                 counts[char] += occurrences * count
         total = sum(counts.values())
@@ -522,10 +548,14 @@ class StringLengthStatistic(Statistic):
         cls, values: Sequence[object] | ColumnSummary
     ) -> "StringLengthStatistic":
         summary = ColumnSummary.of(values)
-        texts = summary.non_null
-        if not summary.types <= {str}:
-            texts = map(summary.text_of, texts)
-        lengths = list(map(len, texts))
+        if summary.types <= {str}:
+            lengths = list(map(len, summary.non_null))
+        elif summary.decimal_ints:
+            # Each distinct int's length, from its text in :attr:`texts`.
+            length = dict(zip(summary.counts, map(len, summary.texts)))
+            lengths = list(map(length.__getitem__, summary.non_null))
+        else:
+            lengths = list(map(len, map(summary.text_of, summary.non_null)))
         if not lengths:
             return cls(mean=0.0, std=0.0, count=0)
         mean, std = _mean_and_std(lengths)
@@ -618,14 +648,22 @@ class NumericHistogram(Statistic):
         if not numeric:
             return cls(lo=0.0, hi=0.0, bins=(), count=0)
         lo, hi = min(numeric), max(numeric)
-        counts: Counter[int] = Counter()
-        for value, count in Counter(numeric).items():
-            counts[cls._bin_index(value, lo, hi)] += count
+        span = hi - lo
+        counts = [0] * cls.BIN_COUNT
+        if hi == lo or math.isinf(span):
+            for value, count in Counter(numeric).items():
+                counts[cls._bin_index(value, lo, hi)] += count
+        else:
+            # _bin_index's arithmetic, inline.
+            bin_count, last = cls.BIN_COUNT, cls.BIN_COUNT - 1
+            for value, count in Counter(numeric).items():
+                index = int((value - lo) / span * bin_count)
+                counts[index if index < last else last] += count
         total = len(numeric)
         return cls(
             lo=lo,
             hi=hi,
-            bins=tuple(counts[index] / total for index in range(cls.BIN_COUNT)),
+            bins=tuple(count / total for count in counts),
             count=total,
         )
 
@@ -704,10 +742,12 @@ class ValueRange(Statistic):
             return 1.0
         overlap_lo = max(self.lo, source.lo)
         overlap_hi = min(self.hi, source.hi)
-        source_span = source.hi - source.lo
+        # A range wider than the largest float is measured at half scale.
+        scale = 0.5 if math.isinf(source.hi - source.lo) else 1.0
+        source_span = source.hi * scale - source.lo * scale
         if source_span == 0:
             return 1.0 if self.lo <= source.lo <= self.hi else 0.0
-        return _bounded((overlap_hi - overlap_lo) / source_span)
+        return _bounded((overlap_hi * scale - overlap_lo * scale) / source_span)
 
 
 # ----------------------------------------------------------------------
@@ -734,7 +774,11 @@ class TopKValues(Statistic):
         total = len(summary.non_null)
         if not total:
             return cls(entries=(), coverage=0.0, count=0)
-        top = counts.most_common(cls.K)
+        if len(counts) == total:
+            # Every count is 1, so most_common picks the first K values.
+            top = [(value, 1) for value in itertools.islice(counts, cls.K)]
+        else:
+            top = counts.most_common(cls.K)
         entries = tuple(
             sorted(
                 ((value, count / total) for value, count in top),

@@ -9,13 +9,20 @@ same small set of SQL-ish datatypes.  Two operations matter for EFES:
 * :func:`infer_datatype` — guess the datatype of a column of raw values
   (used by schema reverse engineering when a source arrives as a dump
   without a schema, Section 3.1 "Completeness").
+
+Every cast goes through one table of parsers, one per datatype.  A parser
+returns ``None`` for a value it cannot cast instead of raising, so
+:func:`try_cast_column` and :func:`can_cast`, which profiling and
+inference call on values that often fail, build no exception; only
+:func:`cast` and :func:`cast_column` raise
+:class:`~repro.relational.errors.TypeCastError`, from the same table.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from .errors import TypeCastError
 
@@ -47,7 +54,7 @@ _TRUE_LITERALS = frozenset({"true", "t", "yes", "y", "1"})
 _FALSE_LITERALS = frozenset({"false", "f", "no", "n", "0"})
 
 
-def _cast_integer(value: object) -> int:
+def _parse_integer(value: object) -> int | None:
     if isinstance(value, bool):
         return int(value)
     if isinstance(value, int):
@@ -55,36 +62,33 @@ def _cast_integer(value: object) -> int:
     if isinstance(value, float):
         if math.isfinite(value) and value == int(value):
             return int(value)
-        raise TypeCastError(value, DataType.INTEGER)
+        return None
     if isinstance(value, str):
-        text = value.strip()
         try:
-            return int(text)
-        except ValueError as exc:
-            raise TypeCastError(value, DataType.INTEGER) from exc
-    raise TypeCastError(value, DataType.INTEGER)
+            return int(value.strip())
+        except ValueError:
+            return None
+    return None
 
 
-def _cast_float(value: object) -> float:
+def _parse_float(value: object) -> float | None:
     if isinstance(value, (int, float)):  # bool is an int
         try:
             result = float(value)
-        except OverflowError as exc:  # an int too large for a double
-            raise TypeCastError(value, DataType.FLOAT) from exc
+        except OverflowError:  # an int too large for a double
+            return None
     elif isinstance(value, str):
         try:
             result = float(value.strip())
-        except ValueError as exc:
-            raise TypeCastError(value, DataType.FLOAT) from exc
+        except ValueError:
+            return None
     else:
-        raise TypeCastError(value, DataType.FLOAT)
+        return None
     # NaN and the infinities are no FLOAT values, as text or as floats.
-    if math.isfinite(result):
-        return result
-    raise TypeCastError(value, DataType.FLOAT)
+    return result if math.isfinite(result) else None
 
 
-def _cast_string(value: object) -> str:
+def _parse_string(value: object) -> str | None:
     if isinstance(value, str):
         return value
     if isinstance(value, bool):
@@ -92,12 +96,12 @@ def _cast_string(value: object) -> str:
     if isinstance(value, (int, float)):
         try:
             return str(value)
-        except ValueError as exc:  # an int past the int-to-text digit limit
-            raise TypeCastError(value, DataType.STRING) from exc
-    raise TypeCastError(value, DataType.STRING)
+        except ValueError:  # an int past the int-to-text digit limit
+            return None
+    return None
 
 
-def _cast_boolean(value: object) -> bool:
+def _parse_boolean(value: object) -> bool | None:
     if isinstance(value, bool):
         return value
     if isinstance(value, int) and value in (0, 1):
@@ -108,7 +112,7 @@ def _cast_boolean(value: object) -> bool:
             return True
         if text in _FALSE_LITERALS:
             return False
-    raise TypeCastError(value, DataType.BOOLEAN)
+    return None
 
 
 def _is_date_text(text: str) -> bool:
@@ -128,23 +132,26 @@ def _is_date_text(text: str) -> bool:
     return 1 <= int(month) <= 12 and 1 <= int(day) <= 31
 
 
-def _cast_date(value: object) -> str:
+def _parse_date(value: object) -> str | None:
     if isinstance(value, str):
         text = value.strip()
         if _is_date_text(text):
             return text
-    raise TypeCastError(value, DataType.DATE)
+    return None
 
 
-_CASTERS = {
-    DataType.INTEGER: _cast_integer,
-    DataType.FLOAT: _cast_float,
-    DataType.STRING: _cast_string,
-    DataType.BOOLEAN: _cast_boolean,
-    DataType.DATE: _cast_date,
+#: Each datatype's parser: a non-null value cast to the datatype, or
+#: ``None`` when it cannot be.  No cast of a non-null value is ``None``,
+#: so a parser refuses a value without raising.
+_PARSERS: dict[DataType, Callable[[object], object]] = {
+    DataType.INTEGER: _parse_integer,
+    DataType.FLOAT: _parse_float,
+    DataType.STRING: _parse_string,
+    DataType.BOOLEAN: _parse_boolean,
+    DataType.DATE: _parse_date,
 }
 
-#: The Python type whose values a datatype's caster returns unchanged.
+#: The Python type whose values a datatype's parser returns unchanged.
 #: Types are compared exactly: a ``bool`` is an ``int`` but casts to
 #: INTEGER as ``int(value)``.  FLOAT refuses NaN and the infinities and
 #: DATE checks the shape, so neither casts any type as the identity.
@@ -171,22 +178,29 @@ def cast(value: object, datatype: DataType) -> object:
     """
     if value is None:
         return None
-    return _CASTERS[datatype](value)
+    result = _PARSERS[datatype](value)
+    if result is None:
+        raise TypeCastError(value, datatype)
+    return result
 
 
 def cast_column(values: Iterable[object], datatype: DataType) -> list[object]:
     """:func:`cast` every value of a column, as a new list.
 
     A column whose non-null values all have exactly the datatype's native
-    type (see :func:`is_native`) is copied without calling the caster,
+    type (see :func:`is_native`) is copied without calling the parser,
     since every cast would return its argument; any other column is cast
-    value by value through one caster looked up per column.
+    by :func:`try_cast_column`, which raises for its first value that
+    cast to ``None``.
     """
     values = list(values)
     if is_native(set(map(type, values)), datatype):
         return values
-    caster = _CASTERS[datatype]
-    return [None if value is None else caster(value) for value in values]
+    casts = try_cast_column(values, datatype)
+    for value, result in zip(values, casts):
+        if result is None and value is not None:
+            raise TypeCastError(value, datatype)
+    return casts
 
 
 def try_cast_column(values: Iterable[object], datatype: DataType) -> list[object]:
@@ -194,24 +208,15 @@ def try_cast_column(values: Iterable[object], datatype: DataType) -> list[object
 
     A non-null value casts to ``None`` only when it cannot be cast, so
     ``try_cast_column(non_null, datatype).count(None)`` counts those.
+    The datatype's parser is looked up once and raises nothing.
     """
-    caster = _CASTERS[datatype]
-    casts: list[object] = []
-    for value in values:
-        try:
-            casts.append(None if value is None else caster(value))
-        except TypeCastError:
-            casts.append(None)
-    return casts
+    parse = _PARSERS[datatype]
+    return [None if value is None else parse(value) for value in values]
 
 
 def can_cast(value: object, datatype: DataType) -> bool:
     """Whether :func:`cast` would succeed for ``value`` and ``datatype``."""
-    try:
-        cast(value, datatype)
-    except TypeCastError:
-        return False
-    return True
+    return value is None or _PARSERS[datatype](value) is not None
 
 
 def infer_datatype(values: Iterable[object]) -> DataType:

@@ -41,17 +41,17 @@ def example_reports(example, efes):
 
 @pytest.fixture()
 def caster_calls(monkeypatch):
-    """Calls of each per-value caster, by datatype, while the test runs."""
+    """Calls of each per-value parser, by datatype, while the test runs."""
     from collections import Counter
 
     from repro.relational import datatypes
 
     calls = Counter()
-    for datatype, caster in list(datatypes._CASTERS.items()):
+    for datatype, parse in list(datatypes._PARSERS.items()):
 
-        def counted(value, caster=caster, datatype=datatype):
+        def counted(value, parse=parse, datatype=datatype):
             calls[datatype] += 1
-            return caster(value)
+            return parse(value)
 
-        monkeypatch.setitem(datatypes._CASTERS, datatype, counted)
+        monkeypatch.setitem(datatypes._PARSERS, datatype, counted)
     return calls

@@ -16,6 +16,7 @@ from repro.relational.datatypes import (
     try_cast_column,
 )
 from repro.relational.errors import TypeCastError
+from tests.test_statistics import TRICKY
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
@@ -277,3 +278,31 @@ def test_cast_column_equals_casting_each_value(datatype, values):
     expected = _outcome(_reference_cast_column, values, datatype)
     assert _outcome(cast_column, values, datatype) == expected
     assert _outcome(cast_column, tuple(values), datatype) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(TRICKY),
+        st.integers(),
+        st.floats(),
+        st.text(max_size=6),
+    )
+)
+@pytest.mark.parametrize("datatype", list(DataType), ids=str)
+def test_every_cast_entry_point_agrees(datatype, value):
+    """``cast`` raises exactly when ``can_cast`` is false and
+    ``try_cast_column`` gives ``None``; where it succeeds, ``cast``,
+    ``cast_column`` and ``try_cast_column`` give the same value."""
+    tried = try_cast_column([value], datatype)
+    try:
+        expected = repr(cast(value, datatype))
+    except TypeCastError:
+        assert not can_cast(value, datatype)
+        assert tried == [None]
+        with pytest.raises(TypeCastError):
+            cast_column([value], datatype)
+    else:
+        assert can_cast(value, datatype)
+        assert repr(tried[0]) == expected
+        assert repr(cast_column([value], datatype)[0]) == expected

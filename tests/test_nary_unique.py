@@ -1,8 +1,13 @@
 """Tests for n-ary uniqueness detection via the join operator (Lemma 3)."""
 
+import itertools
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import ResultQuality, default_efes
+from repro.core.modules.structure import duplicate_combinations
 from repro.core.tasks import StructuralConflict, TaskType
 from repro.matching import (
     CorrespondenceSet,
@@ -136,3 +141,37 @@ class TestPlanningAndSimulation:
         )
         result = PractitionerSimulator().integrate(scenario, quality)
         assert is_valid(result.target)
+
+
+def reference_duplicate_combinations(image_sets):
+    """The per-element loop the detector ran before counting with one
+    ``Counter`` over the products of image columns."""
+    seen = {}
+    for element in image_sets[0].keys():
+        images = [images_of.get(element, set()) for images_of in image_sets]
+        if not all(images):
+            continue
+        for combo in itertools.product(*images):
+            seen[combo] = seen.get(combo, 0) + 1
+    duplicate_extras = sum(count - 1 for count in seen.values() if count > 1)
+    return duplicate_extras, len(seen)
+
+
+#: Few elements and images, so combinations are shared; an image set may
+#: be empty, and an element may be missing from a component's map.
+_elements = st.integers(0, 7)
+_image_set = st.sets(st.sampled_from(["a", "b", 1, 2, None, (1, "a")]), max_size=3)
+_image_sets = st.lists(
+    st.dictionaries(_elements, _image_set, max_size=8), min_size=2, max_size=4
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_image_sets)
+@example(image_sets=[{1: {"a"}, 2: {"a"}}, {1: {"x"}, 2: {"x"}}])
+@example(image_sets=[{1: {"a"}, 2: {"a"}}, {1: {"x"}}])
+@example(image_sets=[{1: {"a", "b"}, 2: {"a"}}, {1: {"x"}, 2: set()}])
+@example(image_sets=[{}, {1: {"x"}}])
+def test_duplicate_combinations_match_the_per_element_loop(image_sets):
+    expected = reference_duplicate_combinations(image_sets)
+    assert duplicate_combinations(image_sets) == expected

@@ -32,6 +32,7 @@ from repro.profiling.statistics import (
     shannon_entropy,
 )
 from repro.relational import Database, Schema, relation
+from repro.relational.columnar import is_wide_int
 from repro.relational.datatypes import DataType, can_cast, cast
 from repro.scenarios import example_scenario
 from repro.scenarios.bibliographic import scenario_s1_s2
@@ -244,6 +245,23 @@ class TestValueRange:
         target = ValueRange.compute([0, 100])
         source = ValueRange.compute([50, 150])
         assert 0.0 < target.fit(source) < 1.0
+
+    @pytest.mark.parametrize(
+        "source, target, share",
+        [
+            ((-1e308, 1e308), (0.0, 1e308), 0.5),
+            ((-1.5e308, 1.5e308), (-1e307, 1e307), 2 / 30),
+            ((-1e308, 1e308), (-1e308, 1e308), 1.0),
+            ((-1e308, 1e308), (1.5e308, 1.7e308), 0.0),
+        ],
+    )
+    def test_fit_of_a_range_wider_than_the_largest_float(
+        self, source, target, share
+    ):
+        """The source's span overflows; its overlap share does not."""
+        wide = ValueRange.compute(list(source))
+        assert math.isinf(wide.hi - wide.lo)
+        assert ValueRange.compute(list(target)).fit(wide) == pytest.approx(share)
 
 
 class TestTopK:
@@ -715,26 +733,31 @@ def test_extract_patterns_runs_once_on_the_distinct_texts(monkeypatch):
     monkeypatch.setattr(statistics_module, "extract_patterns", recorded)
     database = single_column_database(DataType.STRING, values)
     profile = compute_column_profile(database, "r", "x")
-    assert calls == [list(dict.fromkeys(values))]
+    patterned = [text for texts in calls for text in texts]
+    assert sorted(patterned) == sorted(distinct)
     assert profile.statistic("text_pattern") == reference_text_pattern(values)
 
 
 def test_numeric_casts_run_once_per_distinct_string(monkeypatch):
     """MeanStatistic, NumericHistogram and ValueRange share one cast of
     each distinct value."""
+    from repro.relational import datatypes
+
     distinct = ["215900", "4:43", " 12 ", "3.5", "nan"]
     values = [distinct[i % len(distinct)] for i in range(300)]
     calls = []
-    real = statistics_module.cast
+    real = datatypes._PARSERS[DataType.FLOAT]
 
-    def counted(value, datatype):
+    def counted(value):
         calls.append(value)
-        return real(value, datatype)
+        return real(value)
 
-    monkeypatch.setattr(statistics_module, "cast", counted)
+    monkeypatch.setitem(datatypes._PARSERS, DataType.FLOAT, counted)
     database = single_column_database(DataType.STRING, values)
     profile = compute_column_profile(database, "r", "x", DataType.FLOAT)
-    assert sorted(calls) == sorted(distinct)
+    # One cast of each distinct value counts the fill status, and one is
+    # shared by the three numeric statistics.
+    assert sorted(calls) == sorted(distinct * 2)
     assert profile.statistic("mean") == reference_mean(values)
     assert profile.statistic("value_range") == reference_value_range(values)
 
@@ -783,7 +806,7 @@ def test_profiling_casts_no_int_to_string(caster_calls, monkeypatch):
     from repro.relational import datatypes
     from repro.scenarios.catalogue import SCENARIO_BUILDERS
 
-    counted = datatypes._CASTERS[DataType.STRING]
+    counted = datatypes._PARSERS[DataType.STRING]
     ints = []
 
     def spy(value):
@@ -791,12 +814,37 @@ def test_profiling_casts_no_int_to_string(caster_calls, monkeypatch):
             ints.append(value)
         return counted(value)
 
-    monkeypatch.setitem(datatypes._CASTERS, DataType.STRING, spy)
+    monkeypatch.setitem(datatypes._PARSERS, DataType.STRING, spy)
     for build in SCENARIO_BUILDERS.values():
         for quality in ResultQuality:
             default_efes(runtime=Runtime()).run(build(5), quality)
     assert ints == []
     assert caster_calls[DataType.FLOAT] and caster_calls[DataType.INTEGER]
+
+
+def test_profiling_uncastable_texts_constructs_no_cast_error(monkeypatch):
+    """A value that cannot be cast is refused by its parser without an
+    exception: profiling 1,000 distinct page ranges against INTEGER (the
+    fill status and the numeric statistics) constructs no TypeCastError."""
+    from repro.relational.errors import TypeCastError
+
+    built = []
+    real_init = TypeCastError.__init__
+
+    def counted(self, value, datatype):
+        built.append(value)
+        real_init(self, value, datatype)
+
+    monkeypatch.setattr(TypeCastError, "__init__", counted)
+    values = [f"{i}-{i + 17}" for i in range(1000)]
+    database = single_column_database(DataType.STRING, values)
+    profile = compute_column_profile(database, "r", "x", DataType.INTEGER)
+    assert profile.fill_status.uncastable == 1000
+    assert profile.statistic("mean").count == 0
+    assert built == []
+    with pytest.raises(TypeCastError):
+        cast(values[0], DataType.INTEGER)
+    assert built == [values[0]]  # the spy sees a raising cast
 
 
 def test_wide_int_takes_its_hex_text_in_every_text_statistic():
@@ -809,6 +857,13 @@ def test_wide_int_takes_its_hex_text_in_every_text_statistic():
     length = StringLengthStatistic.compute(values)
     assert length == reference_string_length([format(wide, "x"), 12, 12])
     assert ColumnSummary([10**400, 12]).text_of is str
+    # A hex text can equal another int's decimal text: both count for it.
+    hex_ones, decimal_ones = int("1" * 3600, 16), int("1" * 3600)
+    assert is_wide_int(hex_ones) and not is_wide_int(decimal_ones)
+    values = [hex_ones, decimal_ones, decimal_ones]
+    assert ColumnSummary(values).texts == Counter({"1" * 3600: 3})
+    length = StringLengthStatistic.compute(values)
+    assert length == StringLengthStatistic(mean=3600.0, std=0.0, count=3)
 
 
 def test_constancy_adds_entropy_terms_in_value_order():
