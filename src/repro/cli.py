@@ -455,17 +455,24 @@ def cmd_recover(args: argparse.Namespace) -> int:
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
-    from .service import (
-        BackpressureError,
-        DeadlineExceededError,
-        ServiceClient,
-        ServiceError,
-    )
+    from .service import ServiceClient
 
     url = args.url or os.environ.get(SERVICE_URL_ENV_VAR) or (
         "http://127.0.0.1:8765"
     )
-    client = ServiceClient(url)
+    try:
+        client = ServiceClient(url)
+    except ValueError as exc:
+        print(f"efes: {exc}", file=sys.stderr)
+        return 2
+    with client:
+        return _submit_and_wait(client, url, args)
+
+
+def _submit_and_wait(client, url: str, args: argparse.Namespace) -> int:
+    """``efes submit``'s exchanges over ``client``; the exit status."""
+    from .service import BackpressureError, DeadlineExceededError, ServiceError
+
     try:
         # The wait budget doubles as the end-to-end deadline: the client
         # ships it as X-Deadline-Ms so the server bounds execution too

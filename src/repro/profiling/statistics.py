@@ -137,12 +137,16 @@ class ColumnSummary:
     to STRING.  An int too wide for decimal text takes its hex text, as
     in top-k ties; a column holding one keeps the per-row texts, since a
     hex text could equal another int's decimal text.  Float sums stay in
-    row order.  Each part is computed on first use.
+    row order.  Each part is computed on first use, and an :attr:`exact`
+    column's distinct values are parsed once per datatype
+    (:meth:`distinct_casts`), for the fill status and the numeric
+    statistics alike.
     """
 
     def __init__(self, values: Sequence[object]) -> None:
         #: The column's values in row order, NULLs included.
         self.values = values
+        self._casts: dict[DataType, list[object]] = {}
 
     @classmethod
     def of(cls, values: Sequence[object] | ColumnSummary) -> "ColumnSummary":
@@ -223,6 +227,18 @@ class ColumnSummary:
         true when every value is a ``str``, or every value an ``int``."""
         return self.types <= {str} or self.types == {int}
 
+    def distinct_casts(self, datatype: DataType) -> list[object]:
+        """The cast of each key of :attr:`counts` to ``datatype``, or
+        ``None`` where it cannot be cast, in the order of :attr:`counts`;
+        parsed once per datatype.  Meaningful only for an :attr:`exact`
+        column."""
+        casts = self._casts.get(datatype)
+        if casts is None:
+            casts = self._casts[datatype] = try_cast_column(
+                self.counts, datatype
+            )
+        return casts
+
     @functools.cached_property
     def numbers(self) -> list[float]:
         """The non-null values castable to FLOAT, cast, in row order."""
@@ -232,8 +248,7 @@ class ColumnSummary:
             except OverflowError:
                 pass  # an int beyond float range: the casts refuse it
         if self.exact:
-            counts = self.counts
-            memo = dict(zip(counts, try_cast_column(counts, DataType.FLOAT)))
+            memo = dict(zip(self.counts, self.distinct_casts(DataType.FLOAT)))
             numbers = map(memo.__getitem__, self.non_null)
         else:
             numbers = try_cast_column(self.non_null, DataType.FLOAT)
@@ -292,11 +307,10 @@ class FillStatus(Statistic):
         ):
             uncastable = 0
         elif summary.exact:
-            counts = summary.counts
-            casts = try_cast_column(counts, datatype)
+            casts = summary.distinct_casts(datatype)
             uncastable = sum(
                 count
-                for cast_value, count in zip(casts, counts.values())
+                for cast_value, count in zip(casts, summary.counts.values())
                 if cast_value is None
             )
         else:

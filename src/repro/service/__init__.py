@@ -19,8 +19,8 @@ estimates retrievable without recomputation.  This subsystem provides it:
 * :mod:`~repro.service.http_api` — a stdlib ``ThreadingHTTPServer``
   exposing submit/status/result/cancel plus ``/healthz`` and
   ``/metrics``, with :class:`ServiceClient` as the Python counterpart
-  (retrying transient unavailability under a
-  :class:`~repro.resilience.RetryPolicy`).
+  (one kept HTTP/1.1 connection per calling thread, retrying transient
+  unavailability under a :class:`~repro.resilience.RetryPolicy`).
 
 The scheduler embeds the resilience layer: every job settles exactly
 once, ``/healthz`` reports ``healthy``, ``degraded`` (the report store

@@ -1,17 +1,25 @@
 """A small stdlib HTTP client for the assessment service.
 
-Wraps :mod:`urllib.request` — no dependencies — and mirrors the service
-resources one method each.  Error taxonomy:
+Sends every exchange of a thread over one persistent HTTP/1.1
+connection (:class:`http.client.HTTPConnection`, kept per thread) — no
+dependencies — and mirrors the service resources one method each.
+Threads that share a client never wait for each other's exchanges.  An
+exchange that fails in any way closes its connection, so the next one
+starts on a fresh connection; a kept connection the service has closed
+in the meantime (idle past its limit) is sent on once more, on a fresh
+connection, before the retry policy sees an error.  Error taxonomy:
 
 * :class:`BackpressureError` — the queue is full (503 + ``retry_after``);
   **not retried** by the default policy (the caller decides whether to
   shed or wait),
 * :class:`ServiceUnavailableError` — the service is unreachable
-  (connection refused/reset, timeout) or answered 503 for a non-queue
-  reason (a closed scheduler, a failing journal).  Carries the last
-  ``retry_after`` hint the service sent, and **is retried** under the
-  client's :class:`~repro.resilience.RetryPolicy` (exponential backoff,
-  full jitter, ``Retry-After`` honoured) before surfacing,
+  (connection refused/reset, timeout), sent an answer that cannot be
+  read (not HTTP, cut short, a 2xx body that is not JSON), or answered
+  503 for a non-queue reason (a closed scheduler, a failing journal).
+  Carries the last ``retry_after`` hint the service sent, and **is
+  retried** under the client's :class:`~repro.resilience.RetryPolicy`
+  (exponential backoff, full jitter, ``Retry-After`` honoured) before
+  surfacing,
 * :class:`ServiceError` — any other HTTP-level error, raised as-is,
 * :class:`DeadlineExceededError` — the caller's end-to-end ``deadline=``
   passed before the request (or polled result) arrived.  Subclasses
@@ -20,24 +28,28 @@ resources one method each.  Error taxonomy:
   automatically — a retry past the deadline can only waste budget the
   caller no longer has.
 
-No bare :class:`urllib.error.URLError` ever escapes.  ``sleep`` is
-injectable so retry behaviour is testable in virtual time::
+No :mod:`http.client` or socket exception ever escapes: each becomes a
+:class:`ServiceUnavailableError`.  ``sleep`` is injectable so retry
+behaviour is testable in virtual time.  :meth:`ServiceClient.close`
+closes the connections; the client is a context manager::
 
-    client = ServiceClient("http://127.0.0.1:8765")
-    job = client.submit("s1-s2", kind="estimate", quality="high")
-    doc = client.result(job["id"])          # polls until terminal
+    with ServiceClient("http://127.0.0.1:8765") as client:
+        job = client.submit("s1-s2", kind="estimate", quality="high")
+        doc = client.result(job["id"])      # polls until terminal
     print(doc["estimate"]["total_minutes"])
 """
 
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import json
 import math
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 import uuid
+import weakref
 from collections.abc import Callable
 
 from ..core.quality import parse_quality
@@ -66,9 +78,9 @@ class BackpressureError(ServiceError):
 class ServiceUnavailableError(ServiceError):
     """The service could not serve the request at all right now.
 
-    Raised for transport failures (connection refused/reset, timeouts)
-    and for 503 responses that are not queue backpressure — a closed
-    scheduler or a failing journal append.  ``retry_after`` carries the
+    Raised for transport failures (connection refused/reset, timeouts),
+    for answers that cannot be read, and for 503 responses that are not
+    queue backpressure — a closed scheduler or a failing journal append.  ``retry_after`` carries the
     service's hint when it sent a usable one (``None`` otherwise), and
     the retry combinator honours it as a minimum backoff.
     """
@@ -219,8 +231,45 @@ def _retry_after_hint(payload: dict, headers) -> float | None:
     return hint if math.isfinite(hint) and hint >= 0 else None
 
 
+def _success(raw: bytes, text: bool, base_url: str) -> dict | str:
+    """A 2xx answer's JSON document, or its text when ``text`` is set."""
+    try:
+        return raw.decode("utf-8") if text else json.loads(raw or b"{}")
+    except ValueError as exc:
+        raise ServiceUnavailableError(
+            f"service at {base_url} sent an unreadable answer: {exc}"
+        ) from None
+
+
+def _refusal(status: int, headers, raw: bytes) -> ServiceError:
+    """The error a non-2xx answer raises: backpressure or unavailability
+    for a 503, a plain :class:`ServiceError` otherwise."""
+    try:
+        payload = json.loads(raw or b"{}")
+    except ValueError:
+        payload = {}
+    if not isinstance(payload, dict):
+        payload = {}
+    hint = _retry_after_hint(payload, headers)
+    if status == 503:
+        if "retry_after" in payload and hint is not None:
+            return BackpressureError(status, payload, hint)
+        return ServiceUnavailableError(
+            payload.get("error") or "service unavailable",
+            status=status,
+            payload=payload,
+            retry_after=hint,
+        )
+    return ServiceError(status, payload)
+
+
 class ServiceClient:
-    """Typed access to a running assessment service."""
+    """Typed access to a running assessment service.
+
+    Each thread that uses the client sends its exchanges over one kept
+    HTTP/1.1 connection of its own.  :meth:`close` closes them all, once
+    those threads are done with the client.
+    """
 
     def __init__(
         self,
@@ -231,14 +280,52 @@ class ServiceClient:
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.base_url = base_url.rstrip("/")
+        address = urllib.parse.urlsplit(self.base_url)
+        if address.scheme != "http" or not address.hostname:
+            raise ValueError(f"not an http:// service URL: {base_url!r}")
+        self._address = (address.hostname, address.port)
+        self._prefix = address.path
         self.timeout = timeout
         self.retry_policy = (
             retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
         )
         self._sleep = sleep
         self.retries_total = 0
+        self._local = threading.local()
+        # Every thread's connection, for close().  A thread that ends
+        # drops its connection, and the garbage collector closes it.
+        self._connections: weakref.WeakSet[http.client.HTTPConnection] = (
+            weakref.WeakSet()
+        )
+        self._connections_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every connection; a later exchange opens a fresh one."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> ServiceClient:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- plumbing ---------------------------------------------------------
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection, made on its first exchange."""
+        try:
+            return self._local.connection
+        except AttributeError:
+            connection = http.client.HTTPConnection(
+                *self._address, timeout=self.timeout
+            )
+            with self._connections_lock:
+                self._connections.add(connection)
+            self._local.connection = connection
+            return connection
 
     def _request(
         self,
@@ -248,7 +335,8 @@ class ServiceClient:
         headers: dict | None = None,
         *,
         until: float | None = None,
-    ) -> tuple[int, dict]:
+        text: bool = False,
+    ) -> tuple[int, dict | str]:
         """One HTTP exchange, retried on :class:`ServiceUnavailableError`.
 
         ``until`` is an absolute monotonic limit: past it the exchange
@@ -282,6 +370,7 @@ class ServiceClient:
             policy=policy,
             sleep=self._sleep,
             on_retry=on_retry,
+            text=text,
         )
 
     def _request_once(
@@ -290,43 +379,60 @@ class ServiceClient:
         path: str,
         body: dict | None = None,
         headers: dict | None = None,
-    ) -> tuple[int, dict]:
-        data = (
-            json.dumps(body).encode("utf-8") if body is not None else None
-        )
-        request = urllib.request.Request(
-            f"{self.base_url}{path}",
-            data=data,
-            method=method,
-            headers={
-                **({"Content-Type": "application/json"} if data else {}),
-                **(headers or {}),
-            },
-        )
+        *,
+        text: bool = False,
+    ) -> tuple[int, dict | str]:
+        """One exchange on this thread's connection: the status and the
+        2xx answer's JSON document, or its text when ``text`` is set.
+
+        A non-2xx answer raises its :class:`ServiceError`; an exchange
+        that raises anything closes the connection.
+        """
+        data = None if body is None else json.dumps(body).encode("utf-8")
+        if data is not None:
+            headers = {"Content-Type": "application/json", **(headers or {})}
+        connection = self._connection()
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.status, json.loads(response.read() or b"{}")
-        except urllib.error.HTTPError as exc:
+            status, reply_headers, raw = self._exchange(
+                connection, method, path, data, headers or {}
+            )
+            if 200 <= status < 300:
+                return status, _success(raw, text, self.base_url)
+            raise _refusal(status, reply_headers, raw)
+        except BaseException:
+            connection.close()
+            raise
+
+    def _exchange(
+        self,
+        connection: http.client.HTTPConnection,
+        method: str,
+        path: str,
+        data: bytes | None,
+        headers: dict,
+    ) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """Send one request; the status, headers and whole body of the
+        answer.
+
+        A kept connection that fails before any answer arrives was closed
+        by the service while it sat idle, so the request never reached
+        it: it is sent once more on a fresh connection.  Any transport
+        failure raises :class:`ServiceUnavailableError`.
+        """
+        target = self._prefix + path
+        kept = connection.sock is not None
+        try:
             try:
-                payload = json.loads(exc.read() or b"{}")
-            except ValueError:
-                payload = {}
-            hint = _retry_after_hint(payload, exc.headers)
-            if exc.code == 503:
-                if "retry_after" in payload and hint is not None:
-                    raise BackpressureError(exc.code, payload, hint) from None
-                raise ServiceUnavailableError(
-                    payload.get("error") or "service unavailable",
-                    status=exc.code,
-                    payload=payload,
-                    retry_after=hint,
-                ) from None
-            raise ServiceError(exc.code, payload) from None
-        except urllib.error.URLError as exc:
-            raise ServiceUnavailableError(
-                f"service at {self.base_url} is unreachable: {exc.reason}"
-            ) from None
-        except (ConnectionError, TimeoutError, OSError) as exc:
+                connection.request(method, target, data, headers)
+                response = connection.getresponse()
+            except ConnectionError:
+                if not kept:
+                    raise
+                connection.close()
+                connection.request(method, target, data, headers)
+                response = connection.getresponse()
+            return response.status, response.headers, response.read()
+        except (http.client.HTTPException, OSError) as exc:
             raise ServiceUnavailableError(
                 f"service at {self.base_url} is unreachable: {exc}"
             ) from None
@@ -450,16 +556,7 @@ class ServiceClient:
 
     def metrics_text(self) -> str:
         """Prometheus text exposition of ``GET /metrics``."""
-        request = urllib.request.Request(
-            f"{self.base_url}/metrics", headers={"Accept": "text/plain"}
+        _, text = self._request(
+            "GET", "/metrics", headers={"Accept": "text/plain"}, text=True
         )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.URLError as exc:
-            raise ServiceUnavailableError(
-                f"service at {self.base_url} is unreachable: "
-                f"{getattr(exc, 'reason', exc)}"
-            ) from None
+        return text

@@ -50,7 +50,15 @@ and refused with:
 * 503 — a closed scheduler, or a failing journal append.
 
 An unknown path or job id is a 404 on every method, and an injected
-``http.handler`` fault a 500.  Scenario references are either shipped
+``http.handler`` fault a 500.
+
+A client may keep its connection for any number of requests (HTTP/1.1).
+Every request's body is read whole before it is answered, on every
+route.  A body whose length cannot be known (a ``Transfer-Encoding``, a
+``Content-Length`` that is not an integer ≥ 0, or a body that ends
+before it) is a 400 that closes the connection, and so is a connection
+left idle for :attr:`ServiceHandler.timeout` seconds (closed without an
+answer).  Scenario references are either shipped
 catalogue names (``efes list``) or scenario directories in the on-disk
 format.  Catalogue names resolve through one
 :class:`~repro.scenarios.ScenarioCache` per server, so repeated
@@ -227,9 +235,23 @@ class ServiceHandler(BaseHTTPRequestHandler):
     Prometheus negotiation on ``/metrics``, the ``http.handler`` fault
     site and the refusal → status table.  What a resource says comes
     from the server's views.
+
+    One handler serves a connection for as long as its client keeps it.
+    Each request's body is read whole before it is answered, so the next
+    request on the connection starts where it should; a body whose length
+    cannot be known is refused with 400 and the connection closed.
     """
 
     protocol_version = "HTTP/1.1"
+    #: Seconds a kept connection may wait for its next request, or a
+    #: request for the rest of its body, before the handler closes it and
+    #: its thread ends.
+    timeout = 5.0
+    # A response is buffered and leaves in one send, as soon as it is
+    # complete: with Nagle's algorithm on, the body would wait for the
+    # client's delayed ACK of the headers.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # The default handler logs every request to stderr; the service logs
     # nothing (metrics are the observability surface).
@@ -272,22 +294,38 @@ class ServiceHandler(BaseHTTPRequestHandler):
             f"unknown job {job_id!r}",
         )
 
-    def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            return {}
-        raw = self.rfile.read(length)
+    def _read_body(self) -> bytes:
+        """The request's whole body, by its ``Content-Length``.
+
+        Raises ``ValueError`` when the length cannot be known: a
+        ``Transfer-Encoding``, a ``Content-Length`` that is not an
+        integer ≥ 0, or a body that ends before it.
+        """
+        if "Transfer-Encoding" in self.headers:
+            raise ValueError("a request body needs a Content-Length")
+        declared = self.headers.get("Content-Length") or "0"
         try:
-            doc = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise ValueError(f"request body is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ValueError("request body must be a JSON object")
-        return doc
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ValueError(f"bad Content-Length {declared!r}")
+        raw = self.rfile.read(length) if length else b""
+        if len(raw) < length:
+            raise ValueError(
+                f"request body ended after {len(raw)} of {length} bytes"
+            )
+        return raw
 
     # -- routes -----------------------------------------------------------
 
     def _handle(self) -> None:
+        try:
+            body = self._read_body()
+        except ValueError as exc:
+            # Where the next request starts is unknown: hang up.
+            self._send_json(400, {"error": str(exc)}, {"Connection": "close"})
+            return
         try:
             fault_point("http.handler", method=self.command, path=self.path)
         except OSError as exc:
@@ -302,7 +340,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         server = self.server
         match self.command, segments:
             case "POST", ["jobs"]:
-                self._submit()
+                self._submit(body)
             case "GET", ["jobs", job_id]:
                 self._send_job(job_id, server.job(job_id))
             case "DELETE", ["jobs", job_id]:
@@ -345,10 +383,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 200, {**snapshot.to_dict(), "gauges": gauges, **extra}
             )
 
-    def _submit(self) -> None:
+    def _submit(self, body: bytes) -> None:
         try:
             envelope = SubmitEnvelope.from_request(
-                self._read_body(), self.headers
+                _json_object(body), self.headers
             )
             try:
                 scenario = self.server.scenarios.resolve(
@@ -380,6 +418,19 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": str(exc)})
         else:
             self._send_json(202, {"job": job})
+
+
+def _json_object(body: bytes) -> dict:
+    """A request body as a JSON object; an empty body is ``{}``."""
+    if not body:
+        return {}
+    try:
+        doc = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise ValueError(f"request body is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError("request body must be a JSON object")
+    return doc
 
 
 def make_server(

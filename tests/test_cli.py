@@ -193,6 +193,12 @@ class TestServiceCommands:
             thread.join(timeout=5.0)
 
 
+    @pytest.mark.parametrize("url", ["127.0.0.1:8765", "https://host:1"])
+    def test_submit_refuses_a_url_that_is_not_http(self, capsys, url):
+        assert main(["submit", "s4-s4", "--url", url]) == 2
+        err = capsys.readouterr().err
+        assert err == f"efes: not an http:// service URL: {url!r}\n"
+
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "soon"])
     def test_serve_refuses_a_bad_job_timeout(self, capsys, value):
         with pytest.raises(SystemExit) as excinfo:

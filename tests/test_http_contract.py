@@ -2,16 +2,19 @@
 
 A :class:`~repro.service.JobScheduler` behind ``make_server`` answers
 every row here.  A refused submission must leave nothing behind: no job
-on the scheduler.
+on the scheduler.  A client may keep its connection across requests,
+whatever they were answered.
 """
 
 from __future__ import annotations
 
 import contextlib
+import http.client
 import json
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -20,16 +23,35 @@ from repro.durability import JobJournal
 from repro.resilience import FaultPlan, FaultPoint, injected_faults
 from repro.scenarios import scenario_s4_s4
 from repro.scenarios.io import save_scenario
-from repro.service import JobScheduler, SubmitEnvelope, make_server
+from repro.service import (
+    JobScheduler,
+    ServiceClient,
+    SubmitEnvelope,
+    make_server,
+)
+from repro.service.http_api import ServiceHandler
 
 #: Stands for the directory of :func:`unreadable_scenario` in a row.
 UNREADABLE = "<unreadable scenario directory>"
 
 
 @contextlib.contextmanager
-def serving(scheduler):
-    """Serve ``scheduler`` on an ephemeral port; yields the URL."""
+def serving(scheduler, accepted=None):
+    """Serve ``scheduler`` on an ephemeral port; yields the URL.
+
+    The client address of each connection the server accepts is
+    appended to ``accepted``, when given.
+    """
     server = make_server(scheduler, port=0)
+    if accepted is not None:
+        get_request = server.get_request
+
+        def counted():
+            request = get_request()
+            accepted.append(request[1])
+            return request
+
+        server.get_request = counted
     thread = threading.Thread(
         target=lambda: server.serve_forever(poll_interval=0.02), daemon=True
     )
@@ -261,3 +283,152 @@ def test_deadline_header_parses_as_the_timeout():
     parsed = SubmitEnvelope.from_request(envelope.body(), envelope.headers())
     assert parsed.timeout == pytest.approx(2.5)
     assert parsed.deadline is None
+
+
+@pytest.mark.parametrize(
+    "method, path, body, headers, fault, status, kept",
+    [
+        ("POST", "/nope", {"scenario": "s4-s4"}, {}, False, 404, True),
+        ("DELETE", "/jobs/abc", {"reason": "done"}, {}, False, 404, True),
+        (
+            "POST",
+            "/jobs",
+            {"scenario": "s4-s4", "kind": "assess"},
+            {},
+            True,
+            500,
+            True,
+        ),
+        (
+            "POST",
+            "/jobs",
+            {"scenario": "s4-s4", "kind": "assess"},
+            {"Content-Length": "12abc"},
+            False,
+            400,
+            False,
+        ),
+        (
+            "POST",
+            "/jobs",
+            {"scenario": "s4-s4", "kind": "assess"},
+            {"Transfer-Encoding": "chunked"},
+            False,
+            400,
+            False,
+        ),
+    ],
+    ids=[
+        "unknown-path-with-body",
+        "delete-with-body",
+        "handler-fault-before-the-body",
+        "bad-content-length",
+        "chunked-body",
+    ],
+)
+def test_kept_connection_answers_the_next_request(
+    front_end, method, path, body, headers, fault, status, kept
+):
+    """After each row, ``GET /healthz`` on the same connection is a 200
+    JSON answer.  A body of known length is read and the socket kept; a
+    body whose length is unknown is refused and the socket closed."""
+    url, admitted = front_end
+    address = urllib.parse.urlsplit(url)
+    connection = http.client.HTTPConnection(
+        address.hostname, address.port, timeout=30
+    )
+    plan = FaultPlan([FaultPoint(site="http.handler", times=1)] if fault else [])
+    try:
+        with injected_faults(plan):
+            connection.request(
+                method,
+                path,
+                json.dumps(body).encode("utf-8"),
+                {"Content-Type": "application/json", **headers},
+                encode_chunked="Transfer-Encoding" in headers,
+            )
+            reply = connection.getresponse()
+            reply.read()
+        assert reply.status == status
+        socket_after_row = connection.sock
+        assert (socket_after_row is not None) is kept
+        assert (reply.getheader("Connection") == "close") is not kept
+        connection.request("GET", "/healthz")
+        health = connection.getresponse()
+        assert health.status == 200
+        assert health.getheader("Content-Type").startswith("application/json")
+        assert json.loads(health.read())["status"] == "ok"
+        if kept:
+            assert connection.sock is socket_after_row
+    finally:
+        connection.close()
+    assert admitted() == []
+
+
+def test_one_client_thread_rides_one_connection():
+    """Submit, polls, result, status and the Prometheus text: one
+    accepted connection."""
+    accepted = []
+    scheduler = JobScheduler(workers=1, max_queue=8)
+    with serving(scheduler, accepted) as url:
+        with ServiceClient(url) as client:
+            job = client.submit("s4-s4", kind="assess")
+            doc = client.result(job["id"], deadline=60, poll_interval=0.01)
+            assert doc["scenario"] == "s4-s4"
+            assert client.status(job["id"])["state"] == "done"
+            assert "repro_" in client.metrics_text()
+        assert len(accepted) == 1
+        # A closed client opens a fresh connection for its next exchange.
+        assert client.healthz()["status"] == "ok"
+        client.close()
+        assert len(accepted) == 2
+
+
+def test_threads_sharing_a_client_do_not_wait_for_each_other():
+    """Each thread keeps its own connection: one thread's slow exchange
+    holds up none of another's."""
+    accepted = []
+    slow = FaultPoint(
+        site="http.handler",
+        action="delay",
+        delay_seconds=1.5,
+        match={"path": "/jobs?state=slow"},
+    )
+    scheduler = JobScheduler(workers=1, max_queue=8)
+    with serving(scheduler, accepted) as url, injected_faults(
+        FaultPlan([slow])
+    ):
+        with ServiceClient(url) as client:
+            finished = {}
+
+            def slow_listing():
+                assert client.jobs("slow") == []
+                finished["slow"] = time.monotonic()
+
+            thread = threading.Thread(target=slow_listing)
+            thread.start()
+            time.sleep(0.2)
+            for _ in range(3):
+                assert client.healthz()["status"] == "ok"
+            finished["fast"] = time.monotonic()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert finished["fast"] < finished["slow"]
+        assert len(accepted) == 2
+
+
+def test_idle_connection_is_closed_and_the_submit_sent_again(monkeypatch):
+    """Past the idle limit the server hangs up; the client's next submit
+    goes out on a fresh connection, with the same Idempotency-Key, and
+    no retry."""
+    monkeypatch.setattr(ServiceHandler, "timeout", 0.2)
+    accepted = []
+    scheduler = JobScheduler(workers=1, max_queue=8)
+    with serving(scheduler, accepted) as url:
+        with ServiceClient(url) as client:
+            assert client.healthz()["status"] == "ok"
+            time.sleep(1.0)
+            job = client.submit("s4-s4", kind="assess")
+            assert len(accepted) == 2
+            assert [known.id for known in scheduler.jobs()] == [job["id"]]
+            assert client.retries_total == 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -620,6 +621,40 @@ def stub_server(handler, **state):
         thread.join(timeout=5.0)
 
 
+@contextlib.contextmanager
+def raw_server(answer: bytes):
+    """A socket that reads the head of each request, sends the raw bytes
+    ``answer`` and hangs up; yields the URL."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    stopped = threading.Event()
+
+    def serve():
+        while not stopped.is_set():
+            try:
+                connection, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with connection:
+                head = b""
+                while b"\r\n\r\n" not in head:
+                    chunk = connection.recv(4096)
+                    if not chunk:
+                        break
+                    head += chunk
+                connection.sendall(answer)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+    finally:
+        stopped.set()
+        thread.join(timeout=5.0)
+        listener.close()
+    assert not thread.is_alive()
+
+
 @pytest.fixture()
 def flaky_server():
     with stub_server(_FlakyOnceHandler, recovered=False) as url:
@@ -650,6 +685,34 @@ class TestClientResilience:
         assert excinfo.value.status == 503
         assert client.retries_total == 1  # it did retry before giving up
         assert len(sleeps) == 1
+
+    @pytest.mark.parametrize(
+        "answer",
+        [
+            pytest.param(b"garbage\r\n\r\n", id="garbage"),
+            pytest.param(b"", id="hang-up-before-answering"),
+            pytest.param(
+                b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"st",
+                id="hang-up-mid-body",
+            ),
+            pytest.param(b"HTTP/1.1 2", id="hang-up-mid-status-line"),
+            pytest.param(
+                b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
+                id="not-json",
+            ),
+        ],
+    )
+    def test_broken_answer_raises_service_unavailable(self, answer):
+        """No http.client or socket exception escapes the client."""
+        with raw_server(answer) as url:
+            client = ServiceClient(
+                url, timeout=5.0, retry_policy=RetryPolicy(max_attempts=1)
+            )
+            with pytest.raises(ServiceUnavailableError):
+                client.healthz()
+            with pytest.raises(ServiceUnavailableError):
+                client.submit("s4-s4")
+            client.close()
 
     def test_retry_honours_retry_after_and_recovers(self, flaky_server):
         sleeps = []

@@ -739,8 +739,8 @@ def test_extract_patterns_runs_once_on_the_distinct_texts(monkeypatch):
 
 
 def test_numeric_casts_run_once_per_distinct_string(monkeypatch):
-    """MeanStatistic, NumericHistogram and ValueRange share one cast of
-    each distinct value."""
+    """FillStatus, MeanStatistic, NumericHistogram and ValueRange share
+    one cast of each distinct value."""
     from repro.relational import datatypes
 
     distinct = ["215900", "4:43", " 12 ", "3.5", "nan"]
@@ -755,9 +755,9 @@ def test_numeric_casts_run_once_per_distinct_string(monkeypatch):
     monkeypatch.setitem(datatypes._PARSERS, DataType.FLOAT, counted)
     database = single_column_database(DataType.STRING, values)
     profile = compute_column_profile(database, "r", "x", DataType.FLOAT)
-    # One cast of each distinct value counts the fill status, and one is
-    # shared by the three numeric statistics.
-    assert sorted(calls) == sorted(distinct * 2)
+    # One cast of each distinct value serves the fill status and the
+    # three numeric statistics.
+    assert sorted(calls) == sorted(distinct)
     assert profile.statistic("mean") == reference_mean(values)
     assert profile.statistic("value_range") == reference_value_range(values)
 
